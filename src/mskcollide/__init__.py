@@ -11,9 +11,8 @@ __version__ = "0.1.0"
 
 from .chipseq import (BIPOLAR_CHIP_TABLE, BITS_PER_SYMBOL, CHIP_TABLE,
                       CHIPS_PER_SYMBOL, spread_symbols)
-from .demod import (BitContribution, OffsetDecomposition, batch_interference,
-                    decompose_offset, interference_contribution,
-                    packet_soft_bits, soft_bit, synchronized_contribution)
+from .demod import (OffsetDecomposition, batch_interference, decompose_offset,
+                    interference_contribution, packet_soft_bits)
 from .montecarlo import (ConfigError, ExperimentConfig, MetricPoint,
                          NInterfererPoint, ThresholdPoint, ZoneCell,
                          capture_zone, grid, n_interferer_experiment,
@@ -23,8 +22,8 @@ from .oracle import (QuadratureConfig, oracle_lambda_baseband,
                      oracle_lambda_passband, rect_integral,
                      rect_integral_quadrature)
 from .presets import NINTERF_DEFAULTS, PRESETS, ZONE_PRESETS, ZonePreset
-from .receiver import (DecodeResult, SymbolDecision, decode_packet,
-                       despread_reference, hdd_decode, sdd_decode, slice_bit)
+from .receiver import (DecodeResult, SymbolDecision, decide, decode_packet,
+                       hdd_decode, sdd_decode)
 from .signal_model import (InterfererParams, IqStream, Scenario,
                            demultiplex_bits, make_payload, multiplex_bits)
 
@@ -32,9 +31,8 @@ __all__ = [
     "__version__",
     "BIPOLAR_CHIP_TABLE", "BITS_PER_SYMBOL", "CHIP_TABLE", "CHIPS_PER_SYMBOL",
     "spread_symbols",
-    "BitContribution", "OffsetDecomposition", "batch_interference",
-    "decompose_offset", "interference_contribution", "packet_soft_bits",
-    "soft_bit", "synchronized_contribution",
+    "OffsetDecomposition", "batch_interference", "decompose_offset",
+    "interference_contribution", "packet_soft_bits",
     "ConfigError", "ExperimentConfig", "MetricPoint", "NInterfererPoint",
     "ThresholdPoint", "ZoneCell", "capture_zone", "grid",
     "n_interferer_experiment", "run_point", "sir_db_to_amplitude",
@@ -42,8 +40,8 @@ __all__ = [
     "QuadratureConfig", "oracle_lambda_baseband", "oracle_lambda_passband",
     "rect_integral", "rect_integral_quadrature",
     "NINTERF_DEFAULTS", "PRESETS", "ZONE_PRESETS", "ZonePreset",
-    "DecodeResult", "SymbolDecision", "decode_packet", "despread_reference",
-    "hdd_decode", "sdd_decode", "slice_bit",
+    "DecodeResult", "SymbolDecision", "decide", "decode_packet", "hdd_decode",
+    "sdd_decode",
     "InterfererParams", "IqStream", "Scenario", "demultiplex_bits",
     "make_payload", "multiplex_bits",
 ]

@@ -130,9 +130,14 @@ def _random_params(rng, T=1.0) -> tuple[InterfererParams, int]:
 def cmd_validate(args) -> int:
     if args.draws < 1:
         raise ConfigError("--draws must be at least 1")
-    steps = args.steps + (args.steps % 2)
-    cfg = QuadratureConfig(steps_per_bit=steps, method="simpson",
-                           carrier_multiple=args.carrier_multiple)
+    if not args.tolerance >= 0 or math.isinf(args.tolerance):
+        raise ConfigError("--tolerance must be finite and non-negative")
+    try:
+        cfg = QuadratureConfig(steps_per_bit=args.steps + (args.steps % 2),
+                               method="simpson",
+                               carrier_multiple=args.carrier_multiple)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     oracle = oracle_lambda_passband if args.passband else oracle_lambda_baseband
     rng = np.random.default_rng(args.seed)
     worst = 0.0
@@ -140,7 +145,7 @@ def cmd_validate(args) -> int:
     for _ in range(args.draws):
         params, k = _random_params(rng)
         for branch in ("I", "Q"):
-            closed = interference_contribution(params, k, branch).value
+            closed = interference_contribution(params, k, branch)
             reference = oracle(params, k, branch, cfg)
             dev = abs(closed - reference) / (1.0 + abs(reference))
             if dev > worst:
@@ -188,6 +193,30 @@ def _flag_grid(args, name: str, scale: float = 1.0):
     return grid(start * scale, stop * scale, step * scale)
 
 
+#: (flag, ExperimentConfig field) pairs; a flag a subcommand lacks is skipped.
+_OVERRIDES = (("coding", "coding"), ("payload_mode", "payload_mode"),
+              ("target", "target"), ("payload_bits", "payload_bits"),
+              ("phi_mode", "phi_mode"), ("phi_c", "phi_c"),
+              ("n_interferers", "n_interferers"),
+              ("power_split", "interferer_power_split"),
+              ("noise_std", "noise_std"), ("packets", "packets_per_point"),
+              ("seed", "master_seed"))
+
+
+def _configure(cfg: ExperimentConfig, args, require_grids: bool = True,
+               **fields) -> ExperimentConfig:
+    """Override cfg with the given fields and command-line flags that are
+    not None, then validate it."""
+    overrides = {name: value for name, value in fields.items() if value is not None}
+    for flag, fieldname in _OVERRIDES:
+        value = getattr(args, flag, None)
+        if value is not None:
+            overrides[fieldname] = value
+    cfg = replace(cfg, **overrides)
+    cfg.validate(require_grids)
+    return cfg
+
+
 def _sweep_config(args) -> ExperimentConfig:
     if args.preset and args.config:
         raise ConfigError("give either --preset or --config, not both")
@@ -197,27 +226,8 @@ def _sweep_config(args) -> ExperimentConfig:
         cfg = _load_config_file(args.config)
     else:
         cfg = ExperimentConfig()
-    scale = _tau_scale(args.tau_unit)
-    overrides = {}
-    tau_grid = _flag_grid(args, "tau", scale)
-    sir_grid = _flag_grid(args, "sir")
-    if tau_grid is not None:
-        overrides["tau_grid"] = tau_grid
-    if sir_grid is not None:
-        overrides["sir_db_grid"] = sir_grid
-    for flag, fieldname in (("coding", "coding"), ("payload_mode", "payload_mode"),
-                            ("target", "target"), ("payload_bits", "payload_bits"),
-                            ("phi_mode", "phi_mode"), ("phi_c", "phi_c"),
-                            ("n_interferers", "n_interferers"),
-                            ("power_split", "interferer_power_split"),
-                            ("noise_std", "noise_std"), ("packets", "packets_per_point"),
-                            ("seed", "master_seed")):
-        value = getattr(args, flag)
-        if value is not None:
-            overrides[fieldname] = value
-    cfg = replace(cfg, **overrides)
-    cfg.validate()
-    return cfg
+    return _configure(cfg, args, tau_grid=_flag_grid(args, "tau", _tau_scale(args.tau_unit)),
+                      sir_db_grid=_flag_grid(args, "sir"))
 
 
 def cmd_sweep(args) -> int:
@@ -230,36 +240,17 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_zone(args) -> int:
-    if args.preset:
-        preset = ZONE_PRESETS[args.preset]
-        cfg, sir_db = preset.config, preset.sir_db
-        tau_grid, phi_points = preset.tau_grid, preset.phi_points
-    else:
-        cfg = replace(ExperimentConfig(), payload_mode="independent",
-                      target="interferer", coding="uncoded")
-        sir_db, tau_grid, phi_points = -40.0, grid(-1.5, 1.5, 0.1), 64
-    scale = _tau_scale(args.tau_unit)
-    flag_taus = _flag_grid(args, "tau", scale)
-    if flag_taus is not None:
-        tau_grid = flag_taus
-    if args.sir_db is not None:
-        sir_db = args.sir_db
-    if args.coding is not None:
-        cfg = replace(cfg, coding=args.coding)
-    if args.payload_bits is not None:
-        cfg = replace(cfg, payload_bits=args.payload_bits)
-    if args.packets is not None:
-        cfg = replace(cfg, packets_per_point=args.packets)
-    if args.seed is not None:
-        cfg = replace(cfg, master_seed=args.seed)
+    preset = ZONE_PRESETS[args.preset or "fig11a"]
     if args.phi_points is not None:
-        phi_points = args.phi_points
-    if phi_points < 1:
+        preset = replace(preset, phi_points=args.phi_points)
+    if preset.phi_points < 1:
         raise ConfigError("--phi-points must be at least 1")
-    phi_grid = tuple(i * 2.0 * math.pi / phi_points for i in range(phi_points))
-    cfg.validate(require_grids=False)
+    tau_grid = _flag_grid(args, "tau", _tau_scale(args.tau_unit)) or preset.tau_grid
+    sir_db = preset.sir_db if args.sir_db is None else args.sir_db
+    cfg = _configure(preset.config, args, tau_grid=tau_grid, sir_db_grid=(sir_db,))
     started = time.monotonic()
-    cells = capture_zone(cfg, sir_db, tau_grid, phi_grid, threads=args.threads)
+    cells = capture_zone(cfg, sir_db, cfg.tau_grid, preset.phi_grid(),
+                         threads=args.threads)
     _write_table(write_zone, cells, args, "zone", cfg.to_dict(),
                  cfg.master_seed, started,
                  {"preset": args.preset, "sir_db": sir_db})
@@ -267,20 +258,11 @@ def cmd_zone(args) -> int:
 
 
 def cmd_ninterf(args) -> int:
-    cfg = NINTERF_DEFAULTS
-    if args.coding is not None:
-        cfg = replace(cfg, coding=args.coding)
-    if args.payload_bits is not None:
-        cfg = replace(cfg, payload_bits=args.payload_bits)
-    if args.packets is not None:
-        cfg = replace(cfg, packets_per_point=args.packets)
-    if args.seed is not None:
-        cfg = replace(cfg, master_seed=args.seed)
+    cfg = _configure(NINTERF_DEFAULTS, args, require_grids=False)
     if args.max_n < 1:
         raise ConfigError("--max-n must be at least 1")
     if args.max_n > 8:
         print("note: n above 8 is outside the validated range", file=sys.stderr)
-    cfg.validate(require_grids=False)
     started = time.monotonic()
     rows = n_interferer_experiment(cfg, max_n=args.max_n, threads=args.threads)
     _write_table(write_ninterf, rows, args, "ninterf", cfg.to_dict(),

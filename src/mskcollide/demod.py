@@ -43,7 +43,6 @@ class OffsetDecomposition:
     k_shift: int
     tau_rel: float
     phi_p: float
-    variant: str
 
 
 def decompose_offset(tau: float, T: float = 1.0, variant: str = "active") -> OffsetDecomposition:
@@ -62,64 +61,17 @@ def decompose_offset(tau: float, T: float = 1.0, variant: str = "active") -> Off
         tau_rel -= two_t
     if tau_rel < 0.0:
         tau_rel = 0.0
-    return OffsetDecomposition(k_shift, tau_rel, math.pi * tau / two_t, variant)
-
-
-@dataclass(frozen=True)
-class BitContribution:
-    """One signal's additive contribution to a single soft bit."""
-
-    value: float
-    branch: str
-    bit_index: int
-
-
-def synchronized_contribution(amplitude: float, bit: int) -> float:
-    """Contribution of a fully synchronized signal: amplitude times bit."""
-    if not amplitude > 0:
-        raise ValueError("amplitude must be positive")
-    if bit not in (-1, 0, 1):
-        raise ValueError("bit must be -1, 0, or +1")
-    return amplitude * bit
-
-
-def _closed_form(main_prev, main_cur, leak_prev, leak_cur,
-                 amplitude, phi_c, tau_rel, tau_rel_leak, phi_p, T):
-    """Shared closed-form expression; scalar or broadcast array inputs.
-
-    main_* are the bits of the detected branch selected by the plain
-    decomposition, leak_* the opposite-branch bits selected by the shifted
-    decomposition; tau_rel / tau_rel_leak are the matching remainders.
-    """
-    two_t = 2.0 * T
-    over_pi = two_t / math.pi
-    cos_p = math.cos(phi_p)
-    sin_p = math.sin(phi_p)
-    direct = (cos_p * (tau_rel * main_prev + (two_t - tau_rel) * main_cur)
-              - over_pi * sin_p * (main_prev - main_cur))
-    leak = (sin_p * (tau_rel_leak * leak_prev + (two_t - tau_rel_leak) * leak_cur)
-            + over_pi * cos_p * (leak_prev - leak_cur))
-    return amplitude / two_t * (np.cos(phi_c) * direct - np.sin(phi_c) * leak)
+    return OffsetDecomposition(k_shift, tau_rel, math.pi * tau / two_t)
 
 
 def interference_contribution(params: InterfererParams, k: int,
-                              branch: str = "I", T: float = 1.0) -> BitContribution:
-    """Closed-form contribution of one interferer to soft bit k of a branch."""
-    if branch not in ("I", "Q"):
-        raise ValueError("branch must be 'I' or 'Q'")
-    main_dec = decompose_offset(params.tau, T, "active")
-    leak_dec = decompose_offset(params.tau, T, "q_leak" if branch == "I" else "i_leak")
+                              branch: str = "I", T: float = 1.0) -> float:
+    """Closed-form contribution of one interferer to soft bit k of a branch:
+    a one-row evaluation of batch_interference."""
     payload = params.payload
-    main_bit = payload.i_bit if branch == "I" else payload.q_bit
-    leak_bit = payload.q_bit if branch == "I" else payload.i_bit
-    km = k - main_dec.k_shift
-    kl = k - leak_dec.k_shift
-    value = _closed_form(
-        main_bit(km - 1), main_bit(km), leak_bit(kl - 1), leak_bit(kl),
-        params.amplitude, params.phi_c,
-        main_dec.tau_rel, leak_dec.tau_rel, main_dec.phi_p, T,
-    )
-    return BitContribution(value=float(value), branch=branch, bit_index=k)
+    return float(batch_interference(payload.i_bits, payload.q_bits, params.amplitude,
+                                    params.tau, params.phi_c, branch, 1, T,
+                                    payload.origin_index - k)[0])
 
 
 def _shifted_pair(bits: np.ndarray, shift: int, num_bits: int):
@@ -139,10 +91,11 @@ def batch_interference(i_bits: np.ndarray, q_bits: np.ndarray, amplitude: float,
     """Contributions of one interferer for decision indices 0..num_bits-1.
 
     i_bits/q_bits hold +-1 payload bits on the trailing axis with arbitrary
-    leading batch axes; phi_c broadcasts over those leading axes. Same
-    expression as interference_contribution, evaluated for whole packets.
-    index_offset is the interferer payload's first branch index relative to
-    the first decision index (0 when both grids start at bit 0).
+    leading batch axes; phi_c broadcasts over those leading axes. This is
+    the only evaluator of the closed form; interference_contribution is its
+    one-row case. index_offset is the interferer payload's first branch
+    index relative to the first decision index (0 when both grids start at
+    bit 0).
     """
     if branch not in ("I", "Q"):
         raise ValueError("branch must be 'I' or 'Q'")
@@ -155,8 +108,13 @@ def batch_interference(i_bits: np.ndarray, q_bits: np.ndarray, amplitude: float,
                                         num_bits)
     leak_prev, leak_cur = _shifted_pair(leak_bits, leak_dec.k_shift + index_offset,
                                         num_bits)
-    # Same expression as _closed_form, folded into one scalar weight per
-    # selected bit so the batch path touches each array only twice.
+    # With b the detected-branch bits and l the leaking bits selected by
+    # their decompositions (remainders t and t'),
+    #   direct = cos(phi_p) (t b[k-1] + (2T - t) b[k]) - 2T/pi sin(phi_p) (b[k-1] - b[k])
+    #   leak   = sin(phi_p) (t' l[k-1] + (2T - t') l[k]) + 2T/pi cos(phi_p) (l[k-1] - l[k])
+    #   lambda = A / 2T (cos(phi_c) direct - sin(phi_c) leak),
+    # folded into one scalar weight per selected bit so each array is
+    # touched only twice.
     two_t = 2.0 * T
     over_pi = two_t / math.pi
     gain = amplitude / two_t
@@ -167,21 +125,6 @@ def batch_interference(i_bits: np.ndarray, q_bits: np.ndarray, amplitude: float,
     leak = ((gain * (sin_p * leak_dec.tau_rel + over_pi * cos_p)) * leak_prev
             + (gain * (sin_p * (two_t - leak_dec.tau_rel) - over_pi * cos_p)) * leak_cur)
     return np.cos(phi_c) * direct - np.sin(phi_c) * leak
-
-
-def soft_bit(scenario: Scenario, branch: str, k: int, rng=None) -> float:
-    """Demodulator output for one bit: synchronized sender plus all
-    interferer contributions plus an optional Gaussian noise sample."""
-    payload = scenario.soi_payload
-    bit = payload.i_bit(k) if branch == "I" else payload.q_bit(k)
-    total = scenario.soi_amplitude * bit
-    for u in scenario.interferers:
-        total += interference_contribution(u, k, branch, scenario.half_bit).value
-    if scenario.noise_std > 0:
-        if rng is None:
-            raise ValueError("rng is required when noise_std > 0")
-        total += rng.normal(0.0, scenario.noise_std)
-    return float(total)
 
 
 def packet_soft_bits(scenario: Scenario, rng=None) -> tuple[np.ndarray, np.ndarray]:

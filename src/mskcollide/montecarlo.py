@@ -17,18 +17,19 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .chipseq import BIPOLAR_CHIP_TABLE, BITS_PER_SYMBOL, CHIPS_PER_SYMBOL
+from .chipseq import BITS_PER_SYMBOL
 from .demod import batch_interference
+from .receiver import decide
+from .signal_model import draw_payloads
 
 TWO_PI = 2.0 * math.pi
-
-_BIPOLAR_T_F64 = BIPOLAR_CHIP_TABLE.T.astype(np.float64)
 
 PAYLOAD_MODES = ("independent", "identical")
 CODINGS = ("uncoded", "hdd", "sdd")
@@ -64,6 +65,18 @@ class ExperimentConfig:
         object.__setattr__(self, "sir_db_grid", tuple(float(s) for s in self.sir_db_grid))
 
     def validate(self, require_grids: bool = True):
+        for name in ("packets_per_point", "payload_bits", "n_interferers", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, not {value!r}")
+        for name in ("phi_c", "noise_std"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ConfigError(f"{name} must be a finite number, not {value!r}")
+        for name in ("tau_grid", "sir_db_grid"):
+            if not all(map(math.isfinite, getattr(self, name))):
+                raise ConfigError(f"{name} values must be finite")
         if self.packets_per_point < 1:
             raise ConfigError("packets_per_point must be at least 1")
         if self.payload_bits < 1:
@@ -98,13 +111,15 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be a mapping of fields, not {type(data).__name__}")
         known = set(cls.__dataclass_fields__)
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         try:
             return cls(**data)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
 
@@ -216,30 +231,28 @@ class _BatchStats:
     total_symbols: int
 
 
-def _draw_bipolar(rng, shape) -> np.ndarray:
-    return (rng.integers(0, 2, size=shape, dtype=np.int8) * 2 - 1).astype(np.int8)
+def _compute_soft(soi_chips, interferer_chips, amplitudes, tau, phi,
+                  noise=None, soi_amplitude=1.0):
+    """Transmit-order soft values of a batch of packets (pure given the draws).
 
-
-def _compute_soft(alpha_i, alpha_q, interferer_bits, amplitudes, tau, phi,
-                  noise_i=None, noise_q=None, soi_amplitude=1.0):
-    """Soft-bit matrices for a batch of packets (pure given the draws).
-
-    interferer_bits is a list of (beta_i, beta_q) pairs; phi has one column
-    per interferer. Returns (soft_i, soft_q) float64 matrices.
+    soi_chips and each entry of interferer_chips are (packets, n_chips) +-1
+    arrays in transmit order; phi has one column per interferer; noise is
+    an optional (noise_i, noise_q) pair. The in-phase (even) and quadrature
+    (odd) positions are written through strided views of one
+    (packets, n_chips) float64 buffer.
     """
-    n_i = alpha_i.shape[-1]
-    n_q = alpha_q.shape[-1]
-    soft_i = soi_amplitude * alpha_i.astype(np.float64, copy=False)
-    soft_q = soi_amplitude * alpha_q.astype(np.float64, copy=False)
-    for idx, (beta_i, beta_q) in enumerate(interferer_bits):
-        amp = amplitudes[idx]
+    soft = np.multiply(soi_amplitude, soi_chips, dtype=np.float64)
+    soft_i, soft_q = soft[..., 0::2], soft[..., 1::2]
+    n_i, n_q = soft_i.shape[-1], soft_q.shape[-1]
+    for idx, chips in enumerate(interferer_chips):
+        beta_i, beta_q = chips[..., 0::2], chips[..., 1::2]
         phi_col = phi[..., idx]
-        soft_i += batch_interference(beta_i, beta_q, amp, tau, phi_col, "I", n_i)
-        soft_q += batch_interference(beta_i, beta_q, amp, tau, phi_col, "Q", n_q)
-    if noise_i is not None:
-        soft_i += noise_i
-        soft_q += noise_q
-    return soft_i, soft_q
+        soft_i += batch_interference(beta_i, beta_q, amplitudes[idx], tau, phi_col, "I", n_i)
+        soft_q += batch_interference(beta_i, beta_q, amplitudes[idx], tau, phi_col, "Q", n_q)
+    if noise is not None:
+        soft_i += noise[0]
+        soft_q += noise[1]
+    return soft
 
 
 def _simulate_batch(cfg: ExperimentConfig, tau: float, amplitudes: tuple,
@@ -258,75 +271,35 @@ def _simulate_batch(cfg: ExperimentConfig, tau: float, amplitudes: tuple,
         packets, cfg.payload_bits, float(cfg.noise_std),
     )
 
-    # Canonical draw order: SoI payload, interferer payloads (independent
-    # mode only), phase offsets (random mode only), then noise.
-    if coded:
-        n_symbols = cfg.payload_bits // BITS_PER_SYMBOL
-        soi_symbols = rng.integers(0, 16, size=(packets, n_symbols))
-        soi_chips = BIPOLAR_CHIP_TABLE[soi_symbols].reshape(packets, n_chips)
-        senders = [(soi_symbols, soi_chips)]
-        for _ in range(n_int):
-            if cfg.payload_mode == "identical":
-                senders.append((soi_symbols, soi_chips))
-            else:
-                symbols = rng.integers(0, 16, size=(packets, n_symbols))
-                senders.append((symbols, BIPOLAR_CHIP_TABLE[symbols].reshape(packets, n_chips)))
-    else:
-        n_symbols = 0
-        soi_chips = _draw_bipolar(rng, (packets, n_chips))
-        senders = [(None, soi_chips)]
-        for _ in range(n_int):
-            if cfg.payload_mode == "identical":
-                senders.append((None, soi_chips))
-            else:
-                senders.append((None, _draw_bipolar(rng, (packets, n_chips))))
-
+    # Canonical draw order: payloads (draw_payloads), phase offsets (random
+    # mode only), then noise.
+    senders = draw_payloads(rng, cfg.payload_mode, coded, cfg.payload_bits, n_int, packets)
     if cfg.phi_mode == "random_uniform":
         phi = rng.uniform(0.0, TWO_PI, size=(packets, n_int))
     else:
         phi = np.full((packets, n_int), float(phi_fixed))
-
+    noise = None
     if cfg.noise_std > 0:
-        noise_i = rng.normal(0.0, cfg.noise_std, size=(packets, n_chips - n_chips // 2))
-        noise_q = rng.normal(0.0, cfg.noise_std, size=(packets, n_chips // 2))
-    else:
-        noise_i = noise_q = None
+        noise = (rng.normal(0.0, cfg.noise_std, size=(packets, n_chips - n_chips // 2)),
+                 rng.normal(0.0, cfg.noise_std, size=(packets, n_chips // 2)))
 
-    split = [(chips[:, 0::2], chips[:, 1::2]) for _, chips in senders]
-    soft_i, soft_q = _compute_soft(split[0][0], split[0][1], split[1:],
-                                   amplitudes, tau, phi, noise_i, noise_q)
-
-    target_idx = 0 if cfg.target == "soi" else 1
-    ref_symbols = senders[target_idx][0]
-
-    sliced_i = np.where(soft_i >= 0, np.int8(1), np.int8(-1))
-    sliced_q = np.where(soft_q >= 0, np.int8(1), np.int8(-1))
-    bit_err_per_packet = ((sliced_i != split[target_idx][0]).sum(axis=1)
-                          + (sliced_q != split[target_idx][1]).sum(axis=1))
+    soft = _compute_soft(senders[0][1], [chips for _, chips in senders[1:]],
+                         amplitudes, tau, phi, noise)
+    ref_symbols, ref_chips = senders[0 if cfg.target == "soi" else 1]
+    sliced, decided, _ = decide(soft, cfg.coding)
+    bit_err_per_packet = (sliced != ref_chips).sum(axis=1)
     bit_errors = int(bit_err_per_packet.sum())
 
     if not coded:
-        ok = bit_err_per_packet == 0
-        return _BatchStats(ok=ok, bit_errors=bit_errors,
+        return _BatchStats(ok=bit_err_per_packet == 0, bit_errors=bit_errors,
                            total_bits=packets * n_chips,
                            symbol_errors=0, total_symbols=0)
 
-    values = np.empty((packets, n_chips))
-    if cfg.coding == "hdd":
-        values[:, 0::2] = sliced_i
-        values[:, 1::2] = sliced_q
-    else:
-        values[:, 0::2] = soft_i
-        values[:, 1::2] = soft_q
-    blocks = values.reshape(packets * n_symbols, CHIPS_PER_SYMBOL)
-    corr = np.abs(blocks @ _BIPOLAR_T_F64)
-    decided = np.argmax(corr, axis=1).reshape(packets, n_symbols)
     sym_err_per_packet = (decided != ref_symbols).sum(axis=1)
-    ok = sym_err_per_packet == 0
-    return _BatchStats(ok=ok, bit_errors=bit_errors,
+    return _BatchStats(ok=sym_err_per_packet == 0, bit_errors=bit_errors,
                        total_bits=packets * n_chips,
                        symbol_errors=int(sym_err_per_packet.sum()),
-                       total_symbols=packets * n_symbols)
+                       total_symbols=decided.size)
 
 
 def _prr_stats(ok: np.ndarray, n_batches: int = 10) -> tuple[float, float]:

@@ -19,11 +19,6 @@ from .demod import packet_soft_bits
 from .signal_model import Scenario, demultiplex_bits
 
 
-def slice_bit(soft: float) -> int:
-    """Sign of the soft value; exactly 0 maps to +1."""
-    return 1 if soft >= 0 else -1
-
-
 @dataclass(frozen=True)
 class SymbolDecision:
     """Decoded symbol with its winning |correlation| and the margin to the
@@ -34,13 +29,42 @@ class SymbolDecision:
     runner_up_gap: float
 
 
-def _correlate_decide(values: np.ndarray) -> SymbolDecision:
-    corr = np.abs(BIPOLAR_CHIP_TABLE.astype(np.float64) @ values)
-    best = int(np.argmax(corr))
-    winning = float(corr[best])
-    corr[best] = -np.inf
+_BIPOLAR_T_F64 = BIPOLAR_CHIP_TABLE.T.astype(np.float64)
+
+
+def decide(soft, coding: str):
+    """Receiver decisions for transmit-order soft values of any leading shape.
+
+    Returns (sliced, symbols, corr): the int8 +-1 slice of every value (an
+    exact 0 slices to +1) and, for "hdd" and "sdd", the decided symbol of
+    every 32-value block (ties to the lowest symbol) with the block's
+    |correlation| against all 16 codewords, shape (..., blocks, 16). HDD
+    correlates the sliced chips, SDD the soft values; uncoded returns None
+    for both.
+    """
+    soft = np.asarray(soft, dtype=np.float64)
+    sliced = np.where(soft >= 0, np.int8(1), np.int8(-1))
+    if coding == "uncoded":
+        return sliced, None, None
+    if coding not in ("hdd", "sdd"):
+        raise ValueError(f"unknown coding {coding!r}")
+    if soft.shape[-1] % CHIPS_PER_SYMBOL:
+        raise ValueError("coded decisions need a multiple of 32 transmit chips")
+    values = sliced if coding == "hdd" else soft
+    # One 2-D product over all blocks, whatever the leading shape: the
+    # engine's product keeps the shape (and so the sums) it always had.
+    corr = values.reshape(-1, CHIPS_PER_SYMBOL) @ _BIPOLAR_T_F64
+    np.abs(corr, out=corr)
+    lead = soft.shape[:-1] + (-1,)
+    return sliced, corr.argmax(axis=1).reshape(lead), corr.reshape(lead + (16,))
+
+
+def _block_decision(values: np.ndarray, coding: str) -> SymbolDecision:
+    _, symbols, corr = decide(values, coding)
+    best = int(symbols[0])
+    winning = float(corr[0, best])
     return SymbolDecision(symbol=best, correlation=winning,
-                          runner_up_gap=winning - float(np.max(corr)))
+                          runner_up_gap=winning - float(np.max(np.delete(corr[0], best))))
 
 
 def hdd_decode(chips) -> SymbolDecision:
@@ -50,7 +74,7 @@ def hdd_decode(chips) -> SymbolDecision:
         raise ValueError(f"expected exactly {CHIPS_PER_SYMBOL} chips")
     if not np.all(np.abs(chips) == 1):
         raise ValueError("hard-decision chips must be +1 or -1")
-    return _correlate_decide(chips.astype(np.float64))
+    return _block_decision(chips, "hdd")
 
 
 def sdd_decode(soft_chips) -> SymbolDecision:
@@ -58,21 +82,7 @@ def sdd_decode(soft_chips) -> SymbolDecision:
     soft_chips = np.asarray(soft_chips, dtype=np.float64)
     if soft_chips.shape != (CHIPS_PER_SYMBOL,):
         raise ValueError(f"expected exactly {CHIPS_PER_SYMBOL} soft chips")
-    return _correlate_decide(soft_chips)
-
-
-def despread_reference(transmit_chips: np.ndarray) -> np.ndarray:
-    """Symbols of a clean +-1 chip stream, one per 32-chip block.
-
-    Exact for valid codeword streams (autocorrelation is strictly maximal);
-    arbitrary blocks decode to their nearest codeword.
-    """
-    chips = np.asarray(transmit_chips)
-    if chips.size % CHIPS_PER_SYMBOL:
-        raise ValueError("chip stream length must be a multiple of 32")
-    blocks = chips.reshape(-1, CHIPS_PER_SYMBOL).astype(np.int32)
-    corr = np.abs(blocks @ BIPOLAR_CHIP_TABLE.T.astype(np.int32))
-    return np.argmax(corr, axis=1)
+    return _block_decision(soft_chips, "sdd")
 
 
 @dataclass(frozen=True)
@@ -120,18 +130,13 @@ def decode_packet(scenario: Scenario, coding: str, target: str = "soi",
     if len(ref_t) != len(soft_t):
         raise ValueError("target payload length does not match the decision grid")
 
-    sliced = np.where(soft_t >= 0, 1, -1).astype(np.int8)
+    sliced, decided, _ = decide(soft_t, coding)
     bit_errors = int(np.count_nonzero(sliced != ref_t))
-
     if coding == "uncoded":
         return DecodeResult(packet_ok=bit_errors == 0, bit_errors=bit_errors,
                             n_bits=len(ref_t), decided_bits=sliced)
 
-    if len(soft_t) % CHIPS_PER_SYMBOL:
-        raise ValueError("coded packets need a multiple of 32 transmit chips")
-    blocks = (sliced if coding == "hdd" else soft_t).reshape(-1, CHIPS_PER_SYMBOL)
-    decided = np.array([_correlate_decide(b.astype(np.float64)).symbol for b in blocks])
-    ref_symbols = despread_reference(ref_t)
+    _, ref_symbols, _ = decide(ref_t, coding)
     symbol_errors = int(np.count_nonzero(decided != ref_symbols))
     return DecodeResult(packet_ok=symbol_errors == 0, bit_errors=bit_errors,
                         n_bits=len(ref_t), decided_bits=sliced,

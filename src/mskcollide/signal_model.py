@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chipseq import BITS_PER_SYMBOL, spread_symbols
+from .chipseq import BIPOLAR_CHIP_TABLE, BITS_PER_SYMBOL
 
 TWO_PI = 2.0 * math.pi
 
@@ -140,13 +140,34 @@ class Scenario:
         return self.soi_amplitude**2 / p_int
 
 
+def draw_payloads(rng, mode: str, coded: bool, n_bits: int, n_interferers: int,
+                  packets: int) -> list:
+    """Payloads of a batch of packets for the synchronized sender and each
+    interferer, in one canonical draw order.
+
+    Returns one (symbols, chips) pair per sender, synchronized sender first:
+    chips is an int8 (packets, n_chips) array of +-1 in transmit order and
+    symbols the (packets, n_bits / 4) data symbols, or None when uncoded.
+    Uncoded payloads are n_bits i.i.d. bits; coded ones n_bits / 4 uniform
+    symbols spread to 8 * n_bits chips. In "identical" mode every
+    interferer shares the synchronized sender's arrays and draws nothing.
+    """
+    def draw():
+        if not coded:
+            return None, rng.integers(0, 2, size=(packets, n_bits), dtype=np.int8) * 2 - 1
+        symbols = rng.integers(0, 16, size=(packets, n_bits // BITS_PER_SYMBOL))
+        return symbols, BIPOLAR_CHIP_TABLE[symbols].reshape(packets, -1)
+
+    soi = draw()
+    return [soi] + [soi if mode == "identical" else draw() for _ in range(n_interferers)]
+
+
 def make_payload(mode: str, coding: str, length_bits: int, rng) -> tuple[IqStream, IqStream]:
     """Draw payloads for the synchronized sender and one interferer.
 
     `mode` is "independent" (two fresh draws) or "identical" (the interferer
-    copies the synchronized sender). Uncoded payloads are `length_bits`
-    i.i.d. +-1 bits; coded payloads draw length_bits/4 uniform symbols and
-    spread them to 8 * length_bits chips before multiplexing.
+    copies the synchronized sender). `coding` is "uncoded" or "coded"; one
+    packet of draw_payloads.
     """
     if mode not in ("independent", "identical"):
         raise ValueError(f"unknown payload mode {mode!r}")
@@ -154,18 +175,7 @@ def make_payload(mode: str, coding: str, length_bits: int, rng) -> tuple[IqStrea
         raise ValueError(f"unknown coding {coding!r}")
     if length_bits <= 0:
         raise ValueError("length_bits must be positive")
-
-    def draw():
-        if coding == "uncoded":
-            bits = rng.integers(0, 2, size=length_bits).astype(np.int8) * 2 - 1
-        else:
-            symbols = rng.integers(0, 16, size=length_bits // BITS_PER_SYMBOL)
-            bits = spread_symbols(symbols)
-        return multiplex_bits(bits)
-
     if coding == "coded" and length_bits % BITS_PER_SYMBOL != 0:
         raise ValueError("coded payload length must be a whole number of 4-bit symbols")
-
-    soi = draw()
-    interferer = soi if mode == "identical" else draw()
-    return soi, interferer
+    soi, interferer = draw_payloads(rng, mode, coding == "coded", length_bits, 1, 1)
+    return multiplex_bits(soi[1][0]), multiplex_bits(interferer[1][0])

@@ -198,3 +198,35 @@ def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+_ONE_POINT = ["--tau-start", "0", "--tau-stop", "0", "--tau-step", "1",
+              "--sir-start", "0", "--sir-stop", "0", "--sir-step", "1",
+              "--packets", "10"]
+
+
+@pytest.mark.parametrize("config, argv", [
+    ({"packets_per_point": "10"}, []),
+    ({"packets_per_point": 10.5}, []),
+    ({"tau_grid": [0.0, float("nan")], "sir_db_grid": [0.0]}, []),
+    ([5], []),
+    (None, ["sweep", "--noise-std", "nan", *_ONE_POINT]),
+    (None, ["sweep", "--phi-mode", "fixed", "--phi-c", "inf", *_ONE_POINT]),
+    (None, ["zone", "--sir-db", "nan", "--packets", "10"]),
+    (None, ["validate", "--steps", "10"]),
+    (None, ["validate", "--tolerance", "nan", "--draws", "1"]),
+], ids=["packets-str", "packets-float", "tau-nan", "config-not-object", "noise-nan", "phi-inf",
+        "zone-sir-nan", "validate-steps", "validate-tolerance-nan"])
+def test_bad_input_is_config_error(tmp_path, capsys, config, argv):
+    out = ["--out", str(tmp_path / "x.csv")]
+    if config is not None:
+        cfg_path = tmp_path / "cfg.json"
+        if isinstance(config, dict):
+            config = {"tau_grid": [0.0], "sir_db_grid": [0.0], **config}
+        cfg_path.write_text(json.dumps(config))
+        argv = ["sweep", "--config", str(cfg_path), *out]
+    elif argv[0] != "validate":
+        argv = [*argv, *out]
+    assert main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()

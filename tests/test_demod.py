@@ -1,15 +1,15 @@
 """Closed-form demodulator contributions: special cases, reductions, and
-agreement between the scalar and batched evaluators."""
+agreement between one-row and whole-packet evaluations of the kernel."""
 
 import math
 
 import numpy as np
 import pytest
 
-from mskcollide import (InterfererParams, Scenario, batch_interference,
-                        decompose_offset, interference_contribution,
-                        multiplex_bits, packet_soft_bits, soft_bit,
-                        synchronized_contribution)
+from mskcollide import (InterfererParams, IqStream, Scenario,
+                        batch_interference, decompose_offset,
+                        interference_contribution, multiplex_bits,
+                        packet_soft_bits)
 
 TWO_OVER_PI = 2.0 / math.pi
 
@@ -71,52 +71,59 @@ class TestDecomposeOffset:
 
 
 class TestSynchronizedContribution:
+    """A fully synchronized signal contributes amplitude times its bit."""
+
     def test_unit(self):
-        assert synchronized_contribution(1.0, +1) == 1.0
+        value = interference_contribution(_interferer([+1, -1]), 0, "I")
+        assert type(value) is float and value == 1.0
 
     def test_scaled_negative(self):
-        assert synchronized_contribution(0.5, -1) == -0.5
+        assert interference_contribution(_interferer([-1, +1], 0.5), 0, "I") == -0.5
 
     def test_silence(self):
-        assert synchronized_contribution(1.0, 0) == 0.0
+        u = _interferer([+1, -1], amplitude=3.0)
+        assert interference_contribution(u, 1, "I") == 0.0
+        assert interference_contribution(u, -1, "Q") == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            synchronized_contribution(-1.0, 1)
+            _interferer([+1, -1], amplitude=-1.0)
         with pytest.raises(ValueError):
-            synchronized_contribution(1.0, 2)
+            _interferer([+1, 2])
+        with pytest.raises(ValueError):
+            interference_contribution(_interferer([+1, -1]), 0, "X")
 
 
 class TestSpecialCases:
     def test_no_offsets_is_amplitude_times_bit(self):
         u = _interferer([+1, +1, +1, -1], amplitude=1.0)
-        assert interference_contribution(u, 0, "I").value == pytest.approx(1.0)
+        assert interference_contribution(u, 0, "I") == pytest.approx(1.0)
         u2 = _interferer([-1, +1], amplitude=0.7)
-        assert interference_contribution(u2, 0, "I").value == pytest.approx(-0.7)
+        assert interference_contribution(u2, 0, "I") == pytest.approx(-0.7)
 
     def test_quarter_turn_leaks_alternating_q_bits(self):
         # q bits (k-1, k) = (+1, -1) at k=1
         u = _interferer([+1, +1, +1, -1], phi_c=math.pi / 2)
-        got = interference_contribution(u, 1, "I").value
+        got = interference_contribution(u, 1, "I")
         assert got == pytest.approx(-TWO_OVER_PI, abs=1e-12)
 
     def test_quarter_turn_equal_q_bits_vanishes(self):
         u = _interferer([+1, +1, -1, +1], phi_c=math.pi / 2)  # q bits equal
-        assert interference_contribution(u, 1, "I").value == pytest.approx(0.0, abs=1e-12)
+        assert interference_contribution(u, 1, "I") == pytest.approx(0.0, abs=1e-12)
 
     def test_half_bit_delay_alternating_i_bits(self):
         # i bits (k-1, k) = (+1, -1) at k=1: only the transition term remains
         u = _interferer([+1, +1, -1, -1], tau=1.0)
-        got = interference_contribution(u, 1, "I").value
+        got = interference_contribution(u, 1, "I")
         assert got == pytest.approx(-TWO_OVER_PI, abs=1e-12)
 
     def test_q_branch_no_offsets(self):
         u = _interferer([+1, +1, +1, -1])
-        assert interference_contribution(u, 0, "Q").value == pytest.approx(1.0)
+        assert interference_contribution(u, 0, "Q") == pytest.approx(1.0)
 
     def test_q_branch_opposed_carrier_flips_sign(self):
         u = _interferer([+1, +1, +1, -1], phi_c=math.pi)
-        assert interference_contribution(u, 0, "Q").value == pytest.approx(-1.0)
+        assert interference_contribution(u, 0, "Q") == pytest.approx(-1.0)
 
     def test_unit_magnitude_for_in_packet_bit(self):
         rng = np.random.default_rng(5)
@@ -124,7 +131,7 @@ class TestSpecialCases:
         u = _interferer(bits)
         for k in range(6):
             for branch in ("I", "Q"):
-                assert abs(interference_contribution(u, k, branch).value) == pytest.approx(1.0)
+                assert abs(interference_contribution(u, k, branch)) == pytest.approx(1.0)
 
 
 class TestReductions:
@@ -154,7 +161,7 @@ class TestReductions:
             u = _random_interferer(rng)
             u = InterfererParams(u.amplitude, 0.0, u.phi_c, u.payload)
             k = int(rng.integers(0, 8))
-            got = interference_contribution(u, k, "I").value
+            got = interference_contribution(u, k, "I")
             want = self._phase_only(u, k)
             assert got == pytest.approx(want, abs=1e-13 * (1 + abs(want)))
 
@@ -164,7 +171,7 @@ class TestReductions:
             u = _random_interferer(rng)
             u = InterfererParams(u.amplitude, u.tau, 0.0, u.payload)
             k = int(rng.integers(0, 8))
-            got = interference_contribution(u, k, "I").value
+            got = interference_contribution(u, k, "I")
             want = self._time_only(u, k)
             assert got == pytest.approx(want, abs=1e-13 * (1 + abs(want)))
 
@@ -174,8 +181,8 @@ class TestReductions:
             u = _random_interferer(rng)
             u = InterfererParams(u.amplitude, 0.0, 0.0, u.payload)
             k = int(rng.integers(0, 8))
-            got = interference_contribution(u, k, "I").value
-            want = synchronized_contribution(u.amplitude, u.payload.i_bit(k))
+            got = interference_contribution(u, k, "I")
+            want = u.amplitude * u.payload.i_bit(k)
             assert got == pytest.approx(want, abs=1e-13 * (1 + abs(want)))
 
 
@@ -187,8 +194,8 @@ class TestProperties:
             scale = float(10.0 ** rng.uniform(-2, 2))
             scaled = InterfererParams(u.amplitude, u.tau * scale, u.phi_c, u.payload)
             for branch in ("I", "Q"):
-                a = interference_contribution(u, 2, branch).value
-                b = interference_contribution(scaled, 2, branch, T=scale).value
+                a = interference_contribution(u, 2, branch)
+                b = interference_contribution(scaled, 2, branch, T=scale)
                 assert b == pytest.approx(a, abs=1e-11 * (1 + abs(a)))
 
     def test_four_T_periodicity_with_constant_bits(self):
@@ -200,8 +207,8 @@ class TestProperties:
             a = InterfererParams(1.0, tau, phi, multiplex_bits(bits))
             b = InterfererParams(1.0, tau + 4.0, phi, multiplex_bits(bits))
             # k in the payload middle so both offsets stay inside the span
-            va = interference_contribution(a, 16, "I").value
-            vb = interference_contribution(b, 18, "I").value
+            va = interference_contribution(a, 16, "I")
+            vb = interference_contribution(b, 18, "I")
             assert vb == pytest.approx(va, abs=1e-12)
 
     def test_magnitude_bound(self):
@@ -211,7 +218,7 @@ class TestProperties:
             u = _random_interferer(rng)
             k = int(rng.integers(-2, 10))
             for branch in ("I", "Q"):
-                v = interference_contribution(u, k, branch).value
+                v = interference_contribution(u, k, branch)
                 assert abs(v) <= u.amplitude * bound + 1e-12
 
     def test_batch_matches_scalar(self):
@@ -224,66 +231,68 @@ class TestProperties:
                 vec = batch_interference(u.payload.i_bits, u.payload.q_bits,
                                          u.amplitude, u.tau, u.phi_c, branch, n)
                 for k in range(n):
-                    want = interference_contribution(u, k, branch).value
+                    want = interference_contribution(u, k, branch)
                     assert vec[k] == pytest.approx(want, abs=1e-12 * (1 + abs(want)))
 
     def test_batch_honors_origin_offset(self):
         rng = np.random.default_rng(17)
         bits = rng.integers(0, 2, size=16) * 2 - 1
-        from mskcollide import IqStream
         stream = multiplex_bits(bits)
         shifted = IqStream(i_bits=stream.i_bits, q_bits=stream.q_bits, origin_index=3)
         u = InterfererParams(1.3, 0.7, 2.1, shifted)
         vec = batch_interference(stream.i_bits, stream.q_bits, u.amplitude,
                                  u.tau, u.phi_c, "I", 8, index_offset=3)
         for k in range(8):
-            assert vec[k] == pytest.approx(interference_contribution(u, k, "I").value,
+            assert vec[k] == pytest.approx(interference_contribution(u, k, "I"),
                                            abs=1e-12)
 
 
+def _soft(scenario, branch, k, rng=None):
+    soft_i, soft_q = packet_soft_bits(scenario, rng)
+    return (soft_i if branch == "I" else soft_q)[k]
+
+
 class TestSoftBit:
+    """Soft bits of whole packets (packet_soft_bits)."""
+
     def test_clean_channel(self):
         payload = multiplex_bits([+1, -1, +1, -1])
         sc = Scenario(soi_amplitude=1.0, soi_payload=payload)
-        assert soft_bit(sc, "I", 0) == pytest.approx(1.0)
+        assert _soft(sc, "I", 0) == pytest.approx(1.0)
 
     def test_stronger_interferer_dominates_sign(self):
         payload = multiplex_bits([+1, +1])
         interferer = _interferer([-1, +1], amplitude=2.0)
         sc = Scenario(1.0, payload, (interferer,))
-        assert soft_bit(sc, "I", 0) == pytest.approx(-1.0)
+        assert _soft(sc, "I", 0) == pytest.approx(-1.0)
 
     def test_superposition_of_interferers(self):
         rng = np.random.default_rng(18)
         payload = multiplex_bits(rng.integers(0, 2, 8) * 2 - 1)
         u1 = _random_interferer(rng, n_bits=8)
         u2 = _random_interferer(rng, n_bits=8)
-        both = Scenario(1.0, payload, (u1, u2))
-        only1 = Scenario(1.0, payload, (u1,))
-        only2 = Scenario(1.0, payload, (u2,))
-        for branch in ("I", "Q"):
-            for k in range(4):
-                lam_s = soft_bit(Scenario(1.0, payload), branch, k)
-                total = soft_bit(both, branch, k)
-                assert total == pytest.approx(
-                    soft_bit(only1, branch, k) + soft_bit(only2, branch, k) - lam_s,
-                    abs=1e-12)
+        alone = np.concatenate(packet_soft_bits(Scenario(1.0, payload)))
+        both = np.concatenate(packet_soft_bits(Scenario(1.0, payload, (u1, u2))))
+        only1 = np.concatenate(packet_soft_bits(Scenario(1.0, payload, (u1,))))
+        only2 = np.concatenate(packet_soft_bits(Scenario(1.0, payload, (u2,))))
+        assert np.allclose(both, only1 + only2 - alone, rtol=0, atol=1e-12)
 
     def test_noise_requires_rng(self):
         payload = multiplex_bits([+1, -1])
         sc = Scenario(1.0, payload, noise_std=0.1)
         with pytest.raises(ValueError):
-            soft_bit(sc, "I", 0)
-        value = soft_bit(sc, "I", 0, rng=np.random.default_rng(0))
-        assert value != 1.0
+            packet_soft_bits(sc)
+        assert _soft(sc, "I", 0, rng=np.random.default_rng(0)) != 1.0
 
     def test_packet_soft_bits_match_scalar(self):
+        # whole-packet soft bits equal the synchronized bit plus the one-row
+        # contribution of every interferer, bit by bit
         rng = np.random.default_rng(19)
         payload = multiplex_bits(rng.integers(0, 2, 16) * 2 - 1)
         interferers = tuple(_random_interferer(rng, n_bits=16) for _ in range(2))
-        sc = Scenario(1.0, payload, interferers)
-        soft_i, soft_q = packet_soft_bits(sc)
-        for k in range(len(soft_i)):
-            assert soft_i[k] == pytest.approx(soft_bit(sc, "I", k), abs=1e-12)
-        for k in range(len(soft_q)):
-            assert soft_q[k] == pytest.approx(soft_bit(sc, "Q", k), abs=1e-12)
+        soft_i, soft_q = packet_soft_bits(Scenario(1.0, payload, interferers))
+        for branch, soft, bit in (("I", soft_i, payload.i_bit), ("Q", soft_q, payload.q_bit)):
+            for k in range(len(soft)):
+                want = bit(k) + sum(interference_contribution(u, k, branch)
+                                    for u in interferers)
+                assert soft[k] == pytest.approx(want, abs=1e-12)

@@ -6,12 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from mskcollide import (ConfigError, ExperimentConfig, InterfererParams,
-                        IqStream, MetricPoint, Scenario, capture_zone,
-                        decode_packet, grid, n_interferer_experiment,
-                        run_point, sir_db_to_amplitude, split_amplitudes,
-                        sweep, threshold_extract)
-from mskcollide.montecarlo import _compute_soft, _prr_stats, _simulate_batch
+from mskcollide import (BIPOLAR_CHIP_TABLE, ConfigError, ExperimentConfig,
+                        InterfererParams, IqStream, MetricPoint, Scenario,
+                        capture_zone, decide, decode_packet, grid,
+                        n_interferer_experiment, packet_soft_bits, run_point,
+                        sir_db_to_amplitude, split_amplitudes, sweep,
+                        threshold_extract)
+from mskcollide.montecarlo import (_compute_soft, _point_rng, _prr_stats,
+                                   _simulate_batch)
 
 
 def small_cfg(**kw):
@@ -130,39 +132,48 @@ class TestEngineMatchesLibraryPath:
         beta = (rng.integers(0, 2, size=(packets, n_bits)) * 2 - 1).astype(np.int8)
         phi = rng.uniform(0, 2 * math.pi, size=(packets, 1))
         amp, tau = 3.7, -0.43
-        soft_i, soft_q = _compute_soft(chips[:, 0::2], chips[:, 1::2],
-                                       [(beta[:, 0::2], beta[:, 1::2])],
-                                       (amp,), tau, phi)
-        from mskcollide import packet_soft_bits
+        soft = _compute_soft(chips, [beta], (amp,), tau, phi)
         for p in range(packets):
             soi = IqStream(i_bits=chips[p, 0::2], q_bits=chips[p, 1::2])
             pay = IqStream(i_bits=beta[p, 0::2], q_bits=beta[p, 1::2])
             u = InterfererParams(amp, tau, float(phi[p, 0]), pay)
             want_i, want_q = packet_soft_bits(Scenario(1.0, soi, (u,)))
-            assert np.allclose(soft_i[p], want_i, atol=1e-12)
-            assert np.allclose(soft_q[p], want_q, atol=1e-12)
+            assert np.allclose(soft[p, 0::2], want_i, atol=1e-12)
+            assert np.allclose(soft[p, 1::2], want_q, atol=1e-12)
 
-    def test_batch_decisions_match_decode_packet(self):
-        cfg = small_cfg(coding="sdd", packets_per_point=40, payload_bits=32,
-                        phi_mode="fixed", phi_c=1.234)
-        stats = _simulate_batch(cfg, 0.37, (5.0,), 1.234)
-        # rebuild the same draws to replay each packet through decode_packet
-        from mskcollide.montecarlo import _point_rng
-        rng = _point_rng(cfg.master_seed, 0.37, (5.0,), cfg.phi_mode, 1.234,
-                         cfg.payload_mode, cfg.coding, cfg.target,
-                         cfg.packets_per_point, cfg.payload_bits,
-                         float(cfg.noise_std))
-        from mskcollide.chipseq import BIPOLAR_CHIP_TABLE
-        soi_symbols = rng.integers(0, 16, size=(40, 8))
-        soi_chips = BIPOLAR_CHIP_TABLE[soi_symbols].reshape(40, 256)
-        beta_symbols = rng.integers(0, 16, size=(40, 8))
-        beta_chips = BIPOLAR_CHIP_TABLE[beta_symbols].reshape(40, 256)
-        for p in range(40):
+    @pytest.mark.parametrize("coding", ["uncoded", "hdd", "sdd"])
+    def test_batch_decisions_match_decode_packet(self, coding):
+        packets, tau, amp, phi = 40, 0.37, 5.0, 1.234
+        cfg = small_cfg(coding=coding, packets_per_point=packets, payload_bits=32,
+                        phi_mode="fixed", phi_c=phi)
+        stats = _simulate_batch(cfg, tau, (amp,), phi)
+        # replay the point's draws to decode every packet on its own
+        rng = _point_rng(cfg.master_seed, tau, (amp,), cfg.phi_mode, phi,
+                         cfg.payload_mode, cfg.coding, cfg.target, packets,
+                         cfg.payload_bits, float(cfg.noise_std))
+        if coding == "uncoded":
+            soi_chips = rng.integers(0, 2, size=(packets, 32), dtype=np.int8) * 2 - 1
+            beta_chips = rng.integers(0, 2, size=(packets, 32), dtype=np.int8) * 2 - 1
+        else:
+            soi_chips = BIPOLAR_CHIP_TABLE[rng.integers(0, 16, size=(packets, 8))]
+            beta_chips = BIPOLAR_CHIP_TABLE[rng.integers(0, 16, size=(packets, 8))]
+            soi_chips, beta_chips = (c.reshape(packets, 256) for c in (soi_chips, beta_chips))
+        soft = _compute_soft(soi_chips, [beta_chips], (amp,), tau,
+                             np.full((packets, 1), phi))
+        _, batch_symbols, _ = decide(soft, coding)
+        bit_errors = symbol_errors = 0
+        for p in range(packets):
             soi = IqStream(i_bits=soi_chips[p, 0::2], q_bits=soi_chips[p, 1::2])
             pay = IqStream(i_bits=beta_chips[p, 0::2], q_bits=beta_chips[p, 1::2])
-            u = InterfererParams(5.0, 0.37, 1.234, pay)
-            res = decode_packet(Scenario(1.0, soi, (u,)), "sdd")
+            res = decode_packet(Scenario(1.0, soi, (InterfererParams(amp, tau, phi, pay),)),
+                                coding)
             assert res.packet_ok == bool(stats.ok[p])
+            bit_errors += res.bit_errors
+            if coding != "uncoded":
+                assert np.array_equal(res.decided_symbols, batch_symbols[p])
+                symbol_errors += res.symbol_errors
+        assert (stats.bit_errors, stats.symbol_errors) == (bit_errors, symbol_errors)
+        assert 0 < stats.bit_errors < stats.total_bits
 
 
 class TestStats:

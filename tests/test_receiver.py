@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from mskcollide import (CHIP_TABLE, InterfererParams, Scenario, decode_packet,
-                        despread_reference, hdd_decode, make_payload,
-                        sdd_decode, slice_bit, spread_symbols)
+from mskcollide import (CHIP_TABLE, InterfererParams, Scenario, decide,
+                        decode_packet, hdd_decode, make_payload, sdd_decode,
+                        spread_symbols)
 
 
 def brute_force_decision(values):
@@ -23,14 +23,18 @@ def brute_force_decision(values):
 
 
 class TestSlice:
+    """The slicing half of decide."""
+
     def test_positive(self):
-        assert slice_bit(0.73) == 1
+        assert decide([0.73], "uncoded")[0].tolist() == [1]
 
     def test_tiny_negative(self):
-        assert slice_bit(-1e-12) == -1
+        assert decide([-1e-12], "uncoded")[0].tolist() == [-1]
 
     def test_zero_ties_positive(self):
-        assert slice_bit(0.0) == 1
+        sliced, symbols, corr = decide([0.0, -0.0, -2.0], "uncoded")
+        assert sliced.tolist() == [1, 1, -1] and sliced.dtype == np.int8
+        assert symbols is None and corr is None
 
 
 class TestHddDecode:
@@ -113,16 +117,47 @@ class TestSddDecode:
             sdd_decode(np.zeros(30))
 
 
-class TestDespreadReference:
-    def test_round_trip(self):
+class TestDecide:
+    def test_clean_chips_round_trip(self):
         rng = np.random.default_rng(55)
         symbols = rng.integers(0, 16, size=16)
         chips = spread_symbols(symbols)
-        assert np.array_equal(despread_reference(chips), symbols)
+        for coding in ("hdd", "sdd"):
+            sliced, decided, corr = decide(chips, coding)
+            assert np.array_equal(sliced, chips)
+            assert np.array_equal(decided, symbols)
+            assert corr.shape == (16, 16)
+            assert np.array_equal(corr[np.arange(16), symbols], np.full(16, 32.0))
+
+    def test_correlation_tie_goes_to_lowest_symbol(self):
+        # blocks halfway between codewords 0 and 1 correlate equally with
+        # both, and more strongly than with any other codeword
+        a, b = spread_symbols([0]), spread_symbols([1])
+        differ = np.flatnonzero(a != b)
+        hard = a.copy()
+        hard[differ[::2]] = b[differ[::2]]
+        for coding, values in (("hdd", hard), ("sdd", np.where(a == b, a, 0.0))):
+            _, symbols, corr = decide(values, coding)
+            assert corr[0, 0] == corr[0, 1] > np.max(corr[0, 2:])
+            assert symbols.tolist() == [0]
+
+    def test_batch_equals_single_rows(self):
+        rng = np.random.default_rng(62)
+        soft = rng.normal(size=(7, 4 * 32))
+        for coding in ("uncoded", "hdd", "sdd"):
+            sliced, symbols, corr = decide(soft, coding)
+            for p in range(len(soft)):
+                row = decide(soft[p], coding)
+                assert np.array_equal(sliced[p], row[0])
+                if coding != "uncoded":
+                    assert np.array_equal(symbols[p], row[1])
+                    assert np.allclose(corr[p], row[2], rtol=1e-14, atol=0)
 
     def test_rejects_partial_blocks(self):
         with pytest.raises(ValueError):
-            despread_reference(np.ones(33, dtype=int))
+            decide(np.ones(33), "hdd")
+        with pytest.raises(ValueError):
+            decide(np.ones(32), "turbo")
 
 
 class TestDecodePacket:
