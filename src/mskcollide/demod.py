@@ -91,11 +91,11 @@ def batch_interference(i_bits: np.ndarray, q_bits: np.ndarray, amplitude: float,
     """Contributions of one interferer for decision indices 0..num_bits-1.
 
     i_bits/q_bits hold +-1 payload bits on the trailing axis with arbitrary
-    leading batch axes; phi_c broadcasts over those leading axes. This is
-    the only evaluator of the closed form; interference_contribution is its
-    one-row case. index_offset is the interferer payload's first branch
-    index relative to the first decision index (0 when both grids start at
-    bit 0).
+    leading batch axes; phi_c broadcasts over (not beyond) those leading
+    axes. This is the only evaluator of the closed form;
+    interference_contribution is its one-row case. index_offset is the
+    interferer payload's first branch index relative to the first decision
+    index (0 when both grids start at bit 0).
     """
     if branch not in ("I", "Q"):
         raise ValueError("branch must be 'I' or 'Q'")
@@ -120,11 +120,21 @@ def batch_interference(i_bits: np.ndarray, q_bits: np.ndarray, amplitude: float,
     gain = amplitude / two_t
     cos_p = math.cos(main_dec.phi_p)
     sin_p = math.sin(main_dec.phi_p)
-    direct = ((gain * (cos_p * main_dec.tau_rel - over_pi * sin_p)) * main_prev
-              + (gain * (cos_p * (two_t - main_dec.tau_rel) + over_pi * sin_p)) * main_cur)
-    leak = ((gain * (sin_p * leak_dec.tau_rel + over_pi * cos_p)) * leak_prev
-            + (gain * (sin_p * (two_t - leak_dec.tau_rel) - over_pi * cos_p)) * leak_cur)
-    return np.cos(phi_c) * direct - np.sin(phi_c) * leak
+    # The operation order is fixed: the pinned table digests depend on every
+    # rounding. In place, so a call allocates three arrays rather than nine.
+    direct = np.multiply(gain * (cos_p * main_dec.tau_rel - over_pi * sin_p), main_prev,
+                         dtype=np.float64)
+    leak = np.multiply(gain * (cos_p * (two_t - main_dec.tau_rel) + over_pi * sin_p),
+                       main_cur, dtype=np.float64)
+    direct += leak
+    np.multiply(gain * (sin_p * leak_dec.tau_rel + over_pi * cos_p), leak_prev,
+                dtype=np.float64, out=leak)
+    leak += np.multiply(gain * (sin_p * (two_t - leak_dec.tau_rel) - over_pi * cos_p),
+                        leak_cur, dtype=np.float64)
+    direct *= np.cos(phi_c)
+    leak *= np.sin(phi_c)
+    direct -= leak
+    return direct
 
 
 def packet_soft_bits(scenario: Scenario, rng=None) -> tuple[np.ndarray, np.ndarray]:

@@ -61,8 +61,12 @@ class ExperimentConfig:
     noise_std: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "tau_grid", tuple(float(t) for t in self.tau_grid))
-        object.__setattr__(self, "sir_db_grid", tuple(float(s) for s in self.sir_db_grid))
+        for name in ("tau_grid", "sir_db_grid"):
+            values = tuple(getattr(self, name))
+            for value in values:
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    raise ConfigError(f"{name} values must be numbers, not {value!r}")
+            object.__setattr__(self, name, tuple(map(float, values)))
 
     def validate(self, require_grids: bool = True):
         for name in ("packets_per_point", "payload_bits", "n_interferers", "master_seed"):
@@ -77,6 +81,8 @@ class ExperimentConfig:
         for name in ("tau_grid", "sir_db_grid"):
             if not all(map(math.isfinite, getattr(self, name))):
                 raise ConfigError(f"{name} values must be finite")
+        for sir_db in self.sir_db_grid:
+            _interference_level(sir_db)
         if self.packets_per_point < 1:
             raise ConfigError("packets_per_point must be at least 1")
         if self.payload_bits < 1:
@@ -179,9 +185,19 @@ def grid(start: float, stop: float, step: float) -> tuple:
     return tuple(round(start + i * step, 10) for i in range(n))
 
 
+def _interference_level(sir_db: float, db_per_decade: float = 10.0) -> float:
+    """Total interference power (or, at 20 dB per decade, amplitude) for a
+    unit synchronized sender."""
+    try:
+        return 10.0 ** (-sir_db / db_per_decade)
+    except OverflowError:
+        raise ConfigError(f"SIR {sir_db} dB is out of range: the interference "
+                          "level overflows") from None
+
+
 def sir_db_to_amplitude(sir_db: float) -> float:
     """Interferer amplitude for a unit-amplitude synchronized sender."""
-    return 10.0 ** (-sir_db / 20.0)
+    return _interference_level(sir_db, 20.0)
 
 
 def split_amplitudes(total_power: float, n: int, layout: str) -> tuple:
@@ -314,8 +330,7 @@ def _prr_stats(ok: np.ndarray, n_batches: int = 10) -> tuple[float, float]:
 
 
 def _point_amplitudes(cfg: ExperimentConfig, sir_db: float) -> tuple:
-    total_power = 10.0 ** (-sir_db / 10.0)
-    return split_amplitudes(total_power, cfg.n_interferers,
+    return split_amplitudes(_interference_level(sir_db), cfg.n_interferers,
                             cfg.interferer_power_split)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .chipseq import BIPOLAR_CHIP_TABLE, CHIPS_PER_SYMBOL
 from .demod import packet_soft_bits
-from .signal_model import Scenario, demultiplex_bits
+from .signal_model import Scenario, _interleave, demultiplex_bits
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,10 @@ def decide(soft, coding: str):
     for both.
     """
     soft = np.asarray(soft, dtype=np.float64)
-    sliced = np.where(soft >= 0, np.int8(1), np.int8(-1))
+    # 2 * (soft >= 0) - 1 in place: NaN slices to -1, as a comparison gives.
+    sliced = np.greater_equal(soft, 0).view(np.int8)
+    sliced *= 2
+    sliced -= 1
     if coding == "uncoded":
         return sliced, None, None
     if coding not in ("hdd", "sdd"):
@@ -120,12 +123,7 @@ def decode_packet(scenario: Scenario, coding: str, target: str = "soi",
     else:
         raise ValueError(f"unknown target {target!r}")
 
-    soft_i, soft_q = packet_soft_bits(scenario, rng)
-    n_i, n_q = len(soft_i), len(soft_q)
-    soft_t = np.zeros(n_i + n_q)
-    soft_t[0 : 2 * n_i : 2] = soft_i
-    soft_t[1 : 2 * n_q + 1 : 2] = soft_q
-
+    soft_t = _interleave(*packet_soft_bits(scenario, rng))
     ref_t = demultiplex_bits(reference)
     if len(ref_t) != len(soft_t):
         raise ValueError("target payload length does not match the decision grid")

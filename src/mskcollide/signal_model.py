@@ -79,13 +79,20 @@ def multiplex_bits(bits) -> IqStream:
     return IqStream(i_bits=arr[0::2], q_bits=arr[1::2])
 
 
+def _interleave(i_values, q_values) -> np.ndarray:
+    """Transmit order of two branch arrays: in-phase values at even
+    positions, quadrature values at odd ones. The in-phase branch holds as
+    many values as the quadrature branch or one more (else ValueError)."""
+    out = np.empty(len(i_values) + len(q_values),
+                   dtype=np.result_type(i_values, q_values))
+    out[0::2] = i_values
+    out[1::2] = q_values
+    return out
+
+
 def demultiplex_bits(stream: IqStream) -> np.ndarray:
     """Inverse of multiplex_bits: the bits back in transmit order."""
-    n_i, n_q = len(stream.i_bits), len(stream.q_bits)
-    out = np.zeros(n_i + n_q, dtype=np.int8)
-    out[0 : 2 * n_i : 2] = stream.i_bits
-    out[1 : 2 * n_q + 1 : 2] = stream.q_bits
-    return out
+    return _interleave(stream.i_bits, stream.q_bits)
 
 
 @dataclass(frozen=True)

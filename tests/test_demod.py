@@ -10,6 +10,8 @@ from mskcollide import (InterfererParams, IqStream, Scenario,
                         batch_interference, decompose_offset,
                         interference_contribution, multiplex_bits,
                         packet_soft_bits)
+from mskcollide.demod import _shifted_pair
+from mskcollide.montecarlo import _compute_soft
 
 TWO_OVER_PI = 2.0 / math.pi
 
@@ -296,3 +298,86 @@ class TestSoftBit:
                 want = bit(k) + sum(interference_contribution(u, k, branch)
                                     for u in interferers)
                 assert soft[k] == pytest.approx(want, abs=1e-12)
+
+
+def _expression_form(i_bits, q_bits, amplitude, tau, phi_c, branch, num_bits,
+                     T=1.0, index_offset=0):
+    """The closed form as one expression, with the kernel's coefficients and
+    operation order: the reference the in-place kernel must match bit for
+    bit."""
+    main_dec = decompose_offset(tau, T, "active")
+    leak_dec = decompose_offset(tau, T, "q_leak" if branch == "I" else "i_leak")
+    main_bits = i_bits if branch == "I" else q_bits
+    leak_bits = q_bits if branch == "I" else i_bits
+    phi_c = np.asarray(phi_c, dtype=np.float64)[..., None]
+    main_prev, main_cur = _shifted_pair(main_bits, main_dec.k_shift + index_offset,
+                                        num_bits)
+    leak_prev, leak_cur = _shifted_pair(leak_bits, leak_dec.k_shift + index_offset,
+                                        num_bits)
+    two_t = 2.0 * T
+    over_pi = two_t / math.pi
+    gain = amplitude / two_t
+    cos_p = math.cos(main_dec.phi_p)
+    sin_p = math.sin(main_dec.phi_p)
+    direct = ((gain * (cos_p * main_dec.tau_rel - over_pi * sin_p)) * main_prev
+              + (gain * (cos_p * (two_t - main_dec.tau_rel) + over_pi * sin_p)) * main_cur)
+    leak = ((gain * (sin_p * leak_dec.tau_rel + over_pi * cos_p)) * leak_prev
+            + (gain * (sin_p * (two_t - leak_dec.tau_rel) - over_pi * cos_p)) * leak_cur)
+    return np.cos(phi_c) * direct - np.sin(phi_c) * leak
+
+
+def _bits(rng, shape, dtype=np.int8):
+    return (rng.integers(0, 2, size=shape) * 2 - 1).astype(dtype)
+
+
+def _assert_bit_identical(got, want):
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestBitIdentity:
+    """The in-place kernel rounds exactly as the expression form did, so the
+    soft values (and every table built from them) stay bit-identical."""
+
+    TAUS = (-3.0, -2.7, -1.0, -0.3, 0.0, 0.3, 1.0, 2.9)
+
+    @pytest.mark.parametrize("tau", TAUS)
+    @pytest.mark.parametrize("branch", ["I", "Q"])
+    def test_one_packet_scalar_phase(self, tau, branch):
+        rng = np.random.default_rng(80)
+        for dtype, index_offset in ((np.int8, 0), (np.float64, 0),
+                                    (np.int8, 3), (np.float64, -2)):
+            i_bits, q_bits = _bits(rng, 12, dtype), _bits(rng, 11, dtype)
+            args = (i_bits, q_bits, 2.3, tau, 1.1, branch, 12, 1.0, index_offset)
+            _assert_bit_identical(batch_interference(*args), _expression_form(*args))
+
+    @pytest.mark.parametrize("tau", TAUS)
+    @pytest.mark.parametrize("branch", ["I", "Q"])
+    def test_packet_batch(self, tau, branch):
+        rng = np.random.default_rng(81)
+        i_bits, q_bits = _bits(rng, (7, 64)), _bits(rng, (7, 64))
+        per_packet = rng.uniform(0.0, 2 * math.pi, size=7)
+        for phi_c, index_offset in ((0.7, 0), (per_packet, 0), (per_packet, 5),
+                                    (per_packet, -1)):
+            args = (i_bits, q_bits, 0.37, tau, phi_c, branch, 64, 0.5, index_offset)
+            _assert_bit_identical(batch_interference(*args), _expression_form(*args))
+
+    def test_compute_soft_two_interferers_with_noise(self):
+        rng = np.random.default_rng(82)
+        packets, n_chips = 6, 128
+        soi = _bits(rng, (packets, n_chips))
+        interferers = [_bits(rng, (packets, n_chips)) for _ in range(2)]
+        amplitudes, tau = (1.7, 0.4), -0.3
+        phi = rng.uniform(0.0, 2 * math.pi, size=(packets, 2))
+        noise = (rng.normal(0.0, 0.2, size=(packets, n_chips // 2)),
+                 rng.normal(0.0, 0.2, size=(packets, n_chips // 2)))
+        want = np.multiply(1.0, soi, dtype=np.float64)
+        for idx, chips in enumerate(interferers):
+            for branch, start in (("I", 0), ("Q", 1)):
+                want[:, start::2] += _expression_form(
+                    chips[:, 0::2], chips[:, 1::2], amplitudes[idx], tau,
+                    phi[:, idx], branch, n_chips // 2)
+        want[:, 0::2] += noise[0]
+        want[:, 1::2] += noise[1]
+        _assert_bit_identical(_compute_soft(soi, interferers, amplitudes, tau, phi, noise),
+                              want)

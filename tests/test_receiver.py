@@ -32,8 +32,9 @@ class TestSlice:
         assert decide([-1e-12], "uncoded")[0].tolist() == [-1]
 
     def test_zero_ties_positive(self):
-        sliced, symbols, corr = decide([0.0, -0.0, -2.0], "uncoded")
-        assert sliced.tolist() == [1, 1, -1] and sliced.dtype == np.int8
+        sliced, symbols, corr = decide([0.0, -0.0, -2.0, np.nan, np.inf, -np.inf],
+                                       "uncoded")
+        assert sliced.tolist() == [1, 1, -1, -1, 1, -1] and sliced.dtype == np.int8
         assert symbols is None and corr is None
 
 
