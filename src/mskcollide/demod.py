@@ -122,15 +122,11 @@ def batch_interference(i_bits: np.ndarray, q_bits: np.ndarray, amplitude: float,
     sin_p = math.sin(main_dec.phi_p)
     # The operation order is fixed: the pinned table digests depend on every
     # rounding. In place, so a call allocates three arrays rather than nine.
-    direct = np.multiply(gain * (cos_p * main_dec.tau_rel - over_pi * sin_p), main_prev,
-                         dtype=np.float64)
-    leak = np.multiply(gain * (cos_p * (two_t - main_dec.tau_rel) + over_pi * sin_p),
-                       main_cur, dtype=np.float64)
+    direct = (gain * (cos_p * main_dec.tau_rel - over_pi * sin_p)) * main_prev
+    leak = (gain * (cos_p * (two_t - main_dec.tau_rel) + over_pi * sin_p)) * main_cur
     direct += leak
-    np.multiply(gain * (sin_p * leak_dec.tau_rel + over_pi * cos_p), leak_prev,
-                dtype=np.float64, out=leak)
-    leak += np.multiply(gain * (sin_p * (two_t - leak_dec.tau_rel) - over_pi * cos_p),
-                        leak_cur, dtype=np.float64)
+    np.multiply(gain * (sin_p * leak_dec.tau_rel + over_pi * cos_p), leak_prev, out=leak)
+    leak += (gain * (sin_p * (two_t - leak_dec.tau_rel) - over_pi * cos_p)) * leak_cur
     direct *= np.cos(phi_c)
     leak *= np.sin(phi_c)
     direct -= leak

@@ -187,12 +187,16 @@ def grid(start: float, stop: float, step: float) -> tuple:
 
 def _interference_level(sir_db: float, db_per_decade: float = 10.0) -> float:
     """Total interference power (or, at 20 dB per decade, amplitude) for a
-    unit synchronized sender."""
+    unit synchronized sender; an SIR whose level overflows or underflows to
+    zero (which would drop the interferer) is a ConfigError."""
     try:
-        return 10.0 ** (-sir_db / db_per_decade)
+        level = 10.0 ** (-sir_db / db_per_decade)
     except OverflowError:
+        level = math.inf
+    if not 0.0 < level < math.inf:
         raise ConfigError(f"SIR {sir_db} dB is out of range: the interference "
-                          "level overflows") from None
+                          f"level would be {level}")
+    return level
 
 
 def sir_db_to_amplitude(sir_db: float) -> float:

@@ -211,6 +211,7 @@ _ONE_POINT = ["--tau-start", "0", "--tau-stop", "0", "--tau-step", "1",
     ({"tau_grid": [0.0, float("nan")], "sir_db_grid": [0.0]}, []),
     ({"tau_grid": [True]}, []),
     ({"sir_db_grid": [-7000.0]}, []),
+    ({"sir_db_grid": [7000.0], "target": "interferer"}, []),
     ([5], []),
     (None, ["sweep", "--noise-std", "nan", *_ONE_POINT]),
     (None, ["sweep", "--phi-mode", "fixed", "--phi-c", "inf", *_ONE_POINT]),
@@ -218,7 +219,7 @@ _ONE_POINT = ["--tau-start", "0", "--tau-stop", "0", "--tau-step", "1",
     (None, ["zone", "--sir-db", "-7000", "--packets", "10"]),
     (None, ["validate", "--steps", "10"]),
     (None, ["validate", "--tolerance", "nan", "--draws", "1"]),
-], ids=["packets-str", "packets-float", "tau-nan", "tau-bool", "sir-overflow",
+], ids=["packets-str", "packets-float", "tau-nan", "tau-bool", "sir-overflow", "sir-underflow",
         "config-not-object", "noise-nan", "phi-inf", "zone-sir-nan", "zone-sir-overflow",
         "validate-steps", "validate-tolerance-nan"])
 def test_bad_input_is_config_error(tmp_path, capsys, config, argv):
