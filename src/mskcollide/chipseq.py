@@ -1,4 +1,4 @@
-"""IEEE 802.15.4 (2.4 GHz PHY) chipping sequences and DSSS spreading.
+"""IEEE 802.15.4 (2.4 GHz PHY) chipping sequences for DSSS spreading.
 
 Each of the 16 data symbols maps to a 32-chip codeword. Codewords 1..7 are
 cyclic right-shifts of codeword 0 by four chips per step; codewords 8..15
@@ -37,24 +37,10 @@ _CHIP_ROWS = (
 CHIP_TABLE = np.array([[int(c) for c in row] for row in _CHIP_ROWS], dtype=np.uint8)
 CHIP_TABLE.setflags(write=False)
 
-#: Same table with chips mapped 1 -> +1, 0 -> -1.
+#: Same table with chips mapped 1 -> +1, 0 -> -1; indexing it with data
+#: symbols spreads them.
 BIPOLAR_CHIP_TABLE = (2 * CHIP_TABLE.astype(np.int8) - 1).astype(np.int8)
 BIPOLAR_CHIP_TABLE.setflags(write=False)
-
-
-def spread_symbols(symbols) -> np.ndarray:
-    """Spread data symbols (each in 0..15) into one bipolar chip stream.
-
-    Returns an int8 array of 32 chips per symbol in transmit order.
-    """
-    symbols = np.asarray(symbols, dtype=np.int64)
-    if symbols.ndim != 1:
-        raise ValueError("symbols must be a one-dimensional sequence")
-    if symbols.size == 0:
-        return np.zeros(0, dtype=np.int8)
-    if symbols.min() < 0 or symbols.max() > 15:
-        raise ValueError("symbols must lie in 0..15")
-    return BIPOLAR_CHIP_TABLE[symbols].reshape(-1).copy()
 
 
 def chip_table_csv() -> str:

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import __version__
 from .demod import interference_contribution
-from .montecarlo import (ConfigError, ExperimentConfig, capture_zone, grid,
-                         n_interferer_experiment, sweep)
+from .montecarlo import (MAX_GRID_POINTS, ConfigError, ExperimentConfig,
+                         capture_zone, grid, n_interferer_experiment, sweep)
 from .oracle import (QuadratureConfig, oracle_lambda_baseband,
                      oracle_lambda_passband, rect_integral,
                      rect_integral_quadrature)
@@ -243,8 +243,8 @@ def cmd_zone(args) -> int:
     preset = ZONE_PRESETS[args.preset or "fig11a"]
     if args.phi_points is not None:
         preset = replace(preset, phi_points=args.phi_points)
-    if preset.phi_points < 1:
-        raise ConfigError("--phi-points must be at least 1")
+    if not 1 <= preset.phi_points <= MAX_GRID_POINTS:
+        raise ConfigError(f"--phi-points must lie in 1..{MAX_GRID_POINTS}")
     tau_grid = _flag_grid(args, "tau", _tau_scale(args.tau_unit)) or preset.tau_grid
     sir_db = preset.sir_db if args.sir_db is None else args.sir_db
     cfg = _configure(preset.config, args, tau_grid=tau_grid, sir_db_grid=(sir_db,))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal_model import InterfererParams, Scenario
+from .signal_model import InterfererParams
 
 #: Extra pulse-grid shift applied before decomposing, in units of T.
 #: "active" decomposes tau itself (bits of the branch being detected),
@@ -132,28 +132,3 @@ def batch_interference(i_bits: np.ndarray, q_bits: np.ndarray, amplitude: float,
     direct -= leak
     return direct
 
-
-def packet_soft_bits(scenario: Scenario, rng=None) -> tuple[np.ndarray, np.ndarray]:
-    """Soft bits for every payload index of the synchronized sender's grid.
-
-    Returns (soft_i, soft_q) float arrays covering the synchronized
-    sender's payload span on each branch.
-    """
-    payload = scenario.soi_payload
-    n_i, n_q = len(payload.i_bits), len(payload.q_bits)
-    soft_i = scenario.soi_amplitude * payload.i_bits.astype(np.float64)
-    soft_q = scenario.soi_amplitude * payload.q_bits.astype(np.float64)
-    for u in scenario.interferers:
-        bi = u.payload.i_bits.astype(np.float64)
-        bq = u.payload.q_bits.astype(np.float64)
-        offset = u.payload.origin_index - payload.origin_index
-        soft_i += batch_interference(bi, bq, u.amplitude, u.tau, u.phi_c, "I",
-                                     n_i, scenario.half_bit, offset)
-        soft_q += batch_interference(bi, bq, u.amplitude, u.tau, u.phi_c, "Q",
-                                     n_q, scenario.half_bit, offset)
-    if scenario.noise_std > 0:
-        if rng is None:
-            raise ValueError("rng is required when noise_std > 0")
-        soft_i += rng.normal(0.0, scenario.noise_std, size=n_i)
-        soft_q += rng.normal(0.0, scenario.noise_std, size=n_q)
-    return soft_i, soft_q

@@ -175,33 +175,38 @@ class NInterfererPoint:
     packets: int
 
 
+#: Most values one grid axis may hold (the largest preset axis has 64).
+MAX_GRID_POINTS = 1024
+
+
 def grid(start: float, stop: float, step: float) -> tuple:
-    """Inclusive numeric grid with round-off-stable values."""
+    """Inclusive numeric grid with round-off-stable values; at most
+    MAX_GRID_POINTS of them, checked before any is built."""
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ConfigError("grid start, stop and step must be finite")
     if step <= 0:
         raise ConfigError("grid step must be positive")
     if stop < start:
         raise ConfigError("grid stop must not precede start")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step + 1e-9
+    if span >= MAX_GRID_POINTS:
+        raise ConfigError(f"grid would hold more than {MAX_GRID_POINTS} values")
+    n = int(math.floor(span)) + 1
     return tuple(round(start + i * step, 10) for i in range(n))
 
 
-def _interference_level(sir_db: float, db_per_decade: float = 10.0) -> float:
-    """Total interference power (or, at 20 dB per decade, amplitude) for a
-    unit synchronized sender; an SIR whose level overflows or underflows to
-    zero (which would drop the interferer) is a ConfigError."""
+def _interference_level(sir_db: float) -> float:
+    """Total interference power for a unit synchronized sender; an SIR whose
+    level overflows or underflows to zero (which would drop the interferer)
+    is a ConfigError."""
     try:
-        level = 10.0 ** (-sir_db / db_per_decade)
+        level = 10.0 ** (-sir_db / 10.0)
     except OverflowError:
         level = math.inf
     if not 0.0 < level < math.inf:
         raise ConfigError(f"SIR {sir_db} dB is out of range: the interference "
                           f"level would be {level}")
     return level
-
-
-def sir_db_to_amplitude(sir_db: float) -> float:
-    """Interferer amplitude for a unit-amplitude synchronized sender."""
-    return _interference_level(sir_db, 20.0)
 
 
 def split_amplitudes(total_power: float, n: int, layout: str) -> tuple:

@@ -25,6 +25,10 @@ from .signal_model import InterfererParams, IqStream
 
 _EDGE_EPS = 1e-12
 
+#: Most composite-rule steps per bit: one piece's sample arrays stay near
+#: 8 MB each.
+MAX_STEPS_PER_BIT = 2**20
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -36,8 +40,8 @@ class QuadratureConfig:
     carrier_multiple: int = 256
 
     def __post_init__(self):
-        if self.steps_per_bit < 64:
-            raise ValueError("steps_per_bit must be at least 64")
+        if not 64 <= self.steps_per_bit <= MAX_STEPS_PER_BIT:
+            raise ValueError(f"steps_per_bit must lie in 64..{MAX_STEPS_PER_BIT}")
         if self.method not in ("midpoint", "simpson"):
             raise ValueError(f"unknown method {self.method!r}")
         if self.method == "simpson" and self.steps_per_bit % 2 != 0:

@@ -1,16 +1,20 @@
-"""Payload generation, bit-to-branch multiplexing, and collision scenarios.
+"""Payload draws, bit-to-branch multiplexing, and interferer descriptions.
 
 Bits are antipodal: +-1 inside a packet, 0 encodes silence outside it. The
 transmit stream alternates branches: position 2m carries in-phase bit m,
 position 2m+1 carries quadrature bit m (the quadrature pulse train is
-staggered by half a bit duration). All types are immutable after
-construction; operations are pure given an explicit RNG.
+staggered by half a bit duration). `draw_payloads` draws whole batches of
+transmit-order payloads for the Monte Carlo engine; `IqStream` and
+`InterfererParams` describe one interferer, with its own time offset,
+phase and payload origin, for the one-row closed form and the numerical
+oracle. All types are immutable after construction; operations are pure
+given an explicit RNG.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,10 +66,6 @@ class IqStream:
             return int(self.q_bits[j])
         return 0
 
-    @property
-    def n_transmit_bits(self) -> int:
-        return len(self.i_bits) + len(self.q_bits)
-
 
 def multiplex_bits(bits) -> IqStream:
     """Split a +-1 bit sequence onto the two branches.
@@ -77,22 +77,6 @@ def multiplex_bits(bits) -> IqStream:
     if arr.size == 0:
         raise ValueError("empty payload")
     return IqStream(i_bits=arr[0::2], q_bits=arr[1::2])
-
-
-def _interleave(i_values, q_values) -> np.ndarray:
-    """Transmit order of two branch arrays: in-phase values at even
-    positions, quadrature values at odd ones. The in-phase branch holds as
-    many values as the quadrature branch or one more (else ValueError)."""
-    out = np.empty(len(i_values) + len(q_values),
-                   dtype=np.result_type(i_values, q_values))
-    out[0::2] = i_values
-    out[1::2] = q_values
-    return out
-
-
-def demultiplex_bits(stream: IqStream) -> np.ndarray:
-    """Inverse of multiplex_bits: the bits back in transmit order."""
-    return _interleave(stream.i_bits, stream.q_bits)
 
 
 @dataclass(frozen=True)
@@ -112,39 +96,6 @@ class InterfererParams:
         object.__setattr__(self, "phi_c", float(self.phi_c) % TWO_PI)
         object.__setattr__(self, "tau", float(self.tau))
         object.__setattr__(self, "amplitude", float(self.amplitude))
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """A collision: one synchronized sender plus any number of interferers.
-
-    The receiver is fully synchronized to the synchronized sender, which
-    therefore has zero time and phase offset by construction. `half_bit` is
-    T in seconds (bit duration 2T); `noise_std` is the per-soft-bit Gaussian
-    standard deviation (0 = noiseless).
-    """
-
-    soi_amplitude: float
-    soi_payload: IqStream
-    interferers: tuple = field(default=())
-    half_bit: float = 1.0
-    noise_std: float = 0.0
-
-    def __post_init__(self):
-        if not self.soi_amplitude > 0:
-            raise ValueError("soi_amplitude must be positive")
-        if not self.half_bit > 0:
-            raise ValueError("half_bit must be positive")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be non-negative")
-        object.__setattr__(self, "interferers", tuple(self.interferers))
-
-    def sir(self) -> float:
-        """Signal-to-interference power ratio (linear)."""
-        p_int = sum(u.amplitude**2 for u in self.interferers)
-        if p_int == 0:
-            return math.inf
-        return self.soi_amplitude**2 / p_int
 
 
 def draw_payloads(rng, mode: str, coded: bool, n_bits: int, n_interferers: int,
@@ -168,21 +119,3 @@ def draw_payloads(rng, mode: str, coded: bool, n_bits: int, n_interferers: int,
     soi = draw()
     return [soi] + [soi if mode == "identical" else draw() for _ in range(n_interferers)]
 
-
-def make_payload(mode: str, coding: str, length_bits: int, rng) -> tuple[IqStream, IqStream]:
-    """Draw payloads for the synchronized sender and one interferer.
-
-    `mode` is "independent" (two fresh draws) or "identical" (the interferer
-    copies the synchronized sender). `coding` is "uncoded" or "coded"; one
-    packet of draw_payloads.
-    """
-    if mode not in ("independent", "identical"):
-        raise ValueError(f"unknown payload mode {mode!r}")
-    if coding not in ("uncoded", "coded"):
-        raise ValueError(f"unknown coding {coding!r}")
-    if length_bits <= 0:
-        raise ValueError("length_bits must be positive")
-    if coding == "coded" and length_bits % BITS_PER_SYMBOL != 0:
-        raise ValueError("coded payload length must be a whole number of 4-bit symbols")
-    soi, interferer = draw_payloads(rng, mode, coding == "coded", length_bits, 1, 1)
-    return multiplex_bits(soi[1][0]), multiplex_bits(interferer[1][0])

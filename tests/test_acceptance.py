@@ -14,12 +14,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mskcollide import (InterfererParams, PRESETS, ZONE_PRESETS,
-                        capture_zone, hdd_decode, interference_contribution,
-                        multiplex_bits, n_interferer_experiment,
-                        oracle_lambda_baseband, rect_integral,
-                        rect_integral_quadrature, run_point, sdd_decode,
-                        spread_symbols, sweep, threshold_extract)
+from mskcollide import (BIPOLAR_CHIP_TABLE, InterfererParams, PRESETS,
+                        ZONE_PRESETS, capture_zone, decide,
+                        interference_contribution, multiplex_bits,
+                        n_interferer_experiment, oracle_lambda_baseband,
+                        rect_integral, rect_integral_quadrature, run_point,
+                        sweep, threshold_extract)
 from mskcollide.cli import main as cli_main
 
 RECT_KINDS = ("one", "cos2wp", "sin2wp")
@@ -275,16 +275,16 @@ def test_criterion_12_decoder_symmetries():
     rng = np.random.default_rng(20140912)
     ok = True
     for xi in range(16):
-        base = spread_symbols([xi])
+        base = BIPOLAR_CHIP_TABLE[xi]
         for _ in range(1000):
             flips = (rng.integers(0, 2, size=32) * -2 + 1).astype(np.int8)
             chips = base * flips
-            if hdd_decode(chips).symbol != hdd_decode(-chips).symbol:
+            if decide(chips, "hdd")[1] != decide(-chips, "hdd")[1]:
                 ok = False
     for _ in range(1000):
         soft = rng.normal(size=32)
         scale = float(10.0 ** rng.uniform(-3, 3))
-        if sdd_decode(soft).symbol != sdd_decode(scale * soft).symbol:
+        if decide(soft, "sdd")[1] != decide(scale * soft, "sdd")[1]:
             ok = False
     _report(12, "decoder symmetries", ok,
             "hdd sign symmetry (16 symbols x 1000 patterns), sdd scale invariance")

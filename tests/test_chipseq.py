@@ -1,10 +1,10 @@
 """Chip table structure and spreading."""
 
 import numpy as np
-import pytest
 
-from mskcollide import BIPOLAR_CHIP_TABLE, CHIP_TABLE, spread_symbols
+from mskcollide import BIPOLAR_CHIP_TABLE, CHIP_TABLE
 from mskcollide.chipseq import chip_table_csv
+from mskcollide.signal_model import draw_payloads
 
 ROW0 = "11011001110000110101001000101110"
 
@@ -43,27 +43,28 @@ def test_autocorrelation_and_cross_correlation():
 
 
 def test_spread_symbol0_prefix():
-    chips = spread_symbols([0])
+    chips = BIPOLAR_CHIP_TABLE[0]
     assert chips.shape == (32,)
     assert list(chips[:8]) == [1, 1, -1, 1, 1, -1, -1, 1]
 
 
 def test_spread_symbol8_prefix():
-    chips = spread_symbols([8])
-    assert list(chips[:4]) == [1, -1, -1, -1]
+    assert list(BIPOLAR_CHIP_TABLE[8][:4]) == [1, -1, -1, -1]
 
 
 def test_spread_empty():
-    assert spread_symbols([]).size == 0
+    symbols, chips = draw_payloads(np.random.default_rng(0), "independent", True, 0, 0, 3)[0]
+    assert symbols.shape == (3, 0) and chips.shape == (3, 0)
 
 
 def test_spread_length_and_range_check():
-    chips = spread_symbols([3, 7, 15])
-    assert chips.shape == (96,)
-    with pytest.raises(ValueError):
-        spread_symbols([16])
-    with pytest.raises(ValueError):
-        spread_symbols([-1])
+    # draw_payloads spreads 3 symbols (12 bits) into 96 chips, one table
+    # row per symbol
+    rng = np.random.default_rng(5)
+    symbols, chips = draw_payloads(rng, "independent", True, 12, 0, 200)[0]
+    assert chips.shape == (200, 96)
+    assert symbols.min() >= 0 and symbols.max() <= 15
+    assert np.array_equal(chips.reshape(200, 3, 32), BIPOLAR_CHIP_TABLE[symbols])
 
 
 def test_csv_dump_round_trips():

@@ -200,9 +200,8 @@ def test_version(capsys):
     assert exc.value.code == 0
 
 
-_ONE_POINT = ["--tau-start", "0", "--tau-stop", "0", "--tau-step", "1",
-              "--sir-start", "0", "--sir-stop", "0", "--sir-step", "1",
-              "--packets", "10"]
+_ONE_SIR = ["--sir-start", "0", "--sir-stop", "0", "--sir-step", "1", "--packets", "10"]
+_ONE_POINT = ["--tau-start", "0", "--tau-stop", "0", "--tau-step", "1", *_ONE_SIR]
 
 
 @pytest.mark.parametrize("config, argv", [
@@ -219,9 +218,16 @@ _ONE_POINT = ["--tau-start", "0", "--tau-stop", "0", "--tau-step", "1",
     (None, ["zone", "--sir-db", "-7000", "--packets", "10"]),
     (None, ["validate", "--steps", "10"]),
     (None, ["validate", "--tolerance", "nan", "--draws", "1"]),
+    (None, ["sweep", "--tau-start", "0", "--tau-stop", "1", "--tau-step", "nan", *_ONE_SIR]),
+    (None, ["sweep", "--tau-start", "0", "--tau-stop", "inf", "--tau-step", "1", *_ONE_SIR]),
+    (None, ["sweep", "--tau-start", "0", "--tau-stop", "1e6", "--tau-step", "1e-9",
+            *_ONE_SIR]),
+    (None, ["zone", "--phi-points", "1000000", "--packets", "10"]),
+    (None, ["validate", "--steps", "100000000000000000000"]),
 ], ids=["packets-str", "packets-float", "tau-nan", "tau-bool", "sir-overflow", "sir-underflow",
         "config-not-object", "noise-nan", "phi-inf", "zone-sir-nan", "zone-sir-overflow",
-        "validate-steps", "validate-tolerance-nan"])
+        "validate-steps", "validate-tolerance-nan", "tau-step-nan", "tau-stop-inf",
+        "grid-oversize", "zone-phi-points-oversize", "validate-steps-huge"])
 def test_bad_input_is_config_error(tmp_path, capsys, config, argv):
     out = ["--out", str(tmp_path / "x.csv")]
     if config is not None:

@@ -6,10 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from mskcollide import (InterfererParams, IqStream, Scenario,
-                        batch_interference, decompose_offset,
-                        interference_contribution, multiplex_bits,
-                        packet_soft_bits)
+from mskcollide import (InterfererParams, IqStream, batch_interference,
+                        decompose_offset, interference_contribution,
+                        multiplex_bits)
 from mskcollide.demod import _shifted_pair
 from mskcollide.montecarlo import _compute_soft
 
@@ -249,55 +248,59 @@ class TestProperties:
                                            abs=1e-12)
 
 
-def _soft(scenario, branch, k, rng=None):
-    soft_i, soft_q = packet_soft_bits(scenario, rng)
-    return (soft_i if branch == "I" else soft_q)[k]
+def _bits(rng, shape, dtype=np.int8):
+    return (rng.integers(0, 2, size=shape) * 2 - 1).astype(dtype)
+
+
+def _two_interferer_batch(rng, packets, n_chips):
+    """Synchronized chips, two interferers' chips and amplitudes, a shared
+    time offset and per-packet phases."""
+    soi = _bits(rng, (packets, n_chips))
+    chips = [_bits(rng, (packets, n_chips)) for _ in range(2)]
+    amplitudes = tuple(float(10.0 ** a) for a in rng.uniform(-2, 2, size=2))
+    tau = float(rng.uniform(-4.0, 4.0))
+    return soi, chips, amplitudes, tau, rng.uniform(0.0, 2 * math.pi, size=(packets, 2))
 
 
 class TestSoftBit:
-    """Soft bits of whole packets (packet_soft_bits)."""
+    """Soft values of whole packets in transmit order (_compute_soft)."""
 
     def test_clean_channel(self):
-        payload = multiplex_bits([+1, -1, +1, -1])
-        sc = Scenario(soi_amplitude=1.0, soi_payload=payload)
-        assert _soft(sc, "I", 0) == pytest.approx(1.0)
+        soi = np.array([[+1, -1, +1, -1]], dtype=np.int8)
+        soft = _compute_soft(soi, [], (), 0.0, np.zeros((1, 0)))
+        assert soft.tolist() == [[1.0, -1.0, 1.0, -1.0]]
 
     def test_stronger_interferer_dominates_sign(self):
-        payload = multiplex_bits([+1, +1])
-        interferer = _interferer([-1, +1], amplitude=2.0)
-        sc = Scenario(1.0, payload, (interferer,))
-        assert _soft(sc, "I", 0) == pytest.approx(-1.0)
+        soi = np.array([[+1, +1]], dtype=np.int8)
+        interferer = np.array([[-1, +1]], dtype=np.int8)
+        soft = _compute_soft(soi, [interferer], (2.0,), 0.0, np.zeros((1, 1)))
+        assert soft[0, 0] == pytest.approx(-1.0)
 
     def test_superposition_of_interferers(self):
-        rng = np.random.default_rng(18)
-        payload = multiplex_bits(rng.integers(0, 2, 8) * 2 - 1)
-        u1 = _random_interferer(rng, n_bits=8)
-        u2 = _random_interferer(rng, n_bits=8)
-        alone = np.concatenate(packet_soft_bits(Scenario(1.0, payload)))
-        both = np.concatenate(packet_soft_bits(Scenario(1.0, payload, (u1, u2))))
-        only1 = np.concatenate(packet_soft_bits(Scenario(1.0, payload, (u1,))))
-        only2 = np.concatenate(packet_soft_bits(Scenario(1.0, payload, (u2,))))
+        soi, chips, amplitudes, tau, phi = _two_interferer_batch(
+            np.random.default_rng(18), 4, 16)
+        alone = _compute_soft(soi, [], (), tau, phi[:, :0])
+        both = _compute_soft(soi, chips, amplitudes, tau, phi)
+        only1 = _compute_soft(soi, chips[:1], amplitudes[:1], tau, phi[:, :1])
+        only2 = _compute_soft(soi, chips[1:], amplitudes[1:], tau, phi[:, 1:])
         assert np.allclose(both, only1 + only2 - alone, rtol=0, atol=1e-12)
 
-    def test_noise_requires_rng(self):
-        payload = multiplex_bits([+1, -1])
-        sc = Scenario(1.0, payload, noise_std=0.1)
-        with pytest.raises(ValueError):
-            packet_soft_bits(sc)
-        assert _soft(sc, "I", 0, rng=np.random.default_rng(0)) != 1.0
-
     def test_packet_soft_bits_match_scalar(self):
-        # whole-packet soft bits equal the synchronized bit plus the one-row
+        # whole-packet soft values equal the synchronized bit plus the one-row
         # contribution of every interferer, bit by bit
-        rng = np.random.default_rng(19)
-        payload = multiplex_bits(rng.integers(0, 2, 16) * 2 - 1)
-        interferers = tuple(_random_interferer(rng, n_bits=16) for _ in range(2))
-        soft_i, soft_q = packet_soft_bits(Scenario(1.0, payload, interferers))
-        for branch, soft, bit in (("I", soft_i, payload.i_bit), ("Q", soft_q, payload.q_bit)):
-            for k in range(len(soft)):
-                want = bit(k) + sum(interference_contribution(u, k, branch)
-                                    for u in interferers)
-                assert soft[k] == pytest.approx(want, abs=1e-12)
+        packets, n_chips = 3, 16
+        soi, chips, amplitudes, tau, phi = _two_interferer_batch(
+            np.random.default_rng(19), packets, n_chips)
+        soft = _compute_soft(soi, chips, amplitudes, tau, phi)
+        for p in range(packets):
+            interferers = [InterfererParams(amplitudes[idx], tau, phi[p, idx],
+                                            multiplex_bits(chips[idx][p]))
+                           for idx in range(2)]
+            for j in range(n_chips):
+                branch, k = "IQ"[j % 2], j // 2
+                want = soi[p, j] + sum(interference_contribution(u, k, branch)
+                                       for u in interferers)
+                assert soft[p, j] == pytest.approx(want, abs=1e-12)
 
 
 def _expression_form(i_bits, q_bits, amplitude, tau, phi_c, branch, num_bits,
@@ -324,10 +327,6 @@ def _expression_form(i_bits, q_bits, amplitude, tau, phi_c, branch, num_bits,
     leak = ((gain * (sin_p * leak_dec.tau_rel + over_pi * cos_p)) * leak_prev
             + (gain * (sin_p * (two_t - leak_dec.tau_rel) - over_pi * cos_p)) * leak_cur)
     return np.cos(phi_c) * direct - np.sin(phi_c) * leak
-
-
-def _bits(rng, shape, dtype=np.int8):
-    return (rng.integers(0, 2, size=shape) * 2 - 1).astype(dtype)
 
 
 def _assert_bit_identical(got, want):

@@ -1,5 +1,5 @@
-"""Experiment engine: determinism, statistics, and agreement with the
-single-packet library path."""
+"""Experiment engine: determinism, statistics, and agreement with per-bit
+scalar and brute-force references."""
 
 import math
 
@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from mskcollide import (BIPOLAR_CHIP_TABLE, ConfigError, ExperimentConfig,
-                        InterfererParams, IqStream, MetricPoint, Scenario,
-                        capture_zone, decide, decode_packet, grid,
-                        n_interferer_experiment, packet_soft_bits, run_point,
-                        sir_db_to_amplitude, split_amplitudes, sweep,
-                        threshold_extract)
-from mskcollide.montecarlo import (_compute_soft, _point_rng, _prr_stats,
+                        InterfererParams, MetricPoint, capture_zone, decide,
+                        grid, interference_contribution, multiplex_bits,
+                        n_interferer_experiment, run_point, split_amplitudes,
+                        sweep, threshold_extract)
+from mskcollide.montecarlo import (MAX_GRID_POINTS, _compute_soft,
+                                   _point_amplitudes, _point_rng, _prr_stats,
                                    _simulate_batch)
+from test_receiver import brute_force_decision
 
 
 def small_cfg(**kw):
@@ -50,10 +51,13 @@ class TestConfig:
         assert grid(0.0, 0.3, 0.1) == (0.0, 0.1, 0.2, 0.3)
         with pytest.raises(ConfigError):
             grid(0.0, 1.0, 0.0)
+        assert len(grid(0.0, MAX_GRID_POINTS - 1.0, 1.0)) == MAX_GRID_POINTS
+        with pytest.raises(ConfigError):
+            grid(0.0, float(MAX_GRID_POINTS), 1.0)
 
     def test_amplitude_mappings(self):
-        assert sir_db_to_amplitude(-40.0) == pytest.approx(100.0)
-        assert sir_db_to_amplitude(20.0) == pytest.approx(0.1)
+        assert _point_amplitudes(small_cfg(), -40.0) == pytest.approx((100.0,))
+        assert _point_amplitudes(small_cfg(), 20.0) == pytest.approx((0.1,))
         assert split_amplitudes(2.0, 4, "equal_split") == pytest.approx(
             tuple([math.sqrt(0.5)] * 4))
         assert split_amplitudes(2.0, 4, "single") == pytest.approx((math.sqrt(2.0),))
@@ -125,7 +129,12 @@ class TestRunPoint:
 
 
 class TestEngineMatchesLibraryPath:
+    """The engine against references that share neither its batch kernel
+    call nor its decision layer."""
+
     def test_soft_matrices_match_packet_soft_bits(self):
+        # every soft value is the synchronized bit plus the one-row
+        # contribution of the interferer at that bit
         rng = np.random.default_rng(70)
         packets, n_bits = 5, 32
         chips = (rng.integers(0, 2, size=(packets, n_bits)) * 2 - 1).astype(np.int8)
@@ -134,12 +143,10 @@ class TestEngineMatchesLibraryPath:
         amp, tau = 3.7, -0.43
         soft = _compute_soft(chips, [beta], (amp,), tau, phi)
         for p in range(packets):
-            soi = IqStream(i_bits=chips[p, 0::2], q_bits=chips[p, 1::2])
-            pay = IqStream(i_bits=beta[p, 0::2], q_bits=beta[p, 1::2])
-            u = InterfererParams(amp, tau, float(phi[p, 0]), pay)
-            want_i, want_q = packet_soft_bits(Scenario(1.0, soi, (u,)))
-            assert np.allclose(soft[p, 0::2], want_i, atol=1e-12)
-            assert np.allclose(soft[p, 1::2], want_q, atol=1e-12)
+            u = InterfererParams(amp, tau, float(phi[p, 0]), multiplex_bits(beta[p]))
+            for j in range(n_bits):
+                want = chips[p, j] + interference_contribution(u, j // 2, "IQ"[j % 2])
+                assert soft[p, j] == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("coding", ["uncoded", "hdd", "sdd"])
     def test_batch_decisions_match_decode_packet(self, coding):
@@ -147,7 +154,7 @@ class TestEngineMatchesLibraryPath:
         cfg = small_cfg(coding=coding, packets_per_point=packets, payload_bits=32,
                         phi_mode="fixed", phi_c=phi)
         stats = _simulate_batch(cfg, tau, (amp,), phi)
-        # replay the point's draws to decode every packet on its own
+        # replay the point's draws and decide every packet by hand
         rng = _point_rng(cfg.master_seed, tau, (amp,), cfg.phi_mode, phi,
                          cfg.payload_mode, cfg.coding, cfg.target, packets,
                          cfg.payload_bits, float(cfg.noise_std))
@@ -155,23 +162,28 @@ class TestEngineMatchesLibraryPath:
             soi_chips = rng.integers(0, 2, size=(packets, 32), dtype=np.int8) * 2 - 1
             beta_chips = rng.integers(0, 2, size=(packets, 32), dtype=np.int8) * 2 - 1
         else:
-            soi_chips = BIPOLAR_CHIP_TABLE[rng.integers(0, 16, size=(packets, 8))]
+            soi_symbols = rng.integers(0, 16, size=(packets, 8))
+            soi_chips = BIPOLAR_CHIP_TABLE[soi_symbols].reshape(packets, 256)
             beta_chips = BIPOLAR_CHIP_TABLE[rng.integers(0, 16, size=(packets, 8))]
-            soi_chips, beta_chips = (c.reshape(packets, 256) for c in (soi_chips, beta_chips))
+            beta_chips = beta_chips.reshape(packets, 256)
         soft = _compute_soft(soi_chips, [beta_chips], (amp,), tau,
                              np.full((packets, 1), phi))
+        sliced = np.where(soft >= 0, 1, -1)
         _, batch_symbols, _ = decide(soft, coding)
         bit_errors = symbol_errors = 0
         for p in range(packets):
-            soi = IqStream(i_bits=soi_chips[p, 0::2], q_bits=soi_chips[p, 1::2])
-            pay = IqStream(i_bits=beta_chips[p, 0::2], q_bits=beta_chips[p, 1::2])
-            res = decode_packet(Scenario(1.0, soi, (InterfererParams(amp, tau, phi, pay),)),
-                                coding)
-            assert res.packet_ok == bool(stats.ok[p])
-            bit_errors += res.bit_errors
-            if coding != "uncoded":
-                assert np.array_equal(res.decided_symbols, batch_symbols[p])
-                symbol_errors += res.symbol_errors
+            packet_bit_errors = int(np.count_nonzero(sliced[p] != soi_chips[p]))
+            bit_errors += packet_bit_errors
+            if coding == "uncoded":
+                assert (packet_bit_errors == 0) == bool(stats.ok[p])
+                continue
+            values = sliced[p] if coding == "hdd" else soft[p]
+            symbols = [brute_force_decision(block)[0]
+                       for block in values.reshape(-1, 32)]
+            assert symbols == batch_symbols[p].tolist()
+            packet_symbol_errors = int(np.count_nonzero(symbols != soi_symbols[p]))
+            assert (packet_symbol_errors == 0) == bool(stats.ok[p])
+            symbol_errors += packet_symbol_errors
         assert (stats.bit_errors, stats.symbol_errors) == (bit_errors, symbol_errors)
         assert 0 < stats.bit_errors < stats.total_bits
 
@@ -239,15 +251,11 @@ class TestZoneAndNInterferer:
 
     def test_payload_negation_leaves_errors_unchanged(self):
         rng = np.random.default_rng(72)
-        bits = rng.integers(0, 2, 64) * 2 - 1
-        other = rng.integers(0, 2, 64) * 2 - 1
-        from mskcollide import multiplex_bits
+        bits = (rng.integers(0, 2, (1, 64)) * 2 - 1).astype(np.int8)
+        other = (rng.integers(0, 2, (1, 64)) * 2 - 1).astype(np.int8)
+        errors = []
         for sign in (1, -1):
-            soi = multiplex_bits(sign * bits)
-            pay = multiplex_bits(sign * other)
-            u = InterfererParams(30.0, 0.21, 2.9, pay)
-            res = decode_packet(Scenario(1.0, soi, (u,)), "uncoded")
-            if sign == 1:
-                baseline = res.bit_errors
-            else:
-                assert res.bit_errors == baseline
+            soft = _compute_soft(sign * bits, [sign * other], (30.0,), 0.21,
+                                 np.full((1, 1), 2.9))
+            errors.append(int(np.count_nonzero(decide(soft, "uncoded")[0] != sign * bits)))
+        assert errors[0] == errors[1]

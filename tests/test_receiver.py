@@ -1,14 +1,16 @@
 """Slicing, DSSS decoding (against brute-force references), and whole-packet
-decoding."""
+decoding through the Monte Carlo engine."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mskcollide import (CHIP_TABLE, InterfererParams, Scenario, decide,
-                        decode_packet, hdd_decode, make_payload, sdd_decode,
-                        spread_symbols)
+from mskcollide import (BIPOLAR_CHIP_TABLE, CHIP_TABLE, ConfigError,
+                        ExperimentConfig, decide, run_point)
+from mskcollide.montecarlo import _compute_soft
+from mskcollide.signal_model import draw_payloads
 
 
 def brute_force_decision(values):
@@ -39,90 +41,93 @@ class TestSlice:
 
 
 class TestHddDecode:
+    """Hard decisions on single 32-chip blocks and batches of them."""
+
     def test_autocorrelation_peak(self):
-        chips = spread_symbols([5])
-        d = hdd_decode(chips)
-        assert d.symbol == 5
-        assert d.correlation == pytest.approx(32.0)
-        assert d.runner_up_gap > 0
+        _, symbols, corr = decide(BIPOLAR_CHIP_TABLE[5], "hdd")
+        assert symbols.tolist() == [5]
+        assert corr[0, 5] == 32.0
+        runner_up = np.sort(corr[0])[-2]
+        assert corr[0, 5] - runner_up > 0
 
     def test_global_inversion_decodes_same_symbol(self):
-        chips = spread_symbols([5])
-        assert hdd_decode(-chips).symbol == 5
+        assert decide(-BIPOLAR_CHIP_TABLE[5], "hdd")[1].tolist() == [5]
 
     def test_inversion_symmetry_all_symbols(self):
         rng = np.random.default_rng(50)
         for xi in range(16):
-            chips = spread_symbols([xi])
+            chips = BIPOLAR_CHIP_TABLE[xi]
             for _ in range(50):
                 flips = rng.integers(0, 2, size=32) * -2 + 1
                 noisy = chips * flips.astype(np.int8)
-                assert hdd_decode(noisy).symbol == hdd_decode(-noisy).symbol
+                symbols = decide(np.stack([noisy, -noisy]), "hdd")[1]
+                assert symbols[0] == symbols[1]
 
     def test_matches_brute_force_over_flip_patterns(self):
         # all subsets of 10 fixed flip positions applied to codeword 5
         rng = np.random.default_rng(51)
         positions = rng.choice(32, size=10, replace=False)
-        base = spread_symbols([5]).astype(np.int64)
+        chips = np.tile(BIPOLAR_CHIP_TABLE[5].astype(np.int64), (1024, 1))
         for mask in range(1024):
-            chips = base.copy()
             for j in range(10):
                 if mask >> j & 1:
-                    chips[positions[j]] *= -1
-            got = hdd_decode(chips)
-            want_symbol, want_corr = brute_force_decision(chips)
-            assert got.symbol == want_symbol
-            assert got.correlation == pytest.approx(want_corr)
+                    chips[mask, positions[j]] *= -1
+        _, symbols, corr = decide(chips, "hdd")
+        for mask in range(1024):
+            want_symbol, want_corr = brute_force_decision(chips[mask])
+            assert symbols[mask, 0] == want_symbol
+            assert corr[mask, 0, want_symbol] == pytest.approx(want_corr)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            hdd_decode(np.ones(31, dtype=int))
+            decide(np.ones(31, dtype=int), "hdd")
         with pytest.raises(ValueError):
-            hdd_decode(np.zeros(32, dtype=int))
+            decide(np.ones((3, 31), dtype=int), "hdd")
 
 
 class TestSddDecode:
+    """Soft decisions on single 32-value blocks."""
+
     def test_scale_invariance(self):
-        chips = spread_symbols([9]).astype(float)
-        assert sdd_decode(0.3 * chips).symbol == 9
+        chips = BIPOLAR_CHIP_TABLE[9].astype(float)
+        assert decide(0.3 * chips, "sdd")[1].tolist() == [9]
         rng = np.random.default_rng(52)
         for _ in range(200):
             soft = rng.normal(size=32)
             scale = float(10.0 ** rng.uniform(-3, 3))
-            assert sdd_decode(soft).symbol == sdd_decode(scale * soft).symbol
+            assert decide(soft, "sdd")[1] == decide(scale * soft, "sdd")[1]
 
     def test_single_erased_chip_survives(self):
-        soft = spread_symbols([9]).astype(float)
+        soft = BIPOLAR_CHIP_TABLE[9].astype(float)
         soft[13] = 0.0
-        got = sdd_decode(soft)
         want_symbol, _ = brute_force_decision(soft)
-        assert got.symbol == want_symbol == 9
+        assert decide(soft, "sdd")[1].tolist() == [want_symbol] == [9]
 
     def test_equal_magnitudes_degenerate_to_hdd(self):
         rng = np.random.default_rng(53)
         for _ in range(100):
             sliced = (rng.integers(0, 2, size=32) * 2 - 1).astype(np.int8)
-            assert sdd_decode(sliced.astype(float)).symbol == hdd_decode(sliced).symbol
+            assert decide(sliced.astype(float), "sdd")[1] == decide(sliced, "hdd")[1]
 
     def test_matches_brute_force_on_soft_vectors(self):
         rng = np.random.default_rng(54)
         for _ in range(300):
             soft = rng.normal(size=32) * float(10.0 ** rng.uniform(-1, 2))
-            got = sdd_decode(soft)
+            _, symbols, corr = decide(soft, "sdd")
             want_symbol, want_corr = brute_force_decision(soft)
-            assert got.symbol == want_symbol
-            assert got.correlation == pytest.approx(want_corr)
+            assert symbols.tolist() == [want_symbol]
+            assert corr[0, want_symbol] == pytest.approx(want_corr)
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
-            sdd_decode(np.zeros(30))
+            decide(np.zeros(30), "sdd")
 
 
 class TestDecide:
     def test_clean_chips_round_trip(self):
         rng = np.random.default_rng(55)
         symbols = rng.integers(0, 16, size=16)
-        chips = spread_symbols(symbols)
+        chips = BIPOLAR_CHIP_TABLE[symbols].reshape(-1)
         for coding in ("hdd", "sdd"):
             sliced, decided, corr = decide(chips, coding)
             assert np.array_equal(sliced, chips)
@@ -133,7 +138,7 @@ class TestDecide:
     def test_correlation_tie_goes_to_lowest_symbol(self):
         # blocks halfway between codewords 0 and 1 correlate equally with
         # both, and more strongly than with any other codeword
-        a, b = spread_symbols([0]), spread_symbols([1])
+        a, b = BIPOLAR_CHIP_TABLE[0], BIPOLAR_CHIP_TABLE[1]
         differ = np.flatnonzero(a != b)
         hard = a.copy()
         hard[differ[::2]] = b[differ[::2]]
@@ -161,61 +166,55 @@ class TestDecide:
             decide(np.ones(32), "turbo")
 
 
+def _fixed_phase_cfg(**kw):
+    base = dict(packets_per_point=200, payload_bits=64, phi_mode="fixed",
+                phi_c=0.0, master_seed=99)
+    base.update(kw)
+    return ExperimentConfig(**base)
+
+
 class TestDecodePacket:
+    """Whole packets decoded by the Monte Carlo engine at a fixed carrier
+    phase."""
+
     def test_clean_channel_every_coding(self):
-        rng = np.random.default_rng(56)
-        for coding, payload_coding in (("uncoded", "uncoded"), ("hdd", "coded"),
-                                       ("sdd", "coded")):
-            soi, _ = make_payload("independent", payload_coding, 64, rng)
-            sc = Scenario(1.0, soi)
-            res = decode_packet(sc, coding)
-            assert res.packet_ok and res.bit_errors == 0
-            if coding != "uncoded":
-                assert res.symbol_errors == 0 and res.n_symbols == 16
+        for coding in ("uncoded", "hdd", "sdd"):
+            p = run_point(_fixed_phase_cfg(coding=coding, n_interferers=0), 0.0, 0.0)
+            assert (p.prr_mean, p.ber, p.ser, p.n) == (1.0, 0.0, 0.0, 0)
 
     def test_constructive_identical_collision(self):
-        rng = np.random.default_rng(57)
-        soi, interferer = make_payload("identical", "uncoded", 64, rng)
-        u = InterfererParams(10.0, 0.0, 0.0, interferer)
-        res = decode_packet(Scenario(1.0, soi, (u,)), "uncoded")
-        assert res.packet_ok and res.bit_errors == 0
+        cfg = _fixed_phase_cfg(payload_mode="identical")
+        p = run_point(cfg, 0.0, -20.0)
+        assert p.prr_mean == 1.0 and p.ber == 0.0
 
     def test_strong_interferer_captured_with_sdd(self):
         # 1 % amplitude of the interferer: its packet decodes error-free at
         # zero offsets even though the receiver stays on the weak sender's grid
-        rng = np.random.default_rng(58)
-        soi, interferer = make_payload("independent", "coded", 64, rng)
-        u = InterfererParams(100.0, 0.0, 0.0, interferer)
-        res = decode_packet(Scenario(1.0, soi, (u,)), "sdd", target="interferer")
-        assert res.packet_ok and res.symbol_errors == 0
+        cfg = _fixed_phase_cfg(coding="sdd", target="interferer")
+        p = run_point(cfg, 0.0, -40.0)
+        assert p.prr_mean == 1.0 and p.ser == 0.0
 
     def test_amplitude_scaling_leaves_decisions_unchanged(self):
         rng = np.random.default_rng(59)
-        soi, interferer = make_payload("independent", "coded", 64, rng)
+        (_, soi), (_, interferer) = draw_payloads(rng, "independent", True, 64, 1, 20)
+        phi = np.full((20, 1), 1.2)
+        base = decide(_compute_soft(soi, [interferer], (2.0,), 0.31, phi), "sdd")
         for scale in (0.01, 1.0, 7.3):
-            u = InterfererParams(2.0 * scale, 0.31, 1.2, interferer)
-            res = decode_packet(Scenario(1.0 * scale, soi, (u,)), "sdd")
-            base_u = InterfererParams(2.0, 0.31, 1.2, interferer)
-            base = decode_packet(Scenario(1.0, soi, (base_u,)), "sdd")
-            assert np.array_equal(res.decided_symbols, base.decided_symbols)
-            assert np.array_equal(res.decided_bits, base.decided_bits)
+            soft = _compute_soft(soi, [interferer], (2.0 * scale,), 0.31, phi,
+                                 soi_amplitude=scale)
+            sliced, symbols, _ = decide(soft, "sdd")
+            assert np.array_equal(symbols, base[1])
+            assert np.array_equal(sliced, base[0])
 
     def test_interferer_index_out_of_range(self):
-        rng = np.random.default_rng(60)
-        soi, interferer = make_payload("independent", "uncoded", 64, rng)
-        u = InterfererParams(1.0, 0.0, 0.0, interferer)
-        sc = Scenario(1.0, soi, (u,))
-        with pytest.raises(IndexError):
-            decode_packet(sc, "uncoded", target="interferer", interferer_index=1)
+        cfg = _fixed_phase_cfg(target="interferer", n_interferers=0)
+        with pytest.raises(ConfigError):
+            run_point(cfg, 0.0, 0.0)
 
     def test_all_bits_flipped_still_decodes_coded(self):
         # carrier phase of pi inverts every chip; absolute correlation
         # recovers the symbols, while the uncoded path loses every bit
-        rng = np.random.default_rng(61)
-        soi, interferer = make_payload("identical", "coded", 64, rng)
-        u = InterfererParams(100.0, 0.0, math.pi, interferer)
-        sc = Scenario(1.0, soi, (u,))
-        hard = decode_packet(sc, "hdd")
-        assert hard.packet_ok and hard.bit_errors == hard.n_bits
-        uncoded = decode_packet(sc, "uncoded")
-        assert not uncoded.packet_ok
+        cfg = _fixed_phase_cfg(payload_mode="identical", phi_c=math.pi)
+        hard = run_point(replace(cfg, coding="hdd"), 0.0, -40.0)
+        assert hard.prr_mean == 1.0 and hard.ber == 1.0
+        assert run_point(cfg, 0.0, -40.0).prr_mean == 0.0

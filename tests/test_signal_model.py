@@ -1,12 +1,15 @@
-"""Multiplexing, payload streams, and scenario types."""
+"""Multiplexing, payload streams, interferer descriptions and payload draws."""
 
 import math
 
 import numpy as np
 import pytest
 
-from mskcollide import (InterfererParams, IqStream, Scenario, demultiplex_bits,
-                        make_payload, multiplex_bits)
+from mskcollide import (BIPOLAR_CHIP_TABLE, ConfigError, ExperimentConfig,
+                        InterfererParams, IqStream, interference_contribution,
+                        multiplex_bits)
+from mskcollide.montecarlo import _point_amplitudes
+from mskcollide.signal_model import draw_payloads
 
 
 def test_multiplex_even_odd_split():
@@ -27,9 +30,13 @@ def test_multiplex_empty_payload_rejected():
 
 
 def test_multiplex_demultiplex_round_trip():
+    # a unit interferer at zero offsets contributes exactly its bits, so the
+    # one-row closed form reads the multiplexed stream back in transmit order
     rng = np.random.default_rng(42)
     bits = rng.integers(0, 2, size=64) * 2 - 1
-    assert np.array_equal(demultiplex_bits(multiplex_bits(bits)), bits)
+    u = InterfererParams(1.0, 0.0, 0.0, multiplex_bits(bits))
+    back = [interference_contribution(u, j // 2, "IQ"[j % 2]) for j in range(64)]
+    assert back == bits.tolist()
 
 
 def test_non_antipodal_bits_rejected():
@@ -77,44 +84,45 @@ def test_interferer_params_normalize_phase():
 
 
 def test_scenario_sir():
-    payload = multiplex_bits([1, -1, 1, -1])
-    u = InterfererParams(amplitude=2.0, tau=0.0, phi_c=0.0, payload=payload)
-    v = InterfererParams(amplitude=1.0, tau=0.0, phi_c=0.0, payload=payload)
-    sc = Scenario(soi_amplitude=1.0, soi_payload=payload, interferers=(u, v))
-    assert sc.sir() == pytest.approx(1.0 / 5.0)
-    clean = Scenario(soi_amplitude=1.0, soi_payload=payload)
-    assert math.isinf(clean.sir())
+    # the engine's interferer amplitudes realize the point's SIR, whatever
+    # the power split
+    for sir_db in (-10.0, 3.0):
+        for layout in ("single", "equal_split"):
+            cfg = ExperimentConfig(n_interferers=2, interferer_power_split=layout)
+            amplitudes = _point_amplitudes(cfg, sir_db)
+            sir = 1.0 / sum(a**2 for a in amplitudes)
+            assert 10.0 * math.log10(sir) == pytest.approx(sir_db)
+    assert _point_amplitudes(ExperimentConfig(n_interferers=0), 0.0) == ()
 
 
 def test_make_payload_identical_uncoded():
     rng = np.random.default_rng(1)
-    soi, interferer = make_payload("identical", "uncoded", 64, rng)
-    assert np.array_equal(soi.i_bits, interferer.i_bits)
-    assert np.array_equal(soi.q_bits, interferer.q_bits)
-    assert len(soi.i_bits) == 32 and len(soi.q_bits) == 32
+    soi, interferer = draw_payloads(rng, "identical", False, 64, 1, 3)
+    assert soi is interferer
+    symbols, chips = soi
+    assert symbols is None and chips.shape == (3, 64)
+    assert set(np.unique(chips)) == {-1, 1}
 
 
 def test_make_payload_coded_chip_counts():
     rng = np.random.default_rng(2)
-    soi, interferer = make_payload("independent", "coded", 64, rng)
-    # 16 symbols of 32 chips: 512 chips split evenly over the branches
-    assert len(soi.i_bits) == 256 and len(soi.q_bits) == 256
-    assert len(interferer.i_bits) == 256
-    assert not np.array_equal(demultiplex_bits(soi), demultiplex_bits(interferer))
+    (symbols, chips), (_, interferer) = draw_payloads(rng, "independent", True, 64, 1, 3)
+    # 16 symbols of 32 chips: 512 chips per packet
+    assert symbols.shape == (3, 16) and chips.shape == (3, 512)
+    assert np.array_equal(chips, BIPOLAR_CHIP_TABLE[symbols].reshape(3, 512))
+    assert interferer.shape == (3, 512)
+    assert not np.array_equal(chips, interferer)
 
 
 def test_make_payload_seeded_reproducibility():
-    a = make_payload("independent", "uncoded", 64, np.random.default_rng(7))
-    b = make_payload("independent", "uncoded", 64, np.random.default_rng(7))
-    assert np.array_equal(demultiplex_bits(a[0]), demultiplex_bits(b[0]))
-    assert np.array_equal(demultiplex_bits(a[1]), demultiplex_bits(b[1]))
+    a = draw_payloads(np.random.default_rng(7), "independent", False, 64, 1, 2)
+    b = draw_payloads(np.random.default_rng(7), "independent", False, 64, 1, 2)
+    assert np.array_equal(a[0][1], b[0][1])
+    assert np.array_equal(a[1][1], b[1][1])
 
 
 def test_make_payload_validation():
-    rng = np.random.default_rng(3)
-    with pytest.raises(ValueError):
-        make_payload("independent", "coded", 66, rng)
-    with pytest.raises(ValueError):
-        make_payload("independent", "uncoded", 0, rng)
-    with pytest.raises(ValueError):
-        make_payload("both", "uncoded", 8, rng)
+    for fields in ({"coding": "hdd", "payload_bits": 66}, {"payload_bits": 0},
+                   {"payload_mode": "both"}):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(tau_grid=(0.0,), sir_db_grid=(0.0,), **fields).validate()
