@@ -9,15 +9,11 @@ engine for capture-threshold and capture-zone experiments.
 
 __version__ = "0.1.0"
 
-from .chipseq import (BIPOLAR_CHIP_TABLE, BITS_PER_SYMBOL, CHIP_TABLE,
-                      CHIPS_PER_SYMBOL)
-from .demod import (OffsetDecomposition, batch_interference, decompose_offset,
-                    interference_contribution)
+from .chipseq import BIPOLAR_CHIP_TABLE
+from .demod import batch_interference, interference_contribution
 from .montecarlo import (ConfigError, ExperimentConfig, MetricPoint,
-                         NInterfererPoint, ThresholdPoint, ZoneCell,
-                         capture_zone, grid, n_interferer_experiment,
-                         run_point, split_amplitudes, sweep,
-                         threshold_extract)
+                         NInterfererPoint, ZoneCell, capture_zone, grid,
+                         n_interferer_experiment, run_point, sweep)
 from .oracle import (QuadratureConfig, oracle_lambda_baseband,
                      oracle_lambda_passband, rect_integral,
                      rect_integral_quadrature)
@@ -27,13 +23,11 @@ from .signal_model import InterfererParams, IqStream, multiplex_bits
 
 __all__ = [
     "__version__",
-    "BIPOLAR_CHIP_TABLE", "BITS_PER_SYMBOL", "CHIP_TABLE", "CHIPS_PER_SYMBOL",
-    "OffsetDecomposition", "batch_interference", "decompose_offset",
-    "interference_contribution",
+    "BIPOLAR_CHIP_TABLE",
+    "batch_interference", "interference_contribution",
     "ConfigError", "ExperimentConfig", "MetricPoint", "NInterfererPoint",
-    "ThresholdPoint", "ZoneCell", "capture_zone", "grid",
-    "n_interferer_experiment", "run_point", "split_amplitudes", "sweep",
-    "threshold_extract",
+    "ZoneCell", "capture_zone", "grid", "n_interferer_experiment",
+    "run_point", "sweep",
     "QuadratureConfig", "oracle_lambda_baseband", "oracle_lambda_passband",
     "rect_integral", "rect_integral_quadrature",
     "NINTERF_DEFAULTS", "PRESETS", "ZONE_PRESETS", "ZonePreset",

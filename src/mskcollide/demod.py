@@ -13,6 +13,8 @@ exchanged: its own bits enter with the plain offset decomposition and the
 in-phase bits leak with the offset shifted by -T (the in-phase pulse grid
 leads the quadrature grid by half a bit). The sign conventions used here
 are pinned by the numerical oracle (see the oracle module and its tests).
+Times are in units of T, half a bit duration: the closed form depends on
+the offset only through tau / T, so T = 1 throughout.
 """
 
 from __future__ import annotations
@@ -45,14 +47,12 @@ class OffsetDecomposition:
     phi_p: float
 
 
-def decompose_offset(tau: float, T: float = 1.0, variant: str = "active") -> OffsetDecomposition:
+def decompose_offset(tau: float, variant: str = "active") -> OffsetDecomposition:
     """Decompose a time offset for one pulse grid; total for all finite tau."""
-    if T <= 0:
-        raise ValueError("T must be positive")
     if variant not in VARIANT_SHIFTS:
         raise ValueError(f"unknown variant {variant!r}")
-    shifted = tau + VARIANT_SHIFTS[variant] * T
-    two_t = 2.0 * T
+    shifted = tau + VARIANT_SHIFTS[variant]
+    two_t = 2.0
     k_shift = math.floor(shifted / two_t)
     tau_rel = shifted - two_t * k_shift
     # Guard against float rounding pushing the remainder onto 2T.
@@ -65,13 +65,13 @@ def decompose_offset(tau: float, T: float = 1.0, variant: str = "active") -> Off
 
 
 def interference_contribution(params: InterfererParams, k: int,
-                              branch: str = "I", T: float = 1.0) -> float:
+                              branch: str = "I") -> float:
     """Closed-form contribution of one interferer to soft bit k of a branch:
     a one-row evaluation of batch_interference."""
     payload = params.payload
     return float(batch_interference(payload.i_bits, payload.q_bits, params.amplitude,
-                                    params.tau, params.phi_c, branch, 1, T,
-                                    payload.origin_index - k)[0])
+                                    params.tau, params.phi_c, branch, 1,
+                                    index_offset=-k)[0])
 
 
 def _shifted_pair(bits: np.ndarray, shift: int, num_bits: int):
@@ -87,7 +87,7 @@ def _shifted_pair(bits: np.ndarray, shift: int, num_bits: int):
 
 def batch_interference(i_bits: np.ndarray, q_bits: np.ndarray, amplitude: float,
                        tau: float, phi_c, branch: str, num_bits: int,
-                       T: float = 1.0, index_offset: int = 0) -> np.ndarray:
+                       index_offset: int = 0) -> np.ndarray:
     """Contributions of one interferer for decision indices 0..num_bits-1.
 
     i_bits/q_bits hold +-1 payload bits on the trailing axis with arbitrary
@@ -99,8 +99,8 @@ def batch_interference(i_bits: np.ndarray, q_bits: np.ndarray, amplitude: float,
     """
     if branch not in ("I", "Q"):
         raise ValueError("branch must be 'I' or 'Q'")
-    main_dec = decompose_offset(tau, T, "active")
-    leak_dec = decompose_offset(tau, T, "q_leak" if branch == "I" else "i_leak")
+    main_dec = decompose_offset(tau, "active")
+    leak_dec = decompose_offset(tau, "q_leak" if branch == "I" else "i_leak")
     main_bits = i_bits if branch == "I" else q_bits
     leak_bits = q_bits if branch == "I" else i_bits
     phi_c = np.asarray(phi_c, dtype=np.float64)[..., None]
@@ -115,7 +115,7 @@ def batch_interference(i_bits: np.ndarray, q_bits: np.ndarray, amplitude: float,
     #   lambda = A / 2T (cos(phi_c) direct - sin(phi_c) leak),
     # folded into one scalar weight per selected bit so each array is
     # touched only twice.
-    two_t = 2.0 * T
+    two_t = 2.0
     over_pi = two_t / math.pi
     gain = amplitude / two_t
     cos_p = math.cos(main_dec.phi_p)

@@ -38,6 +38,10 @@ PHI_MODES = ("random_uniform", "fixed")
 POWER_SPLITS = ("single", "equal_split")
 
 
+#: Most values one grid axis may hold (the largest preset axis has 64).
+MAX_GRID_POINTS = 1024
+
+
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
@@ -68,7 +72,9 @@ class ExperimentConfig:
                     raise ConfigError(f"{name} values must be numbers, not {value!r}")
             object.__setattr__(self, name, tuple(map(float, values)))
 
-    def validate(self, require_grids: bool = True):
+    def validate(self):
+        """Raise ConfigError for a bad field. Grids may be empty here;
+        sweep checks that it has both."""
         for name in ("packets_per_point", "payload_bits", "n_interferers", "master_seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -79,7 +85,11 @@ class ExperimentConfig:
                     or not math.isfinite(value)):
                 raise ConfigError(f"{name} must be a finite number, not {value!r}")
         for name in ("tau_grid", "sir_db_grid"):
-            if not all(map(math.isfinite, getattr(self, name))):
+            values = getattr(self, name)
+            if len(values) > MAX_GRID_POINTS:
+                raise ConfigError(f"{name} holds {len(values)} values, more than "
+                                  f"{MAX_GRID_POINTS}")
+            if not all(map(math.isfinite, values)):
                 raise ConfigError(f"{name} values must be finite")
         for sir_db in self.sir_db_grid:
             _interference_level(sir_db)
@@ -105,11 +115,6 @@ class ExperimentConfig:
             raise ConfigError("target 'interferer' needs at least one interferer")
         if self.noise_std < 0:
             raise ConfigError("noise_std must be non-negative")
-        if require_grids:
-            if not self.tau_grid:
-                raise ConfigError("tau_grid must not be empty")
-            if not self.sir_db_grid:
-                raise ConfigError("sir_db_grid must not be empty")
 
     def to_dict(self) -> dict:
         return {k: (list(v) if isinstance(v, tuple) else v)
@@ -175,10 +180,6 @@ class NInterfererPoint:
     packets: int
 
 
-#: Most values one grid axis may hold (the largest preset axis has 64).
-MAX_GRID_POINTS = 1024
-
-
 def grid(start: float, stop: float, step: float) -> tuple:
     """Inclusive numeric grid with round-off-stable values; at most
     MAX_GRID_POINTS of them, checked before any is built."""
@@ -213,13 +214,10 @@ def split_amplitudes(total_power: float, n: int, layout: str) -> tuple:
     """Distribute a total interference power across interferers.
 
     "single" concentrates everything in one interferer, "equal_split"
-    divides it evenly over n.
+    divides it evenly over n. Callers pass a validated layout and a
+    positive power.
     """
-    if layout not in POWER_SPLITS:
-        raise ConfigError(f"unknown power split {layout!r}")
-    if total_power < 0:
-        raise ConfigError("total_power must be non-negative")
-    if n == 0 or total_power == 0:
+    if n == 0:
         return ()
     if layout == "single":
         return (math.sqrt(total_power),)
@@ -280,18 +278,18 @@ def _compute_soft(soi_chips, interferer_chips, amplitudes, tau, phi,
     return soft
 
 
-def _simulate_batch(cfg: ExperimentConfig, tau: float, amplitudes: tuple,
-                    phi_fixed: float | None) -> _BatchStats:
+def _simulate_batch(cfg: ExperimentConfig, tau: float, amplitudes: tuple) -> _BatchStats:
     """Simulate one grid point's packets and count errors against the target."""
     packets = cfg.packets_per_point
     coded = cfg.coding != "uncoded"
     n_chips = 8 * cfg.payload_bits if coded else cfg.payload_bits
     n_int = len(amplitudes)
+    fixed = cfg.phi_mode == "fixed"
 
     rng = _point_rng(
         cfg.master_seed,
         float(tau), tuple(float(a) for a in amplitudes),
-        cfg.phi_mode, float(phi_fixed) if phi_fixed is not None else -1.0,
+        cfg.phi_mode, float(cfg.phi_c) if fixed else -1.0,
         cfg.payload_mode, cfg.coding, cfg.target,
         packets, cfg.payload_bits, float(cfg.noise_std),
     )
@@ -299,10 +297,10 @@ def _simulate_batch(cfg: ExperimentConfig, tau: float, amplitudes: tuple,
     # Canonical draw order: payloads (draw_payloads), phase offsets (random
     # mode only), then noise.
     senders = draw_payloads(rng, cfg.payload_mode, coded, cfg.payload_bits, n_int, packets)
-    if cfg.phi_mode == "random_uniform":
-        phi = rng.uniform(0.0, TWO_PI, size=(packets, n_int))
+    if fixed:
+        phi = np.full((packets, n_int), float(cfg.phi_c))
     else:
-        phi = np.full((packets, n_int), float(phi_fixed))
+        phi = rng.uniform(0.0, TWO_PI, size=(packets, n_int))
     noise = None
     if cfg.noise_std > 0:
         noise = (rng.normal(0.0, cfg.noise_std, size=(packets, n_chips - n_chips // 2)),
@@ -345,17 +343,16 @@ def _point_amplitudes(cfg: ExperimentConfig, sir_db: float) -> tuple:
 
 def run_point(cfg: ExperimentConfig, tau: float, sir_db: float) -> MetricPoint:
     """Simulate one (tau, SIR) grid point."""
-    cfg.validate(require_grids=False)
+    cfg.validate()
     amplitudes = _point_amplitudes(cfg, sir_db)
-    phi_fixed = cfg.phi_c if cfg.phi_mode == "fixed" else None
-    stats = _simulate_batch(cfg, tau, amplitudes, phi_fixed)
+    stats = _simulate_batch(cfg, tau, amplitudes)
     prr_mean, prr_std = _prr_stats(stats.ok)
     ber = stats.bit_errors / stats.total_bits
     ser = stats.symbol_errors / stats.total_symbols if stats.total_symbols else 0.0
     return MetricPoint(tau=float(tau), sir_db=float(sir_db), prr_mean=prr_mean,
                        prr_std=prr_std, ber=ber, ser=ser,
-                       packets=cfg.packets_per_point, phi_c=phi_fixed,
-                       n=len(amplitudes))
+                       packets=cfg.packets_per_point, n=len(amplitudes),
+                       phi_c=cfg.phi_c if cfg.phi_mode == "fixed" else None)
 
 
 def _sweep_task(args):
@@ -375,6 +372,8 @@ def sweep(cfg: ExperimentConfig, threads: int = 1) -> list[MetricPoint]:
     """Run the full tau x SIR grid; deterministic for a given master seed
     regardless of threads."""
     cfg.validate()
+    if not cfg.tau_grid or not cfg.sir_db_grid:
+        raise ConfigError("tau_grid and sir_db_grid must not be empty")
     tasks = [(cfg, tau, sir) for tau in cfg.tau_grid for sir in cfg.sir_db_grid]
     return _map_tasks(_sweep_task, tasks, threads)
 
@@ -396,7 +395,7 @@ def capture_zone(cfg: ExperimentConfig, sir_db: float, tau_grid, phi_grid,
     error rate for uncoded operation and the symbol error rate for the
     coded modes.
     """
-    cfg.validate(require_grids=False)
+    cfg.validate()
     if not len(tau_grid) or not len(phi_grid):
         raise ConfigError("capture zone grids must not be empty")
     tasks = [(cfg, tau, phi, sir_db) for tau in tau_grid for phi in phi_grid]
@@ -408,7 +407,7 @@ def _ninterf_task(args):
     point_cfg = replace(cfg, payload_mode=payload_mode, n_interferers=n,
                         interferer_power_split=layout, phi_mode="random_uniform")
     amplitudes = split_amplitudes(n * 0.5, n, layout)
-    stats = _simulate_batch(point_cfg, 0.0, amplitudes, None)
+    stats = _simulate_batch(point_cfg, 0.0, amplitudes)
     prr_mean, prr_std = _prr_stats(stats.ok)
     return NInterfererPoint(n=n, layout=layout, payload_mode=payload_mode,
                             prr_mean=prr_mean, prr_std=prr_std,
@@ -424,7 +423,7 @@ def n_interferer_experiment(cfg: ExperimentConfig, max_n: int = 8,
     sender's power, the single strong one carries n times that. Runs both
     payload modes and both layouts for n = 1..max_n.
     """
-    cfg.validate(require_grids=False)
+    cfg.validate()
     if max_n < 1:
         raise ConfigError("max_n must be at least 1")
     tasks = [(cfg, n, layout, mode)

@@ -10,7 +10,8 @@ both in closed form and by quadrature.
 Pulse trains are piecewise constant, so every integration interval is split
 exactly at pulse edges; within a piece the bit values are constants and the
 composite rule integrates only the smooth trigonometric factor, preserving
-the rule's theoretical convergence order.
+the rule's theoretical convergence order. As in the closed forms, times are
+in units of T = 1, so a bit lasts 2.
 """
 
 from __future__ import annotations
@@ -46,8 +47,13 @@ class QuadratureConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.method == "simpson" and self.steps_per_bit % 2 != 0:
             raise ValueError("simpson requires an even step count")
-        if self.carrier_multiple < 8:
-            raise ValueError("carrier_multiple must be at least 8")
+        # Passband double-carrier terms have period 2T / carrier_multiple:
+        # at 4 steps per period (4096 steps, multiple 1024) the oracle sat
+        # 5e-7 from baseband, at 2 it aliased them (0.32). The shipped
+        # multiple stays valid at any step count: baseband runs ignore it.
+        ceiling = max(256, self.steps_per_bit // 4)
+        if not 8 <= self.carrier_multiple <= ceiling:
+            raise ValueError(f"carrier_multiple must lie in 8..{ceiling}")
 
 
 def _composite(f, a: float, b: float, steps: int, method: str) -> float:
@@ -62,17 +68,17 @@ def _composite(f, a: float, b: float, steps: int, method: str) -> float:
     return float(h / 3.0 * np.sum(w * f(t)))
 
 
-def _pulse_edges(a: float, b: float, tau: float, T: float) -> list[float]:
+def _pulse_edges(a: float, b: float, tau: float) -> list[float]:
     """Interior points of (a, b) where either pulse train may jump.
 
     In-phase edges sit at tau + (odd)T, quadrature edges at tau + (even)T;
     together every multiple of T offset by tau.
     """
-    m0 = math.ceil((a - tau) / T)
+    m0 = math.ceil(a - tau)
     edges = []
     m = m0
     while True:
-        t = tau + m * T
+        t = tau + m
         if t >= b - _EDGE_EPS:
             break
         if t > a + _EDGE_EPS:
@@ -82,9 +88,9 @@ def _pulse_edges(a: float, b: float, tau: float, T: float) -> list[float]:
 
 
 def _integrate_pieces(coeff, bits_at, a: float, b: float, tau: float,
-                      T: float, cfg: QuadratureConfig) -> float:
+                      cfg: QuadratureConfig) -> float:
     """Integrate sum_j bits_at(mid)[j] * coeff(t)[j] with bits constant per piece."""
-    points = [a] + _pulse_edges(a, b, tau, T) + [b]
+    points = [a] + _pulse_edges(a, b, tau) + [b]
     steps_total = cfg.steps_per_bit
     total = 0.0
     for lo, hi in zip(points[:-1], points[1:]):
@@ -106,25 +112,24 @@ def _integrate_pieces(coeff, bits_at, a: float, b: float, tau: float,
     return total
 
 
-def _bit_i_at(payload: IqStream, t: float, tau: float, T: float) -> int:
+def _bit_i_at(payload: IqStream, t: float, tau: float) -> int:
     """In-phase pulse-train value at time t for a signal delayed by tau."""
-    return payload.i_bit(math.floor((t - tau + T) / (2.0 * T)))
+    return payload.i_bit(math.floor((t - tau + 1.0) / 2.0))
 
 
-def _bit_q_at(payload: IqStream, t: float, tau: float, T: float) -> int:
+def _bit_q_at(payload: IqStream, t: float, tau: float) -> int:
     """Quadrature pulse-train value at time t for a signal delayed by tau."""
-    return payload.q_bit(math.floor((t - tau) / (2.0 * T)))
+    return payload.q_bit(math.floor((t - tau) / 2.0))
 
 
-def _interval(k: int, branch: str, T: float) -> tuple[float, float]:
+def _interval(k: int, branch: str) -> tuple[float, float]:
     if branch == "I":
-        return ((2 * k - 1) * T, (2 * k + 1) * T)
-    return (2 * k * T, (2 * k + 2) * T)
+        return (float(2 * k - 1), float(2 * k + 1))
+    return (float(2 * k), float(2 * k + 2))
 
 
 def oracle_lambda_baseband(params: InterfererParams, k: int, branch: str = "I",
-                           cfg: QuadratureConfig = QuadratureConfig(),
-                           T: float = 1.0) -> float:
+                           cfg: QuadratureConfig = QuadratureConfig()) -> float:
     """Numerically integrate the post-lowpass matched-filter product.
 
     Converges to the closed form as the step count grows; independent of
@@ -133,11 +138,11 @@ def oracle_lambda_baseband(params: InterfererParams, k: int, branch: str = "I",
     """
     if branch not in ("I", "Q"):
         raise ValueError("branch must be 'I' or 'Q'")
-    a, b = _interval(k, branch, T)
-    w_p = math.pi / (2.0 * T)
+    a, b = _interval(k, branch)
+    w_p = math.pi / 2.0
     phi_p = w_p * params.tau
     phi_c = params.phi_c
-    amp = 2.0 / T * params.amplitude / 4.0
+    amp = 2.0 * params.amplitude / 4.0
     cos_c, sin_c = math.cos(phi_c), math.sin(phi_c)
 
     if branch == "I":
@@ -150,15 +155,14 @@ def oracle_lambda_baseband(params: InterfererParams, k: int, branch: str = "I",
                     amp * cos_c * (math.cos(phi_p) - np.cos(2 * w_p * t - phi_p)))
 
     def bits_at(t):
-        return (_bit_i_at(params.payload, t, params.tau, T),
-                _bit_q_at(params.payload, t, params.tau, T))
+        return (_bit_i_at(params.payload, t, params.tau),
+                _bit_q_at(params.payload, t, params.tau))
 
-    return _integrate_pieces(coeff, bits_at, a, b, params.tau, T, cfg)
+    return _integrate_pieces(coeff, bits_at, a, b, params.tau, cfg)
 
 
 def oracle_lambda_passband(params: InterfererParams, k: int, branch: str = "I",
-                           cfg: QuadratureConfig = QuadratureConfig(),
-                           T: float = 1.0) -> float:
+                           cfg: QuadratureConfig = QuadratureConfig()) -> float:
     """Integrate the full passband product with an explicit carrier.
 
     The carrier is carrier_multiple times the pulse frequency; agreement
@@ -167,11 +171,11 @@ def oracle_lambda_passband(params: InterfererParams, k: int, branch: str = "I",
     """
     if branch not in ("I", "Q"):
         raise ValueError("branch must be 'I' or 'Q'")
-    a, b = _interval(k, branch, T)
-    w_p = math.pi / (2.0 * T)
+    a, b = _interval(k, branch)
+    w_p = math.pi / 2.0
     w_c = cfg.carrier_multiple * w_p
     tau, phi_c = params.tau, params.phi_c
-    gain = 2.0 / T * params.amplitude
+    gain = 2.0 * params.amplitude
 
     if branch == "I":
         def basis(t):
@@ -186,14 +190,14 @@ def oracle_lambda_passband(params: InterfererParams, k: int, branch: str = "I",
                 ph * np.sin(w_p * (t - tau)) * np.sin(w_c * t + phi_c))
 
     def bits_at(t):
-        return (_bit_i_at(params.payload, t, tau, T),
-                _bit_q_at(params.payload, t, tau, T))
+        return (_bit_i_at(params.payload, t, tau),
+                _bit_q_at(params.payload, t, tau))
 
-    return _integrate_pieces(coeff, bits_at, a, b, tau, T, cfg)
+    return _integrate_pieces(coeff, bits_at, a, b, tau, cfg)
 
 
 def rect_integral(f_kind: str, branch: str, tau: float, payload: IqStream,
-                  k: int, T: float = 1.0) -> float:
+                  k: int) -> float:
     """Closed form of the pulse-train primitive integrals over the in-phase
     decision interval of bit k.
 
@@ -205,9 +209,9 @@ def rect_integral(f_kind: str, branch: str, tau: float, payload: IqStream,
         raise ValueError(f"unknown f_kind {f_kind!r}")
     if branch not in ("I", "Q"):
         raise ValueError("branch must be 'I' or 'Q'")
-    two_t = 2.0 * T
+    two_t = 2.0
     w_p = math.pi / two_t
-    dec = decompose_offset(tau, T, "active" if branch == "I" else "q_leak")
+    dec = decompose_offset(tau, "active" if branch == "I" else "q_leak")
     bit = payload.i_bit if branch == "I" else payload.q_bit
     kk = k - dec.k_shift
     prev, cur = bit(kk - 1), bit(kk)
@@ -225,16 +229,15 @@ def rect_integral(f_kind: str, branch: str, tau: float, payload: IqStream,
 
 def rect_integral_quadrature(f_kind: str, branch: str, tau: float,
                              payload: IqStream, k: int,
-                             cfg: QuadratureConfig = QuadratureConfig(),
-                             T: float = 1.0) -> float:
+                             cfg: QuadratureConfig = QuadratureConfig()) -> float:
     """Direct quadrature of the primitive integrals; numeric twin of
     rect_integral."""
     if f_kind not in ("one", "cos2wp", "sin2wp"):
         raise ValueError(f"unknown f_kind {f_kind!r}")
     if branch not in ("I", "Q"):
         raise ValueError("branch must be 'I' or 'Q'")
-    a, b = _interval(k, "I", T)
-    w_p = math.pi / (2.0 * T)
+    a, b = _interval(k, "I")
+    w_p = math.pi / 2.0
 
     if f_kind == "one":
         def coeff(t):
@@ -248,9 +251,9 @@ def rect_integral_quadrature(f_kind: str, branch: str, tau: float,
 
     if branch == "I":
         def bits_at(t):
-            return (_bit_i_at(payload, t, tau, T),)
+            return (_bit_i_at(payload, t, tau),)
     else:
         def bits_at(t):
-            return (_bit_q_at(payload, t, tau, T),)
+            return (_bit_q_at(payload, t, tau),)
 
-    return _integrate_pieces(coeff, bits_at, a, b, tau, T, cfg)
+    return _integrate_pieces(coeff, bits_at, a, b, tau, cfg)

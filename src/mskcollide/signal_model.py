@@ -5,9 +5,8 @@ transmit stream alternates branches: position 2m carries in-phase bit m,
 position 2m+1 carries quadrature bit m (the quadrature pulse train is
 staggered by half a bit duration). `draw_payloads` draws whole batches of
 transmit-order payloads for the Monte Carlo engine; `IqStream` and
-`InterfererParams` describe one interferer, with its own time offset,
-phase and payload origin, for the one-row closed form and the numerical
-oracle. All types are immutable after construction; operations are pure
+`InterfererParams` describe one interferer, with its own time offset and
+phase, for the one-row closed form and the numerical oracle. All types are immutable after construction; operations are pure
 given an explicit RNG.
 """
 
@@ -38,13 +37,12 @@ def _as_payload_bits(bits, what="bits"):
 class IqStream:
     """A packet's payload split into in-phase and quadrature bit sequences.
 
-    Indexing outside the stored range yields 0 (silence), never an error.
-    `origin_index` is the branch bit index of the first stored payload bit.
+    Branch bit index 0 is the first stored payload bit; indexing outside
+    the stored range yields 0 (silence), never an error.
     """
 
     i_bits: np.ndarray
     q_bits: np.ndarray
-    origin_index: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "i_bits", _as_payload_bits(self.i_bits, "i_bits"))
@@ -54,16 +52,14 @@ class IqStream:
 
     def i_bit(self, k: int) -> int:
         """In-phase bit at branch index k; 0 outside the payload span."""
-        j = k - self.origin_index
-        if 0 <= j < len(self.i_bits):
-            return int(self.i_bits[j])
+        if 0 <= k < len(self.i_bits):
+            return int(self.i_bits[k])
         return 0
 
     def q_bit(self, k: int) -> int:
         """Quadrature bit at branch index k; 0 outside the payload span."""
-        j = k - self.origin_index
-        if 0 <= j < len(self.q_bits):
-            return int(self.q_bits[j])
+        if 0 <= k < len(self.q_bits):
+            return int(self.q_bits[k])
         return 0
 
 
@@ -81,8 +77,8 @@ def multiplex_bits(bits) -> IqStream:
 
 @dataclass(frozen=True)
 class InterfererParams:
-    """One interfering sender: linear amplitude, time offset tau (seconds,
-    positive arrives later), carrier phase offset (normalized into [0, 2pi)),
+    """One interfering sender: linear amplitude, time offset tau (in units
+    of T, positive arrives later), carrier phase offset (normalized into [0, 2pi)),
     and its payload."""
 
     amplitude: float

@@ -19,8 +19,9 @@ from mskcollide import (BIPOLAR_CHIP_TABLE, InterfererParams, PRESETS,
                         interference_contribution, multiplex_bits,
                         n_interferer_experiment, oracle_lambda_baseband,
                         rect_integral, rect_integral_quadrature, run_point,
-                        sweep, threshold_extract)
+                        sweep)
 from mskcollide.cli import main as cli_main
+from mskcollide.montecarlo import threshold_extract
 
 RECT_KINDS = ("one", "cos2wp", "sin2wp")
 THREADS = 2

@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from mskcollide import BIPOLAR_CHIP_TABLE, CHIP_TABLE
-from mskcollide.chipseq import chip_table_csv
+from mskcollide import BIPOLAR_CHIP_TABLE
+from mskcollide.chipseq import CHIP_TABLE, chip_table_csv
 from mskcollide.signal_model import draw_payloads
 
 ROW0 = "11011001110000110101001000101110"

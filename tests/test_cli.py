@@ -1,11 +1,12 @@
 """Command-line interface: schemas, exit codes, determinism, manifests."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
-from mskcollide import ExperimentConfig, run_point
+from mskcollide import ExperimentConfig, montecarlo, run_point
 from mskcollide.cli import main
 
 
@@ -224,10 +225,14 @@ _ONE_POINT = ["--tau-start", "0", "--tau-stop", "0", "--tau-step", "1", *_ONE_SI
             *_ONE_SIR]),
     (None, ["zone", "--phi-points", "1000000", "--packets", "10"]),
     (None, ["validate", "--steps", "100000000000000000000"]),
+    ({"tau_grid": [i / 1000 for i in range(1025)], "packets_per_point": 10}, []),
+    (None, ["validate", "--passband", "--carrier-multiple", "100000000000000000000",
+            "--draws", "1"]),
 ], ids=["packets-str", "packets-float", "tau-nan", "tau-bool", "sir-overflow", "sir-underflow",
         "config-not-object", "noise-nan", "phi-inf", "zone-sir-nan", "zone-sir-overflow",
         "validate-steps", "validate-tolerance-nan", "tau-step-nan", "tau-stop-inf",
-        "grid-oversize", "zone-phi-points-oversize", "validate-steps-huge"])
+        "grid-oversize", "zone-phi-points-oversize", "validate-steps-huge",
+        "config-grid-oversize", "validate-carrier-huge"])
 def test_bad_input_is_config_error(tmp_path, capsys, config, argv):
     out = ["--out", str(tmp_path / "x.csv")]
     if config is not None:
@@ -241,3 +246,19 @@ def test_bad_input_is_config_error(tmp_path, capsys, config, argv):
     assert main(argv) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+def _die(args):
+    os._exit(7)
+
+
+def test_worker_crash_is_one_line_and_exit_3(tmp_path, capfd, monkeypatch):
+    # forked workers inherit the patched task, so every pool task kills its worker
+    monkeypatch.setattr(montecarlo, "_sweep_task", _die)
+    out = tmp_path / "x.csv"
+    rc = main(["sweep", "--threads", "2", "--tau-start", "0", "--tau-stop", "1",
+               "--tau-step", "1", *_ONE_SIR, "--out", str(out)])
+    err = capfd.readouterr().err
+    assert rc == 3
+    assert err.startswith("worker error: ") and err.count("\n") == 1
+    assert not out.exists()

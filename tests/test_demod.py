@@ -6,10 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from mskcollide import (InterfererParams, IqStream, batch_interference,
-                        decompose_offset, interference_contribution,
-                        multiplex_bits)
-from mskcollide.demod import _shifted_pair
+from mskcollide import (InterfererParams, batch_interference,
+                        interference_contribution, multiplex_bits)
+from mskcollide.demod import _shifted_pair, decompose_offset
 from mskcollide.montecarlo import _compute_soft
 
 TWO_OVER_PI = 2.0 / math.pi
@@ -32,26 +31,26 @@ def _random_interferer(rng, n_bits=16, tau_span=4.0):
 
 class TestDecomposeOffset:
     def test_zero_offset(self):
-        d = decompose_offset(0.0, 1.0, "active")
+        d = decompose_offset(0.0, "active")
         assert (d.k_shift, d.tau_rel, d.phi_p) == (0, 0.0, 0.0)
 
     def test_positive_offset(self):
-        d = decompose_offset(2.5, 1.0, "active")
+        d = decompose_offset(2.5, "active")
         assert d.k_shift == 1
         assert d.tau_rel == pytest.approx(0.5)
 
     def test_negative_offset_floors_down(self):
-        d = decompose_offset(-0.5, 1.0, "active")
+        d = decompose_offset(-0.5, "active")
         assert d.k_shift == -1
         assert d.tau_rel == pytest.approx(1.5)
 
     def test_q_leak_shifts_by_plus_T(self):
-        d = decompose_offset(0.0, 1.0, "q_leak")
+        d = decompose_offset(0.0, "q_leak")
         assert d.k_shift == 0
         assert d.tau_rel == pytest.approx(1.0)
 
     def test_i_leak_shifts_by_minus_T(self):
-        d = decompose_offset(0.0, 1.0, "i_leak")
+        d = decompose_offset(0.0, "i_leak")
         assert d.k_shift == -1
         assert d.tau_rel == pytest.approx(1.0)
 
@@ -59,16 +58,13 @@ class TestDecomposeOffset:
         rng = np.random.default_rng(0)
         for _ in range(2000):
             tau = float(rng.uniform(-50, 50))
-            T = float(10.0 ** rng.uniform(-3, 3))
-            d = decompose_offset(tau, T, "active")
-            assert 0.0 <= d.tau_rel < 2 * T
-            assert tau == pytest.approx(d.tau_rel + 2 * d.k_shift * T, abs=1e-9 * T)
+            d = decompose_offset(tau, "active")
+            assert 0.0 <= d.tau_rel < 2.0
+            assert tau == pytest.approx(d.tau_rel + 2 * d.k_shift, abs=1e-9)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            decompose_offset(0.0, 0.0)
-        with pytest.raises(ValueError):
-            decompose_offset(0.0, 1.0, "sideways")
+            decompose_offset(0.0, "sideways")
 
 
 class TestSynchronizedContribution:
@@ -146,15 +142,15 @@ class TestReductions:
                               * (p.q_bit(k - 1) - p.q_bit(k)))
 
     @staticmethod
-    def _time_only(u, k, T=1.0):
-        shift = math.floor(u.tau / (2 * T))
-        tau_rel = u.tau - 2 * T * shift
+    def _time_only(u, k):
+        shift = math.floor(u.tau / 2)
+        tau_rel = u.tau - 2 * shift
         kp = k - shift
         p = u.payload
-        phi_p = math.pi * u.tau / (2 * T)
-        return u.amplitude / (2 * T) * (
-            math.cos(phi_p) * (tau_rel * p.i_bit(kp - 1) + (2 * T - tau_rel) * p.i_bit(kp))
-            - (2 * T / math.pi) * math.sin(phi_p) * (p.i_bit(kp - 1) - p.i_bit(kp)))
+        phi_p = math.pi * u.tau / 2
+        return u.amplitude / 2 * (
+            math.cos(phi_p) * (tau_rel * p.i_bit(kp - 1) + (2 - tau_rel) * p.i_bit(kp))
+            - (2 / math.pi) * math.sin(phi_p) * (p.i_bit(kp - 1) - p.i_bit(kp)))
 
     def test_reduces_to_phase_only_form(self):
         rng = np.random.default_rng(10)
@@ -188,17 +184,6 @@ class TestReductions:
 
 
 class TestProperties:
-    def test_depends_only_on_tau_over_T(self):
-        rng = np.random.default_rng(13)
-        for _ in range(50):
-            u = _random_interferer(rng)
-            scale = float(10.0 ** rng.uniform(-2, 2))
-            scaled = InterfererParams(u.amplitude, u.tau * scale, u.phi_c, u.payload)
-            for branch in ("I", "Q"):
-                a = interference_contribution(u, 2, branch)
-                b = interference_contribution(scaled, 2, branch, T=scale)
-                assert b == pytest.approx(a, abs=1e-11 * (1 + abs(a)))
-
     def test_four_T_periodicity_with_constant_bits(self):
         bits = np.ones(64, dtype=int)
         rng = np.random.default_rng(14)
@@ -236,15 +221,16 @@ class TestProperties:
                     assert vec[k] == pytest.approx(want, abs=1e-12 * (1 + abs(want)))
 
     def test_batch_honors_origin_offset(self):
+        # a payload starting at branch index 3 gives decision k what the
+        # same payload starting at 0 gives decision k - 3
         rng = np.random.default_rng(17)
         bits = rng.integers(0, 2, size=16) * 2 - 1
         stream = multiplex_bits(bits)
-        shifted = IqStream(i_bits=stream.i_bits, q_bits=stream.q_bits, origin_index=3)
-        u = InterfererParams(1.3, 0.7, 2.1, shifted)
+        u = InterfererParams(1.3, 0.7, 2.1, stream)
         vec = batch_interference(stream.i_bits, stream.q_bits, u.amplitude,
                                  u.tau, u.phi_c, "I", 8, index_offset=3)
         for k in range(8):
-            assert vec[k] == pytest.approx(interference_contribution(u, k, "I"),
+            assert vec[k] == pytest.approx(interference_contribution(u, k - 3, "I"),
                                            abs=1e-12)
 
 
@@ -304,12 +290,12 @@ class TestSoftBit:
 
 
 def _expression_form(i_bits, q_bits, amplitude, tau, phi_c, branch, num_bits,
-                     T=1.0, index_offset=0):
+                     index_offset=0):
     """The closed form as one expression, with the kernel's coefficients and
     operation order: the reference the in-place kernel must match bit for
     bit."""
-    main_dec = decompose_offset(tau, T, "active")
-    leak_dec = decompose_offset(tau, T, "q_leak" if branch == "I" else "i_leak")
+    main_dec = decompose_offset(tau, "active")
+    leak_dec = decompose_offset(tau, "q_leak" if branch == "I" else "i_leak")
     main_bits = i_bits if branch == "I" else q_bits
     leak_bits = q_bits if branch == "I" else i_bits
     phi_c = np.asarray(phi_c, dtype=np.float64)[..., None]
@@ -317,7 +303,7 @@ def _expression_form(i_bits, q_bits, amplitude, tau, phi_c, branch, num_bits,
                                         num_bits)
     leak_prev, leak_cur = _shifted_pair(leak_bits, leak_dec.k_shift + index_offset,
                                         num_bits)
-    two_t = 2.0 * T
+    two_t = 2.0
     over_pi = two_t / math.pi
     gain = amplitude / two_t
     cos_p = math.cos(main_dec.phi_p)
@@ -347,7 +333,7 @@ class TestBitIdentity:
         for dtype, index_offset in ((np.int8, 0), (np.float64, 0),
                                     (np.int8, 3), (np.float64, -2)):
             i_bits, q_bits = _bits(rng, 12, dtype), _bits(rng, 11, dtype)
-            args = (i_bits, q_bits, 2.3, tau, 1.1, branch, 12, 1.0, index_offset)
+            args = (i_bits, q_bits, 2.3, tau, 1.1, branch, 12, index_offset)
             _assert_bit_identical(batch_interference(*args), _expression_form(*args))
 
     @pytest.mark.parametrize("tau", TAUS)
@@ -358,7 +344,7 @@ class TestBitIdentity:
         per_packet = rng.uniform(0.0, 2 * math.pi, size=7)
         for phi_c, index_offset in ((0.7, 0), (per_packet, 0), (per_packet, 5),
                                     (per_packet, -1)):
-            args = (i_bits, q_bits, 0.37, tau, phi_c, branch, 64, 0.5, index_offset)
+            args = (i_bits, q_bits, 0.37, tau, phi_c, branch, 64, index_offset)
             _assert_bit_identical(batch_interference(*args), _expression_form(*args))
 
     def test_compute_soft_two_interferers_with_noise(self):

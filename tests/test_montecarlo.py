@@ -9,11 +9,11 @@ import pytest
 from mskcollide import (BIPOLAR_CHIP_TABLE, ConfigError, ExperimentConfig,
                         InterfererParams, MetricPoint, capture_zone, decide,
                         grid, interference_contribution, multiplex_bits,
-                        n_interferer_experiment, run_point, split_amplitudes,
-                        sweep, threshold_extract)
+                        n_interferer_experiment, run_point, sweep)
 from mskcollide.montecarlo import (MAX_GRID_POINTS, _compute_soft,
                                    _point_amplitudes, _point_rng, _prr_stats,
-                                   _simulate_batch)
+                                   _simulate_batch, split_amplitudes,
+                                   threshold_extract)
 from test_receiver import brute_force_decision
 
 
@@ -33,7 +33,9 @@ class TestConfig:
         with pytest.raises(ConfigError):
             small_cfg(coding="hdd", payload_bits=30).validate()
         with pytest.raises(ConfigError):
-            small_cfg(tau_grid=()).validate()
+            sweep(small_cfg(tau_grid=()))
+        with pytest.raises(ConfigError):
+            small_cfg(sir_db_grid=(0.0,) * (MAX_GRID_POINTS + 1)).validate()
         with pytest.raises(ConfigError):
             small_cfg(target="interferer", n_interferers=0).validate()
 
@@ -153,7 +155,7 @@ class TestEngineMatchesLibraryPath:
         packets, tau, amp, phi = 40, 0.37, 5.0, 1.234
         cfg = small_cfg(coding=coding, packets_per_point=packets, payload_bits=32,
                         phi_mode="fixed", phi_c=phi)
-        stats = _simulate_batch(cfg, tau, (amp,), phi)
+        stats = _simulate_batch(cfg, tau, (amp,))
         # replay the point's draws and decide every packet by hand
         rng = _point_rng(cfg.master_seed, tau, (amp,), cfg.phi_mode, phi,
                          cfg.payload_mode, cfg.coding, cfg.target, packets,

@@ -38,6 +38,10 @@ class TestQuadratureConfig:
             QuadratureConfig(method="trapezoid")
         with pytest.raises(ValueError):
             QuadratureConfig(carrier_multiple=4)
+        # a quarter of the steps per bit is the highest carrier multiple
+        assert QuadratureConfig(carrier_multiple=1024).carrier_multiple == 1024
+        with pytest.raises(ValueError):
+            QuadratureConfig(carrier_multiple=1025)
 
 
 class TestRectClosedForms:

@@ -7,8 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mskcollide import (BIPOLAR_CHIP_TABLE, CHIP_TABLE, ConfigError,
-                        ExperimentConfig, decide, run_point)
+from mskcollide import (BIPOLAR_CHIP_TABLE, ConfigError, ExperimentConfig,
+                        decide, run_point)
+from mskcollide.chipseq import CHIP_TABLE
 from mskcollide.montecarlo import _compute_soft
 from mskcollide.signal_model import draw_payloads
 

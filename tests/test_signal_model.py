@@ -55,14 +55,6 @@ def test_stream_silence_outside_span():
     assert s.q_bit(1) == -1
 
 
-def test_stream_origin_index_shifts_lookup():
-    s = IqStream(i_bits=[1, -1], q_bits=[-1, 1], origin_index=3)
-    assert s.i_bit(3) == 1
-    assert s.i_bit(4) == -1
-    assert s.i_bit(0) == 0
-    assert s.q_bit(4) == 1
-
-
 def test_stream_length_mismatch_rejected():
     with pytest.raises(ValueError):
         IqStream(i_bits=[1, 1, 1], q_bits=[1])
