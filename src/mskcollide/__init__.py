@@ -17,7 +17,7 @@ from .montecarlo import (ConfigError, ExperimentConfig, MetricPoint,
 from .oracle import (QuadratureConfig, oracle_lambda_baseband,
                      oracle_lambda_passband, rect_integral,
                      rect_integral_quadrature)
-from .presets import NINTERF_DEFAULTS, PRESETS, ZONE_PRESETS, ZonePreset
+from .presets import NINTERF_DEFAULTS, PRESETS, ZONE_PRESETS
 from .receiver import decide
 from .signal_model import InterfererParams, IqStream, multiplex_bits
 
@@ -30,7 +30,7 @@ __all__ = [
     "run_point", "sweep",
     "QuadratureConfig", "oracle_lambda_baseband", "oracle_lambda_passband",
     "rect_integral", "rect_integral_quadrature",
-    "NINTERF_DEFAULTS", "PRESETS", "ZONE_PRESETS", "ZonePreset",
+    "NINTERF_DEFAULTS", "PRESETS", "ZONE_PRESETS",
     "decide",
     "InterfererParams", "IqStream", "multiplex_bits",
 ]

@@ -25,9 +25,9 @@ import numpy as np
 
 from . import __version__
 from .demod import interference_contribution
-from .montecarlo import (MAX_GRID_POINTS, ConfigError, ExperimentConfig,
-                         capture_zone, grid, n_interferer_experiment, sweep)
-from .oracle import (QuadratureConfig, oracle_lambda_baseband,
+from .montecarlo import (ConfigError, ExperimentConfig, capture_zone, grid,
+                         n_interferer_experiment, sweep)
+from .oracle import (QuadratureConfig, _check_passband, oracle_lambda_baseband,
                      oracle_lambda_passband, rect_integral,
                      rect_integral_quadrature)
 from .output import (write_chip_table, write_manifest, write_ninterf,
@@ -63,9 +63,9 @@ def _build_parser() -> argparse.ArgumentParser:
     val.add_argument("--seed", type=int, default=1234)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
+    common.add_argument("--seed", dest="master_seed", type=int,
                         help="master seed (default from config/preset)")
-    common.add_argument("--packets", type=int, default=None,
+    common.add_argument("--packets", dest="packets_per_point", type=int,
                         help="packets per grid point")
     common.add_argument("--threads", type=int, default=1)
     common.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -89,7 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--phi-mode", choices=("random_uniform", "fixed"))
     swp.add_argument("--phi-c", type=float)
     swp.add_argument("--n-interferers", type=int)
-    swp.add_argument("--power-split", choices=("single", "equal_split"))
+    swp.add_argument("--power-split", dest="interferer_power_split",
+                     choices=("single", "equal_split"))
     swp.add_argument("--noise-std", type=float)
 
     zone = sub.add_parser("zone", parents=[common],
@@ -101,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     zone.add_argument("--tau-start", type=float)
     zone.add_argument("--tau-stop", type=float)
     zone.add_argument("--tau-step", type=float)
-    zone.add_argument("--phi-points", type=int)
+    zone.add_argument("--phi-points", type=int, default=64)
     zone.add_argument("--payload-bits", type=int)
 
     nin = sub.add_parser("ninterf", parents=[common],
@@ -138,6 +139,8 @@ def cmd_validate(args) -> int:
         cfg = QuadratureConfig(steps_per_bit=args.steps + (args.steps % 2),
                                method="simpson",
                                carrier_multiple=args.carrier_multiple)
+        if args.passband:
+            _check_passband(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     oracle = oracle_lambda_passband if args.passband else oracle_lambda_baseband
@@ -195,27 +198,13 @@ def _flag_grid(args, name: str, scale: float = 1.0):
     return grid(start * scale, stop * scale, step * scale)
 
 
-#: (flag, ExperimentConfig field) pairs; a flag a subcommand lacks is skipped.
-_OVERRIDES = (("coding", "coding"), ("payload_mode", "payload_mode"),
-              ("target", "target"), ("payload_bits", "payload_bits"),
-              ("phi_mode", "phi_mode"), ("phi_c", "phi_c"),
-              ("n_interferers", "n_interferers"),
-              ("power_split", "interferer_power_split"),
-              ("noise_std", "noise_std"), ("packets", "packets_per_point"),
-              ("seed", "master_seed"))
-
-
 def _configure(cfg: ExperimentConfig, args, **fields) -> ExperimentConfig:
-    """Override cfg with the given fields and command-line flags that are
-    not None, then validate it."""
-    overrides = {name: value for name, value in fields.items() if value is not None}
-    for flag, fieldname in _OVERRIDES:
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[fieldname] = value
-    cfg = replace(cfg, **overrides)
-    cfg.validate()
-    return cfg
+    """Override cfg with the given fields and with the command-line flags
+    named by a config field, skipping those that are None."""
+    given = {**vars(args), **fields}
+    return replace(cfg, **{name: value for name, value in given.items()
+                           if name in ExperimentConfig.__dataclass_fields__
+                           and value is not None})
 
 
 def _sweep_config(args) -> ExperimentConfig:
@@ -235,26 +224,19 @@ def cmd_sweep(args) -> int:
     cfg = _sweep_config(args)
     started = time.monotonic()
     points = sweep(cfg, threads=args.threads)
-    _write_table(write_sweep, points, args, "sweep", cfg.to_dict(),
-                 cfg.master_seed, started, {"preset": args.preset})
+    _write_table(write_sweep, points, args, "sweep", cfg, started,
+                 {"preset": args.preset})
     return 0
 
 
 def cmd_zone(args) -> int:
-    preset = ZONE_PRESETS[args.preset or "fig11a"]
-    if args.phi_points is not None:
-        preset = replace(preset, phi_points=args.phi_points)
-    if not 1 <= preset.phi_points <= MAX_GRID_POINTS:
-        raise ConfigError(f"--phi-points must lie in 1..{MAX_GRID_POINTS}")
-    tau_grid = _flag_grid(args, "tau", _tau_scale(args.tau_unit)) or preset.tau_grid
-    sir_db = preset.sir_db if args.sir_db is None else args.sir_db
-    cfg = _configure(preset.config, args, tau_grid=tau_grid, sir_db_grid=(sir_db,))
+    cfg = _configure(ZONE_PRESETS[args.preset or "fig11a"], args,
+                     tau_grid=_flag_grid(args, "tau", _tau_scale(args.tau_unit)),
+                     sir_db_grid=None if args.sir_db is None else (args.sir_db,))
     started = time.monotonic()
-    cells = capture_zone(cfg, sir_db, cfg.tau_grid, preset.phi_grid(),
-                         threads=args.threads)
-    _write_table(write_zone, cells, args, "zone", cfg.to_dict(),
-                 cfg.master_seed, started,
-                 {"preset": args.preset, "sir_db": sir_db})
+    cells = capture_zone(cfg, args.phi_points, threads=args.threads)
+    _write_table(write_zone, cells, args, "zone", cfg, started,
+                 {"preset": args.preset, "sir_db": cfg.sir_db_grid[0]})
     return 0
 
 
@@ -264,15 +246,15 @@ def cmd_ninterf(args) -> int:
         print("note: n above 8 is outside the validated range", file=sys.stderr)
     started = time.monotonic()
     rows = n_interferer_experiment(cfg, max_n=args.max_n, threads=args.threads)
-    _write_table(write_ninterf, rows, args, "ninterf", cfg.to_dict(),
-                 cfg.master_seed, started, {"max_n": args.max_n})
+    _write_table(write_ninterf, rows, args, "ninterf", cfg, started,
+                 {"max_n": args.max_n})
     return 0
 
 
-def _write_table(writer, rows, args, command, config, seed, started, extra):
+def _write_table(writer, rows, args, command, cfg, started, extra):
     try:
         writer(rows, args.out, args.format)
-        write_manifest(args.out, command, config, seed,
+        write_manifest(args.out, command, cfg.to_dict(), cfg.master_seed,
                        time.monotonic() - started, extra)
     except OSError as exc:
         raise ConfigError(f"cannot write output: {exc}") from exc

@@ -41,6 +41,9 @@ POWER_SPLITS = ("single", "equal_split")
 #: Most values one grid axis may hold (the largest preset axis has 64).
 MAX_GRID_POINTS = 1024
 
+#: Most worker processes one run may start.
+MAX_THREADS = 64
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
@@ -65,16 +68,20 @@ class ExperimentConfig:
     noise_std: float = 0.0
 
     def __post_init__(self):
+        """Store the grids as float tuples and raise ConfigError for a bad
+        field, so that every config, replace()d ones too, is valid. Grids
+        may be empty; sweep and capture_zone check their own."""
         for name in ("tau_grid", "sir_db_grid"):
             values = tuple(getattr(self, name))
+            if len(values) > MAX_GRID_POINTS:
+                raise ConfigError(f"{name} holds {len(values)} values, more than "
+                                  f"{MAX_GRID_POINTS}")
             for value in values:
                 if isinstance(value, bool) or not isinstance(value, numbers.Real):
                     raise ConfigError(f"{name} values must be numbers, not {value!r}")
             object.__setattr__(self, name, tuple(map(float, values)))
-
-    def validate(self):
-        """Raise ConfigError for a bad field. Grids may be empty here;
-        sweep checks that it has both."""
+            if not all(map(math.isfinite, getattr(self, name))):
+                raise ConfigError(f"{name} values must be finite")
         for name in ("packets_per_point", "payload_bits", "n_interferers", "master_seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -84,13 +91,6 @@ class ExperimentConfig:
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
                     or not math.isfinite(value)):
                 raise ConfigError(f"{name} must be a finite number, not {value!r}")
-        for name in ("tau_grid", "sir_db_grid"):
-            values = getattr(self, name)
-            if len(values) > MAX_GRID_POINTS:
-                raise ConfigError(f"{name} holds {len(values)} values, more than "
-                                  f"{MAX_GRID_POINTS}")
-            if not all(map(math.isfinite, values)):
-                raise ConfigError(f"{name} values must be finite")
         for sir_db in self.sir_db_grid:
             _interference_level(sir_db)
         if self.packets_per_point < 1:
@@ -130,7 +130,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         try:
             return cls(**data)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(str(exc)) from exc
 
 
@@ -343,7 +343,6 @@ def _point_amplitudes(cfg: ExperimentConfig, sir_db: float) -> tuple:
 
 def run_point(cfg: ExperimentConfig, tau: float, sir_db: float) -> MetricPoint:
     """Simulate one (tau, SIR) grid point."""
-    cfg.validate()
     amplitudes = _point_amplitudes(cfg, sir_db)
     stats = _simulate_batch(cfg, tau, amplitudes)
     prr_mean, prr_std = _prr_stats(stats.ok)
@@ -361,7 +360,11 @@ def _sweep_task(args):
 
 
 def _map_tasks(task_fn, tasks: list, threads: int) -> list:
-    if threads <= 1 or len(tasks) <= 1:
+    """Run the tasks in order, over at most threads worker processes."""
+    if not 1 <= threads <= MAX_THREADS:
+        raise ConfigError(f"threads must lie in 1..{MAX_THREADS}")
+    threads = min(threads, len(tasks))
+    if threads <= 1:
         return [task_fn(t) for t in tasks]
     chunk = max(1, len(tasks) // (4 * threads))
     with ProcessPoolExecutor(max_workers=threads) as pool:
@@ -371,7 +374,6 @@ def _map_tasks(task_fn, tasks: list, threads: int) -> list:
 def sweep(cfg: ExperimentConfig, threads: int = 1) -> list[MetricPoint]:
     """Run the full tau x SIR grid; deterministic for a given master seed
     regardless of threads."""
-    cfg.validate()
     if not cfg.tau_grid or not cfg.sir_db_grid:
         raise ConfigError("tau_grid and sir_db_grid must not be empty")
     tasks = [(cfg, tau, sir) for tau in cfg.tau_grid for sir in cfg.sir_db_grid]
@@ -379,26 +381,31 @@ def sweep(cfg: ExperimentConfig, threads: int = 1) -> list[MetricPoint]:
 
 
 def _zone_task(args):
-    cfg, tau, phi, sir_db = args
-    point_cfg = replace(cfg, phi_mode="fixed", phi_c=phi)
-    point = run_point(point_cfg, tau, sir_db)
+    cfg, tau, phi = args
+    point = run_point(replace(cfg, phi_mode="fixed", phi_c=phi), tau, cfg.sir_db_grid[0])
     rate = point.ber if cfg.coding == "uncoded" else point.ser
     return ZoneCell(tau=float(tau), phi_c=float(phi), error_rate=rate,
                     packets=point.packets)
 
 
-def capture_zone(cfg: ExperimentConfig, sir_db: float, tau_grid, phi_grid,
+def capture_zone(cfg: ExperimentConfig, phi_points: int,
                  threads: int = 1) -> list[ZoneCell]:
-    """Error-rate map over (tau, phi_c) cells at a fixed SIR.
+    """Error-rate map over (tau, phi_c) cells at the config's one SIR.
 
-    Each cell fixes the carrier phase offset; the error rate is the bit
-    error rate for uncoded operation and the symbol error rate for the
-    coded modes.
+    The cells are cfg.tau_grid times phi_points carrier phase offsets
+    spread uniformly over [0, 2 pi). Each cell fixes its phase offset; the
+    error rate is the bit error rate for uncoded operation and the symbol
+    error rate for the coded modes.
     """
-    cfg.validate()
-    if not len(tau_grid) or not len(phi_grid):
-        raise ConfigError("capture zone grids must not be empty")
-    tasks = [(cfg, tau, phi, sir_db) for tau in tau_grid for phi in phi_grid]
+    if not cfg.tau_grid:
+        raise ConfigError("capture zone tau_grid must not be empty")
+    if len(cfg.sir_db_grid) != 1:
+        raise ConfigError(f"a capture zone needs exactly one SIR, not "
+                          f"{len(cfg.sir_db_grid)}")
+    if not 1 <= phi_points <= MAX_GRID_POINTS:
+        raise ConfigError(f"phi_points must lie in 1..{MAX_GRID_POINTS}")
+    phi_grid = [i * 2.0 * math.pi / phi_points for i in range(phi_points)]
+    tasks = [(cfg, tau, phi) for tau in cfg.tau_grid for phi in phi_grid]
     return _map_tasks(_zone_task, tasks, threads)
 
 
@@ -423,9 +430,8 @@ def n_interferer_experiment(cfg: ExperimentConfig, max_n: int = 8,
     sender's power, the single strong one carries n times that. Runs both
     payload modes and both layouts for n = 1..max_n.
     """
-    cfg.validate()
-    if max_n < 1:
-        raise ConfigError("max_n must be at least 1")
+    if not 1 <= max_n <= MAX_GRID_POINTS:
+        raise ConfigError(f"max_n must lie in 1..{MAX_GRID_POINTS}")
     tasks = [(cfg, n, layout, mode)
              for mode in PAYLOAD_MODES
              for layout in POWER_SPLITS

@@ -47,13 +47,24 @@ class QuadratureConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.method == "simpson" and self.steps_per_bit % 2 != 0:
             raise ValueError("simpson requires an even step count")
-        # Passband double-carrier terms have period 2T / carrier_multiple:
-        # at 4 steps per period (4096 steps, multiple 1024) the oracle sat
-        # 5e-7 from baseband, at 2 it aliased them (0.32). The shipped
-        # multiple stays valid at any step count: baseband runs ignore it.
+        # The shipped multiple stays valid at any step count: baseband runs
+        # ignore it, and passband runs also pass _check_passband.
         ceiling = max(256, self.steps_per_bit // 4)
         if not 8 <= self.carrier_multiple <= ceiling:
             raise ValueError(f"carrier_multiple must lie in 8..{ceiling}")
+
+
+def _check_passband(cfg: QuadratureConfig) -> None:
+    """Raise ValueError unless the rule resolves the carrier.
+
+    Passband double-carrier terms have period 2T / carrier_multiple: at 4
+    steps per period (4096 steps, multiple 1024) the oracle sat 5e-7 from
+    baseband, at 2 it aliased them (0.32), and at 64 steps with the
+    shipped multiple 256 it read 2.72 off.
+    """
+    if cfg.carrier_multiple > cfg.steps_per_bit // 4:
+        raise ValueError(f"passband carrier_multiple {cfg.carrier_multiple} needs at "
+                         f"least {4 * cfg.carrier_multiple} steps per bit")
 
 
 def _composite(f, a: float, b: float, steps: int, method: str) -> float:
@@ -171,6 +182,7 @@ def oracle_lambda_passband(params: InterfererParams, k: int, branch: str = "I",
     """
     if branch not in ("I", "Q"):
         raise ValueError("branch must be 'I' or 'Q'")
+    _check_passband(cfg)
     a, b = _interval(k, branch)
     w_p = math.pi / 2.0
     w_c = cfg.carrier_multiple * w_p

@@ -8,8 +8,7 @@ ninterf command uses out of the box. Time offsets are in units of T
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .montecarlo import ExperimentConfig, grid
 
@@ -47,31 +46,14 @@ PRESETS: dict[str, ExperimentConfig] = {
 }
 
 
-@dataclass(frozen=True)
-class ZonePreset:
-    """Capture-zone map description: fixed SIR plus the (tau, phi) grid."""
-
-    config: ExperimentConfig
-    sir_db: float
-    tau_grid: tuple
-    phi_points: int
-
-    def phi_grid(self) -> tuple:
-        return tuple(i * 2.0 * math.pi / self.phi_points
-                     for i in range(self.phi_points))
-
-
-_ZONE_BASE = ExperimentConfig(payload_mode="independent", target="interferer")
+_ZONE_BASE = replace(_INTERF, sir_db_grid=(-40.0,))
 
 #: Zone presets: error-rate maps over (tau, phi_c) at SIR = -40 dB for the
 #: three receiver back ends.
-ZONE_PRESETS: dict[str, ZonePreset] = {
-    "fig11a": ZonePreset(replace(_ZONE_BASE, coding="uncoded"), -40.0,
-                         _INTERF_TAU, 64),
-    "fig11b": ZonePreset(replace(_ZONE_BASE, coding="hdd"), -40.0,
-                         _INTERF_TAU, 64),
-    "fig11c": ZonePreset(replace(_ZONE_BASE, coding="sdd"), -40.0,
-                         _INTERF_TAU, 64),
+ZONE_PRESETS: dict[str, ExperimentConfig] = {
+    "fig11a": replace(_ZONE_BASE, coding="uncoded"),
+    "fig11b": replace(_ZONE_BASE, coding="hdd"),
+    "fig11c": replace(_ZONE_BASE, coding="sdd"),
 }
 
 #: Defaults of the n-interferer experiment (SDD receiver, both payload

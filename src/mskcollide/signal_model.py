@@ -6,8 +6,10 @@ position 2m+1 carries quadrature bit m (the quadrature pulse train is
 staggered by half a bit duration). `draw_payloads` draws whole batches of
 transmit-order payloads for the Monte Carlo engine; `IqStream` and
 `InterfererParams` describe one interferer, with its own time offset and
-phase, for the one-row closed form and the numerical oracle. All types are immutable after construction; operations are pure
-given an explicit RNG.
+phase, for the one-row closed form and the numerical oracle.
+
+All types are immutable after construction; operations are pure given an
+explicit RNG.
 """
 
 from __future__ import annotations

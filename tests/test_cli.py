@@ -228,11 +228,18 @@ _ONE_POINT = ["--tau-start", "0", "--tau-stop", "0", "--tau-step", "1", *_ONE_SI
     ({"tau_grid": [i / 1000 for i in range(1025)], "packets_per_point": 10}, []),
     (None, ["validate", "--passband", "--carrier-multiple", "100000000000000000000",
             "--draws", "1"]),
+    (None, ["validate", "--passband", "--steps", "64", "--draws", "5", "--tolerance", "1e-2"]),
+    (None, ["sweep", "--threads", "0", *_ONE_POINT]),
+    # one point, so a run that ignored the bound would stay serial
+    (None, ["sweep", "--threads", "100000", *_ONE_POINT]),
+    (None, ["ninterf", "--max-n", "1000000000000", "--packets", "10"]),
+    ({"phi_c": 10**400}, []),
 ], ids=["packets-str", "packets-float", "tau-nan", "tau-bool", "sir-overflow", "sir-underflow",
         "config-not-object", "noise-nan", "phi-inf", "zone-sir-nan", "zone-sir-overflow",
         "validate-steps", "validate-tolerance-nan", "tau-step-nan", "tau-stop-inf",
         "grid-oversize", "zone-phi-points-oversize", "validate-steps-huge",
-        "config-grid-oversize", "validate-carrier-huge"])
+        "config-grid-oversize", "validate-carrier-huge", "validate-passband-steps-64",
+        "threads-zero", "threads-huge", "ninterf-max-n-huge", "config-int-overflow"])
 def test_bad_input_is_config_error(tmp_path, capsys, config, argv):
     out = ["--out", str(tmp_path / "x.csv")]
     if config is not None:

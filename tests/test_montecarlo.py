@@ -2,6 +2,7 @@
 scalar and brute-force references."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,18 +27,21 @@ def small_cfg(**kw):
 
 class TestConfig:
     def test_validate_catches_bad_fields(self):
+        # a config checks itself when built, and replace() builds a new one
         with pytest.raises(ConfigError):
-            small_cfg(packets_per_point=0).validate()
+            small_cfg(packets_per_point=0)
         with pytest.raises(ConfigError):
-            small_cfg(coding="turbo").validate()
+            small_cfg(coding="turbo")
         with pytest.raises(ConfigError):
-            small_cfg(coding="hdd", payload_bits=30).validate()
+            small_cfg(coding="hdd", payload_bits=30)
         with pytest.raises(ConfigError):
             sweep(small_cfg(tau_grid=()))
         with pytest.raises(ConfigError):
-            small_cfg(sir_db_grid=(0.0,) * (MAX_GRID_POINTS + 1)).validate()
+            small_cfg(sir_db_grid=(0.0,) * (MAX_GRID_POINTS + 1))
         with pytest.raises(ConfigError):
-            small_cfg(target="interferer", n_interferers=0).validate()
+            small_cfg(target="interferer", n_interferers=0)
+        with pytest.raises(ConfigError):
+            replace(small_cfg(), noise_std=-1.0)
 
     def test_dict_round_trip(self):
         cfg = small_cfg(coding="sdd", payload_mode="identical")
@@ -230,8 +234,9 @@ class TestThresholdExtract:
 
 class TestZoneAndNInterferer:
     def test_zone_cells_cover_grid(self):
-        cfg = small_cfg(target="interferer", coding="uncoded", packets_per_point=100)
-        cells = capture_zone(cfg, -40.0, (0.0, 0.5), (0.0, math.pi))
+        cfg = small_cfg(target="interferer", coding="uncoded", packets_per_point=100,
+                        tau_grid=(0.0, 0.5), sir_db_grid=(-40.0,))
+        cells = capture_zone(cfg, 2)
         assert len(cells) == 4
         assert {(c.tau, round(c.phi_c, 6)) for c in cells} == {
             (0.0, 0.0), (0.0, round(math.pi, 6)), (0.5, 0.0), (0.5, round(math.pi, 6))}
@@ -240,7 +245,14 @@ class TestZoneAndNInterferer:
 
     def test_zone_rejects_empty_grid(self):
         with pytest.raises(ConfigError):
-            capture_zone(small_cfg(), -40.0, (), (0.0,))
+            capture_zone(small_cfg(tau_grid=()), 4)
+
+    @pytest.mark.parametrize("fields, phi_points", [
+        ({"sir_db_grid": (-40.0, -30.0)}, 4), ({}, 0), ({}, MAX_GRID_POINTS + 1)],
+        ids=["two-sirs", "phi-points-zero", "phi-points-oversize"])
+    def test_zone_rejects_bad_sir_or_phase_count(self, fields, phi_points):
+        with pytest.raises(ConfigError):
+            capture_zone(small_cfg(**fields), phi_points)
 
     def test_n1_layouts_identical(self):
         cfg = small_cfg(coding="sdd", packets_per_point=400)

@@ -208,9 +208,8 @@ class TestDecodePacket:
             assert np.array_equal(sliced, base[0])
 
     def test_interferer_index_out_of_range(self):
-        cfg = _fixed_phase_cfg(target="interferer", n_interferers=0)
         with pytest.raises(ConfigError):
-            run_point(cfg, 0.0, 0.0)
+            _fixed_phase_cfg(target="interferer", n_interferers=0)
 
     def test_all_bits_flipped_still_decodes_coded(self):
         # carrier phase of pi inverts every chip; absolute correlation

@@ -1,6 +1,7 @@
 """Multiplexing, payload streams, interferer descriptions and payload draws."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -114,7 +115,10 @@ def test_make_payload_seeded_reproducibility():
 
 
 def test_make_payload_validation():
+    valid = ExperimentConfig(tau_grid=(0.0,), sir_db_grid=(0.0,))
     for fields in ({"coding": "hdd", "payload_bits": 66}, {"payload_bits": 0},
                    {"payload_mode": "both"}):
         with pytest.raises(ConfigError):
-            ExperimentConfig(tau_grid=(0.0,), sir_db_grid=(0.0,), **fields).validate()
+            ExperimentConfig(tau_grid=(0.0,), sir_db_grid=(0.0,), **fields)
+        with pytest.raises(ConfigError):
+            replace(valid, **fields)
