@@ -10,7 +10,10 @@ Every point draws from its own RNG stream seeded by the master seed and
 the point's physical parameters (offsets, amplitudes, modes). Results are
 therefore bit-identical no matter how points are ordered or distributed
 across workers. Within a point the per-packet values are rows of batched
-draws made in one fixed order: payloads, phase offsets, noise.
+draws made for the whole point in one fixed order: payloads, phase offsets,
+noise. Soft values, decisions and error counts are then evaluated in slabs
+of packets holding about SLAB_VALUES soft values, so a point's working set
+is its draws plus one slab; MAX_POINT_VALUES bounds the draws.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .chipseq import BITS_PER_SYMBOL
+from .chipseq import BITS_PER_SYMBOL, CHIPS_PER_SYMBOL
 from .demod import batch_interference
 from .receiver import decide
 from .signal_model import draw_payloads
@@ -43,6 +46,14 @@ MAX_GRID_POINTS = 1024
 
 #: Most worker processes one run may start.
 MAX_THREADS = 64
+
+#: Soft values evaluated at once: a point runs in slabs of
+#: max(1, SLAB_VALUES // chips) packets, so a coded point (512 chips a
+#: packet) takes 128-packet slabs and an uncoded 1000 x 64 point one slab.
+SLAB_VALUES = 2**16
+
+#: Most values one point may draw: packets x chips x senders.
+MAX_POINT_VALUES = 2**27
 
 
 class ConfigError(ValueError):
@@ -115,6 +126,11 @@ class ExperimentConfig:
             raise ConfigError("target 'interferer' needs at least one interferer")
         if self.noise_std < 0:
             raise ConfigError("noise_std must be non-negative")
+        chips = self.payload_bits * (1 if self.coding == "uncoded" else 8)
+        values = self.packets_per_point * chips * (1 + self.n_interferers)
+        if values > MAX_POINT_VALUES:
+            raise ConfigError(f"a point would draw {values} values (packets x chips x "
+                              f"senders), more than {MAX_POINT_VALUES}")
 
     def to_dict(self) -> dict:
         return {k: (list(v) if isinstance(v, tuple) else v)
@@ -255,16 +271,16 @@ class _BatchStats:
 
 
 def _compute_soft(soi_chips, interferer_chips, amplitudes, tau, phi,
-                  noise=None, soi_amplitude=1.0):
+                  noise=None, soi_amplitude=1.0, out=None):
     """Transmit-order soft values of a batch of packets (pure given the draws).
 
     soi_chips and each entry of interferer_chips are (packets, n_chips) +-1
     arrays in transmit order; phi has one column per interferer; noise is
     an optional (noise_i, noise_q) pair. The in-phase (even) and quadrature
     (odd) positions are written through strided views of one
-    (packets, n_chips) float64 buffer.
+    (packets, n_chips) float64 buffer: out if given, else a new array.
     """
-    soft = np.multiply(soi_amplitude, soi_chips, dtype=np.float64)
+    soft = np.multiply(soi_amplitude, soi_chips, dtype=np.float64, out=out)
     soft_i, soft_q = soft[..., 0::2], soft[..., 1::2]
     n_i, n_q = soft_i.shape[-1], soft_q.shape[-1]
     for idx, chips in enumerate(interferer_chips):
@@ -306,23 +322,27 @@ def _simulate_batch(cfg: ExperimentConfig, tau: float, amplitudes: tuple) -> _Ba
         noise = (rng.normal(0.0, cfg.noise_std, size=(packets, n_chips - n_chips // 2)),
                  rng.normal(0.0, cfg.noise_std, size=(packets, n_chips // 2)))
 
-    soft = _compute_soft(senders[0][1], [chips for _, chips in senders[1:]],
-                         amplitudes, tau, phi, noise)
     ref_symbols, ref_chips = senders[0 if cfg.target == "soi" else 1]
-    sliced, decided, _ = decide(soft, cfg.coding)
-    bit_err_per_packet = (sliced != ref_chips).sum(axis=1)
-    bit_errors = int(bit_err_per_packet.sum())
+    bit_err = np.empty(packets, dtype=np.int64)
+    sym_err = np.zeros(packets, dtype=np.int64)
+    slab = max(1, SLAB_VALUES // n_chips)
+    soft_buf = np.empty((min(slab, packets), n_chips))
+    for start in range(0, packets, slab):
+        rows = slice(start, start + slab)
+        soi_chips = senders[0][1][rows]
+        soft = _compute_soft(soi_chips, [chips[rows] for _, chips in senders[1:]],
+                             amplitudes, tau, phi[rows],
+                             None if noise is None else (noise[0][rows], noise[1][rows]),
+                             out=soft_buf[:len(soi_chips)])
+        sliced, decided, _ = decide(soft, cfg.coding)
+        bit_err[rows] = (sliced != ref_chips[rows]).sum(axis=1)
+        if coded:
+            sym_err[rows] = (decided != ref_symbols[rows]).sum(axis=1)
 
-    if not coded:
-        return _BatchStats(ok=bit_err_per_packet == 0, bit_errors=bit_errors,
-                           total_bits=packets * n_chips,
-                           symbol_errors=0, total_symbols=0)
-
-    sym_err_per_packet = (decided != ref_symbols).sum(axis=1)
-    return _BatchStats(ok=sym_err_per_packet == 0, bit_errors=bit_errors,
-                       total_bits=packets * n_chips,
-                       symbol_errors=int(sym_err_per_packet.sum()),
-                       total_symbols=decided.size)
+    return _BatchStats(ok=(sym_err if coded else bit_err) == 0,
+                       bit_errors=int(bit_err.sum()), total_bits=packets * n_chips,
+                       symbol_errors=int(sym_err.sum()),
+                       total_symbols=packets * n_chips // CHIPS_PER_SYMBOL if coded else 0)
 
 
 def _prr_stats(ok: np.ndarray, n_batches: int = 10) -> tuple[float, float]:
@@ -432,6 +452,7 @@ def n_interferer_experiment(cfg: ExperimentConfig, max_n: int = 8,
     """
     if not 1 <= max_n <= MAX_GRID_POINTS:
         raise ConfigError(f"max_n must lie in 1..{MAX_GRID_POINTS}")
+    replace(cfg, n_interferers=max_n)  # the largest point must fit MAX_POINT_VALUES
     tasks = [(cfg, n, layout, mode)
              for mode in PAYLOAD_MODES
              for layout in POWER_SPLITS

@@ -234,12 +234,17 @@ _ONE_POINT = ["--tau-start", "0", "--tau-stop", "0", "--tau-step", "1", *_ONE_SI
     (None, ["sweep", "--threads", "100000", *_ONE_POINT]),
     (None, ["ninterf", "--max-n", "1000000000000", "--packets", "10"]),
     ({"phi_c": 10**400}, []),
+    # the later --packets wins: 5.1e8 values in a point
+    (None, ["sweep", "--preset", "fig5c", *_ONE_POINT, "--packets", "1000000"]),
+    # n = 1 fits the ceiling (1.0e8 values), n = 8 does not (4.6e8)
+    (None, ["ninterf", "--max-n", "8", "--packets", "100000"]),
 ], ids=["packets-str", "packets-float", "tau-nan", "tau-bool", "sir-overflow", "sir-underflow",
         "config-not-object", "noise-nan", "phi-inf", "zone-sir-nan", "zone-sir-overflow",
         "validate-steps", "validate-tolerance-nan", "tau-step-nan", "tau-stop-inf",
         "grid-oversize", "zone-phi-points-oversize", "validate-steps-huge",
         "config-grid-oversize", "validate-carrier-huge", "validate-passband-steps-64",
-        "threads-zero", "threads-huge", "ninterf-max-n-huge", "config-int-overflow"])
+        "threads-zero", "threads-huge", "ninterf-max-n-huge", "config-int-overflow",
+        "sweep-packets-1e6", "ninterf-too-many-values"])
 def test_bad_input_is_config_error(tmp_path, capsys, config, argv):
     out = ["--out", str(tmp_path / "x.csv")]
     if config is not None:

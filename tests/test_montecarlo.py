@@ -9,12 +9,14 @@ import pytest
 
 from mskcollide import (BIPOLAR_CHIP_TABLE, ConfigError, ExperimentConfig,
                         InterfererParams, MetricPoint, capture_zone, decide,
-                        grid, interference_contribution, multiplex_bits,
-                        n_interferer_experiment, run_point, sweep)
-from mskcollide.montecarlo import (MAX_GRID_POINTS, _compute_soft,
+                        grid, interference_contribution, montecarlo,
+                        multiplex_bits, n_interferer_experiment, run_point,
+                        sweep)
+from mskcollide.montecarlo import (MAX_GRID_POINTS, MAX_POINT_VALUES, _compute_soft,
                                    _point_amplitudes, _point_rng, _prr_stats,
                                    _simulate_batch, split_amplitudes,
                                    threshold_extract)
+from mskcollide.signal_model import draw_payloads
 from test_receiver import brute_force_decision
 
 
@@ -42,6 +44,12 @@ class TestConfig:
             small_cfg(target="interferer", n_interferers=0)
         with pytest.raises(ConfigError):
             replace(small_cfg(), noise_std=-1.0)
+        # the per-point ceiling counts packets x chips x senders
+        at_cap = small_cfg(packets_per_point=MAX_POINT_VALUES // (32 * 2))
+        for fields in ({"packets_per_point": at_cap.packets_per_point + 1},
+                       {"n_interferers": 2}, {"coding": "hdd"}):
+            with pytest.raises(ConfigError):
+                replace(at_cap, **fields)
 
     def test_dict_round_trip(self):
         cfg = small_cfg(coding="sdd", payload_mode="identical")
@@ -194,6 +202,57 @@ class TestEngineMatchesLibraryPath:
         assert 0 < stats.bit_errors < stats.total_bits
 
 
+class TestSlabs:
+    """A point evaluates its whole draws in slabs of packets; the slab size
+    must not reach the results."""
+
+    @pytest.mark.parametrize("fields, sir_db", [
+        ({"coding": "uncoded", "noise_std": 0.4}, -3.0),
+        ({"coding": "hdd", "phi_mode": "fixed", "phi_c": 1.1}, -6.0),
+        ({"coding": "sdd", "payload_mode": "identical"}, -9.0),
+        ({"coding": "sdd", "target": "interferer"}, -2.0),
+        ({"coding": "hdd", "n_interferers": 0, "noise_std": 0.9}, 0.0),
+        ({"coding": "sdd", "n_interferers": 2, "interferer_power_split": "equal_split",
+          "noise_std": 0.3}, -3.0),
+    ], ids=["uncoded-noise", "hdd-fixed-phi", "sdd-identical", "sdd-interferer",
+            "hdd-no-interferer", "sdd-two-interferers"])
+    def test_run_point_independent_of_slab_size(self, monkeypatch, fields, sir_db):
+        cfg = small_cfg(packets_per_point=37, payload_bits=8, **fields)
+        n_chips = 8 * 8 if cfg.coding != "uncoded" else 8
+        # one packet a slab, five (the last slab holds two) and the whole point
+        points = []
+        for slab_values in (1, 5 * n_chips + 3, 2**30):
+            monkeypatch.setattr(montecarlo, "SLAB_VALUES", slab_values)
+            points.append(run_point(cfg, 0.37, sir_db))
+        assert points[0] == points[1] == points[2]
+        assert 0.0 < points[0].ber < 1.0
+
+    @pytest.mark.parametrize("coding", ["hdd", "sdd"])
+    def test_counts_match_whole_batch_reference(self, coding):
+        # 300 packets of 512 chips: two full slabs and a partial one
+        packets, n_bits, tau, amps, noise_std = 300, 64, 0.37, (1.3,), 0.5
+        assert packets % (montecarlo.SLAB_VALUES // (8 * n_bits))
+        cfg = small_cfg(coding=coding, packets_per_point=packets, payload_bits=n_bits,
+                        noise_std=noise_std)
+        stats = _simulate_batch(cfg, tau, amps)
+        # the parent's whole-batch evaluation of the same draws
+        rng = _point_rng(cfg.master_seed, tau, amps, cfg.phi_mode, -1.0, cfg.payload_mode,
+                         coding, cfg.target, packets, n_bits, noise_std)
+        (soi_symbols, soi_chips), (_, beta_chips) = draw_payloads(
+            rng, "independent", True, n_bits, 1, packets)
+        phi = rng.uniform(0.0, 2 * math.pi, size=(packets, 1))
+        noise = tuple(rng.normal(0.0, noise_std, size=(packets, 4 * n_bits))
+                      for _ in range(2))
+        soft = _compute_soft(soi_chips, [beta_chips], amps, tau, phi, noise)
+        sliced, symbols, _ = decide(soft, coding)
+        symbol_errors = (symbols != soi_symbols).sum(axis=1)
+        np.testing.assert_array_equal(stats.ok, symbol_errors == 0)
+        assert stats.bit_errors == int((sliced != soi_chips).sum())
+        assert stats.symbol_errors == int(symbol_errors.sum())
+        assert (stats.total_bits, stats.total_symbols) == (packets * 512, packets * 16)
+        assert 0 < stats.ok.sum() < packets
+
+
 class TestStats:
     def test_prr_std_zero_when_constant(self):
         mean, std = _prr_stats(np.ones(1000, dtype=bool))
@@ -253,6 +312,13 @@ class TestZoneAndNInterferer:
     def test_zone_rejects_bad_sir_or_phase_count(self, fields, phi_points):
         with pytest.raises(ConfigError):
             capture_zone(small_cfg(**fields), phi_points)
+
+    def test_ninterf_checks_largest_point_before_any_task(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "MAX_POINT_VALUES", 200 * 32 * 2)
+        monkeypatch.setattr(montecarlo, "_map_tasks",
+                            lambda *args: pytest.fail("tasks ran"))
+        with pytest.raises(ConfigError):
+            n_interferer_experiment(small_cfg(), max_n=2)
 
     def test_n1_layouts_identical(self):
         cfg = small_cfg(coding="sdd", packets_per_point=400)
