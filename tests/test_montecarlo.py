@@ -235,7 +235,7 @@ class TestSlabs:
         cfg = small_cfg(coding=coding, packets_per_point=packets, payload_bits=n_bits,
                         noise_std=noise_std)
         stats = _simulate_batch(cfg, tau, amps)
-        # the parent's whole-batch evaluation of the same draws
+        # the same draws evaluated whole: one _compute_soft and one decide
         rng = _point_rng(cfg.master_seed, tau, amps, cfg.phi_mode, -1.0, cfg.payload_mode,
                          coding, cfg.target, packets, n_bits, noise_std)
         (soi_symbols, soi_chips), (_, beta_chips) = draw_payloads(
