@@ -14,10 +14,15 @@ draws made for the whole point in one fixed order: payloads, phase offsets,
 noise. Soft values, decisions and error counts are then evaluated in slabs
 of packets holding about SLAB_VALUES soft values, so a point's working set
 is its draws plus one slab; MAX_POINT_VALUES bounds the draws.
+
+Importing the module raises glibc's heap trim and mmap thresholds, so the
+arrays a point frees stay in the heap for the next point instead of being
+returned to the system and faulted in again; see _keep_freed_heap.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import math
 import numbers
@@ -54,6 +59,24 @@ SLAB_VALUES = 2**16
 
 #: Most values one point may draw: packets x chips x senders.
 MAX_POINT_VALUES = 2**27
+
+
+def _keep_freed_heap():
+    """Let glibc keep up to 64 MiB of freed heap and serve blocks below
+    32 MiB from it, rather than trimming the heap and mapping fresh pages
+    for each point. A no-op where the C library has no mallopt. Forked
+    pool workers inherit the setting; spawned ones import this module."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
+_keep_freed_heap()
 
 
 class ConfigError(ValueError):
@@ -352,7 +375,11 @@ def _prr_stats(ok: np.ndarray, n_batches: int = 10) -> tuple[float, float]:
     n_batches = min(n_batches, packets)
     if n_batches < 2:
         return mean, 0.0
-    batch_means = [float(np.mean(b)) for b in np.array_split(ok, n_batches)]
+    # np.array_split's sections: the first packets % n_batches hold one more
+    sizes = np.full(n_batches, packets // n_batches)
+    sizes[:packets % n_batches] += 1
+    starts = np.cumsum(sizes) - sizes
+    batch_means = np.add.reduceat(ok, starts, dtype=np.float64) / sizes
     return mean, float(np.std(batch_means, ddof=1))
 
 

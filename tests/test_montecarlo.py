@@ -2,6 +2,7 @@
 scalar and brute-force references."""
 
 import math
+import platform
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from mskcollide.montecarlo import (MAX_GRID_POINTS, MAX_POINT_VALUES, _compute_s
                                    _point_amplitudes, _point_rng, _prr_stats,
                                    _simulate_batch, split_amplitudes,
                                    threshold_extract)
+from mskcollide.presets import PRESETS
 from mskcollide.signal_model import draw_payloads
 from test_receiver import brute_force_decision
 
@@ -253,19 +255,40 @@ class TestSlabs:
         assert 0 < stats.ok.sum() < packets
 
 
+class TestFreedHeap:
+    """Importing montecarlo keeps freed heap, so a point reuses the pages
+    the previous point freed instead of faulting fresh ones in."""
+
+    @pytest.mark.skipif(platform.system() != "Linux"
+                        or platform.libc_ver()[0] != "glibc",
+                        reason="mallopt thresholds are glibc's")
+    def test_repeated_coded_point_faults_no_pages(self):
+        resource = pytest.importorskip("resource")
+        cfg = PRESETS["fig5c"]
+        run_point(cfg, 0.5, -10.0)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run_point(cfg, 0.5, -10.0)
+        # about 850-1,400 when glibc trims the heap after every slab
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
+
+
 class TestStats:
     def test_prr_std_zero_when_constant(self):
         mean, std = _prr_stats(np.ones(1000, dtype=bool))
         assert mean == 1.0 and std == 0.0
 
     def test_prr_std_matches_manual_batching(self):
+        # bit for bit against the per-batch means of np.array_split
         rng = np.random.default_rng(71)
-        ok = rng.random(1000) < 0.8
-        mean, std = _prr_stats(ok)
-        batches = np.array_split(ok, 10)
-        want = np.std([b.mean() for b in batches], ddof=1)
-        assert mean == pytest.approx(ok.mean())
-        assert std == pytest.approx(want)
+        for packets in [*range(1, 60), 999, 1000, 1001, 10_000, 12_345]:
+            for prr in (0.0, 0.01, 0.3, 0.5, 0.8, 0.99, 1.0):
+                ok = rng.random(packets) < prr
+                batches = np.array_split(ok, min(10, packets))
+                want = (np.std([float(np.mean(b)) for b in batches], ddof=1)
+                        if len(batches) > 1 else 0.0)
+                got = np.array(_prr_stats(ok))
+                np.testing.assert_array_equal(
+                    got.view(np.int64), np.array([np.mean(ok), want]).view(np.int64))
 
     def test_single_packet_point(self):
         p = run_point(small_cfg(packets_per_point=1), 0.0, 10.0)

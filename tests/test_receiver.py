@@ -11,6 +11,7 @@ from mskcollide import (BIPOLAR_CHIP_TABLE, ConfigError, ExperimentConfig,
                         decide, run_point)
 from mskcollide.chipseq import CHIP_TABLE
 from mskcollide.montecarlo import _compute_soft
+from mskcollide.receiver import _BIPOLAR_T_F64, PIECE_BLOCKS
 from mskcollide.signal_model import draw_payloads
 
 
@@ -159,6 +160,29 @@ class TestDecide:
                 if coding != "uncoded":
                     assert np.array_equal(symbols[p], row[1])
                     assert np.allclose(corr[p], row[2], rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("shape", [(513 * 32,), (1300 * 32,), (7, 150 * 32)],
+                             ids=["513-blocks", "1300-blocks", "7x150-blocks"])
+    @pytest.mark.parametrize("coding", ["hdd", "sdd"])
+    def test_pieces_match_one_whole_product(self, monkeypatch, coding, shape):
+        soft = np.random.default_rng(63).normal(size=shape)
+        sliced_ref = np.where(soft >= 0, 1, -1).astype(np.int8)
+        blocks = (sliced_ref if coding == "hdd" else soft).reshape(-1, 32)
+        corr_ref = np.abs(blocks @ _BIPOLAR_T_F64)
+        pieces = []
+        matmul = np.matmul
+        monkeypatch.setattr(np, "matmul",
+                            lambda a, b, **kw: pieces.append(len(a)) or matmul(a, b, **kw))
+        sliced, symbols, corr = decide(soft, coding)
+        monkeypatch.undo()
+        # more than one piece, none above the cap, none a short tail
+        assert sum(pieces) == len(blocks) and len(pieces) > 1
+        assert PIECE_BLOCKS // 2 <= min(pieces) <= max(pieces) <= PIECE_BLOCKS
+        lead = shape[:-1] + (-1,)
+        np.testing.assert_array_equal(sliced, sliced_ref)
+        np.testing.assert_array_equal(corr.view(np.int64),
+                                      corr_ref.reshape(lead + (16,)).view(np.int64))
+        np.testing.assert_array_equal(symbols, corr_ref.argmax(axis=1).reshape(lead))
 
     def test_rejects_partial_blocks(self):
         with pytest.raises(ValueError):
