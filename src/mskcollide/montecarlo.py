@@ -15,9 +15,8 @@ noise. Soft values, decisions and error counts are then evaluated in slabs
 of packets holding about SLAB_VALUES soft values, so a point's working set
 is its draws plus one slab; MAX_POINT_VALUES bounds the draws.
 
-Importing the module raises glibc's heap trim and mmap thresholds, so the
-arrays a point frees stay in the heap for the next point instead of being
-returned to the system and faulted in again; see _keep_freed_heap.
+Importing the module raises glibc's heap trim and mmap thresholds
+(_keep_freed_heap), so each point reuses the heap the last one freed.
 """
 
 from __future__ import annotations

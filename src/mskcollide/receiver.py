@@ -14,9 +14,10 @@ The correlation is one matrix product of every block against the 16
 codewords, run in pieces of at most PIECE_BLOCKS blocks. OpenBLAS splits a
 larger product over several threads, and in a pool of worker processes the
 helper threads then spin on cores the other workers need; a piece this size
-stays on the calling thread. The pieces are of equal size, so none is small
-enough for OpenBLAS's small-matrix kernel, whose sums differ from the large
-kernel's in the last bit: the correlations are those of one whole product.
+stays on the calling thread. The pieces are of equal size: a short last
+piece would take OpenBLAS's small-matrix kernel, whose sums differ from the
+large kernel's in the last bit, and equal pieces keep the correlations bit
+for bit those of one whole product.
 """
 
 from __future__ import annotations

@@ -263,7 +263,7 @@ class TestFreedHeap:
                         or platform.libc_ver()[0] != "glibc",
                         reason="mallopt thresholds are glibc's")
     def test_repeated_coded_point_faults_no_pages(self):
-        resource = pytest.importorskip("resource")
+        import resource
         cfg = PRESETS["fig5c"]
         run_point(cfg, 0.5, -10.0)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
