@@ -17,6 +17,15 @@ is its draws plus one slab; MAX_POINT_VALUES bounds the draws.
 
 Importing the module raises glibc's heap trim and mmap thresholds
 (_keep_freed_heap), so each point reuses the heap the last one freed.
+
+Pooled calls (threads > 1) share one process pool, kept for the life of
+the process, because starting one per call cost more than the points of a
+small grid: forking the workers, each importing numpy.random on its first
+point, and joining them again. It is replaced when a call needs another
+worker count and dropped when a call fails, and its workers end when the
+interpreter exits. The workers are forked at the first pooled call, so a
+module global patched in the parent after that does not reach them; tasks
+carry their config, so results do not depend on which worker runs them.
 """
 
 from __future__ import annotations
@@ -405,16 +414,40 @@ def _sweep_task(args):
     return run_point(cfg, tau, sir_db)
 
 
+#: The worker pool every pooled call reuses, as (workers, executor); None
+#: before the first pooled call and after a failed one.
+_pool = None
+
+
+def _drop_pool(**shutdown_kw):
+    """Forget the kept pool, then shut it down."""
+    global _pool
+    pool, _pool = _pool[1], None
+    pool.shutdown(**shutdown_kw)
+
+
 def _map_tasks(task_fn, tasks: list, threads: int) -> list:
-    """Run the tasks in order, over at most threads worker processes."""
+    """Run the tasks in order, over at most threads worker processes.
+
+    Pooled calls reuse one kept pool of min(threads, len(tasks)) workers. A
+    call that needs another worker count replaces it, and a call that
+    raises (a dead worker included) drops it, so the next starts afresh."""
+    global _pool
     if not 1 <= threads <= MAX_THREADS:
         raise ConfigError(f"threads must lie in 1..{MAX_THREADS}")
     threads = min(threads, len(tasks))
     if threads <= 1:
         return [task_fn(t) for t in tasks]
+    if _pool is not None and _pool[0] != threads:
+        _drop_pool()
+    if _pool is None:
+        _pool = (threads, ProcessPoolExecutor(max_workers=threads))
     chunk = max(1, len(tasks) // (4 * threads))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(task_fn, tasks, chunksize=chunk))
+    try:
+        return list(_pool[1].map(task_fn, tasks, chunksize=chunk))
+    except BaseException:
+        _drop_pool(cancel_futures=True)
+        raise
 
 
 def sweep(cfg: ExperimentConfig, threads: int = 1) -> list[MetricPoint]:

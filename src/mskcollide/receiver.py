@@ -14,10 +14,14 @@ The correlation is one matrix product of every block against the 16
 codewords, run in pieces of at most PIECE_BLOCKS blocks. OpenBLAS splits a
 larger product over several threads, and in a pool of worker processes the
 helper threads then spin on cores the other workers need; a piece this size
-stays on the calling thread. The pieces are of equal size: a short last
-piece would take OpenBLAS's small-matrix kernel, whose sums differ from the
-large kernel's in the last bit, and equal pieces keep the correlations bit
-for bit those of one whole product.
+stays on the calling thread. Every product has at least PIECE_BLOCKS // 2
+rows: OpenBLAS's small-matrix kernel, taken for 75 rows or fewer, sums in
+another order than the large kernel and so differs in the last bit. So the
+pieces are of equal size rather than a short last one, and an input of
+fewer blocks is padded with zero rows. A block's correlations are thus bit
+for bit the same however many blocks share the call: a packet decoded
+alone, or a point's short last slab, matches the same rows of one whole
+product.
 """
 
 from __future__ import annotations
@@ -56,10 +60,16 @@ def decide(soft, coding: str):
         raise ValueError("coded decisions need a multiple of 32 transmit chips")
     values = sliced if coding == "hdd" else soft
     blocks = values.reshape(-1, CHIPS_PER_SYMBOL)
+    n_blocks = len(blocks)
+    if n_blocks < PIECE_BLOCKS // 2:
+        padded = np.zeros((PIECE_BLOCKS // 2, CHIPS_PER_SYMBOL), dtype=blocks.dtype)
+        padded[:n_blocks] = blocks
+        blocks = padded
     corr = np.empty((len(blocks), 16))
     pieces = max(1, -(-len(blocks) // PIECE_BLOCKS))
     for rows, out in zip(np.array_split(blocks, pieces), np.array_split(corr, pieces)):
         np.matmul(rows, _BIPOLAR_T_F64, out=out)
+    corr = corr[:n_blocks]
     np.abs(corr, out=corr)
     lead = soft.shape[:-1] + (-1,)
     return sliced, corr.argmax(axis=1).reshape(lead), corr.reshape(lead + (16,))

@@ -264,13 +264,26 @@ def _die(args):
     os._exit(7)
 
 
-def test_worker_crash_is_one_line_and_exit_3(tmp_path, capfd, monkeypatch):
-    # forked workers inherit the patched task, so every pool task kills its worker
-    monkeypatch.setattr(montecarlo, "_sweep_task", _die)
+@pytest.mark.parametrize("task, argv", [
+    ("_sweep_task", ["sweep", "--tau-start", "0", "--tau-stop", "1", "--tau-step", "1",
+                     *_ONE_SIR]),
+    ("_zone_task", ["zone", "--sir-db", "-40", "--tau-start", "0", "--tau-stop", "0",
+                    "--tau-step", "1", "--phi-points", "2", "--packets", "10"]),
+    ("_ninterf_task", ["ninterf", "--max-n", "1", "--packets", "10"]),
+], ids=["sweep", "zone", "ninterf"])
+def test_worker_crash_is_one_line_and_exit_3(tmp_path, capfd, monkeypatch, task, argv):
+    # the task is pickled by reference, so the kept pool's workers resolve
+    # the patched name too and every pool task kills its worker
+    monkeypatch.setattr(montecarlo, task, _die)
     out = tmp_path / "x.csv"
-    rc = main(["sweep", "--threads", "2", "--tau-start", "0", "--tau-stop", "1",
-               "--tau-step", "1", *_ONE_SIR, "--out", str(out)])
+    rc = main([*argv, "--threads", "2", "--out", str(out)])
     err = capfd.readouterr().err
     assert rc == 3
     assert err.startswith("worker error: ") and err.count("\n") == 1
     assert not out.exists()
+    # the broken pool is gone: the next pooled run starts a fresh one
+    monkeypatch.undo()
+    one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+    assert main([*argv, "--threads", "1", "--out", str(one)]) == 0
+    assert main([*argv, "--threads", "2", "--out", str(two)]) == 0
+    assert one.read_bytes() == two.read_bytes()

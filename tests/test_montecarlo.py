@@ -2,8 +2,13 @@
 scalar and brute-force references."""
 
 import math
+import multiprocessing
+import os
 import platform
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -270,6 +275,58 @@ class TestFreedHeap:
         run_point(cfg, 0.5, -10.0)
         # about 850-1,400 when glibc trims the heap after every slab
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
+
+
+def _worker_pids() -> set:
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def _gone(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+class TestKeptPool:
+    """Pooled calls share one worker pool, replaced on a new worker count,
+    whose workers end with the process."""
+
+    def test_worker_counts_change_pool_not_results(self):
+        cfg = small_cfg(packets_per_point=20, tau_grid=(0.0, 0.5, 1.0),
+                        sir_db_grid=(-3.0, 0.0))
+        zone_cfg = replace(cfg, target="interferer", sir_db_grid=(-40.0,))
+        calls = [lambda t: sweep(cfg, threads=t),
+                 lambda t: capture_zone(zone_cfg, 2, threads=t),
+                 lambda t: n_interferer_experiment(cfg, max_n=1, threads=t)]
+        serial = [call(1) for call in calls]
+        replaced = set()
+        for threads in (2, 3, 2):
+            pids = None
+            for call, expected in zip(calls, serial):
+                assert call(threads) == expected
+                if pids is None:
+                    pids = _worker_pids()
+                assert _worker_pids() == pids  # one pool serves every call
+            assert len(pids) == threads
+            assert all(map(_gone, replaced))
+            replaced = pids
+
+    def test_workers_end_with_their_parent(self):
+        script = ("import multiprocessing\n"
+                  "from mskcollide import ExperimentConfig, sweep\n"
+                  "sweep(ExperimentConfig(packets_per_point=10, tau_grid=(0.0, 0.5),\n"
+                  "                       sir_db_grid=(0.0,)), threads=2)\n"
+                  "print(*(p.pid for p in multiprocessing.active_children()))\n")
+        src = str(Path(montecarlo.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        pids = [int(pid) for pid in proc.stdout.split()]
+        assert len(pids) == 2
+        assert all(map(_gone, pids))
 
 
 class TestStats:

@@ -159,7 +159,16 @@ class TestDecide:
                 assert np.array_equal(sliced[p], row[0])
                 if coding != "uncoded":
                     assert np.array_equal(symbols[p], row[1])
-                    assert np.allclose(corr[p], row[2], rtol=1e-14, atol=0)
+                    assert np.array_equal(corr[p].view(np.int64), row[2].view(np.int64))
+
+    def test_short_last_slab_equals_whole_batch(self):
+        # 130 SDD packets of 16 blocks: a point's 128-packet slab leaves a
+        # 2-packet (32-block) last slab, below OpenBLAS's small-matrix bound
+        soft = np.random.default_rng(64).normal(size=(130, 16 * 32))
+        _, symbols, corr = decide(soft, "sdd")
+        _, tail_symbols, tail_corr = decide(soft[128:], "sdd")
+        assert np.array_equal(tail_symbols, symbols[128:])
+        assert np.array_equal(tail_corr.view(np.int64), corr[128:].view(np.int64))
 
     @pytest.mark.parametrize("shape", [(513 * 32,), (1300 * 32,), (7, 150 * 32)],
                              ids=["513-blocks", "1300-blocks", "7x150-blocks"])
