@@ -14,9 +14,8 @@ from .demod import batch_interference, interference_contribution
 from .montecarlo import (ConfigError, ExperimentConfig, MetricPoint,
                          NInterfererPoint, ZoneCell, capture_zone, grid,
                          n_interferer_experiment, run_point, sweep)
-from .oracle import (QuadratureConfig, oracle_lambda_baseband,
-                     oracle_lambda_passband, rect_integral,
-                     rect_integral_quadrature)
+from .oracle import (oracle_lambda_baseband, oracle_lambda_passband,
+                     rect_integral, rect_integral_quadrature)
 from .presets import NINTERF_DEFAULTS, PRESETS, ZONE_PRESETS
 from .receiver import decide
 from .signal_model import InterfererParams, IqStream, multiplex_bits
@@ -28,7 +27,7 @@ __all__ = [
     "ConfigError", "ExperimentConfig", "MetricPoint", "NInterfererPoint",
     "ZoneCell", "capture_zone", "grid", "n_interferer_experiment",
     "run_point", "sweep",
-    "QuadratureConfig", "oracle_lambda_baseband", "oracle_lambda_passband",
+    "oracle_lambda_baseband", "oracle_lambda_passband",
     "rect_integral", "rect_integral_quadrature",
     "NINTERF_DEFAULTS", "PRESETS", "ZONE_PRESETS",
     "decide",

@@ -8,16 +8,16 @@ the unfiltered double-carrier terms leave a residue of order
 both in closed form and by quadrature.
 
 Pulse trains are piecewise constant, so every integration interval is split
-exactly at pulse edges; within a piece the bit values are constants and the
-composite rule integrates only the smooth trigonometric factor, preserving
-the rule's theoretical convergence order. As in the closed forms, times are
-in units of T = 1, so a bit lasts 2.
+exactly at pulse edges; within a piece the bit values are constants and a
+16-node Gauss-Legendre rule integrates only the smooth trigonometric factor,
+one panel per piece in baseband and one per double-carrier period in
+passband. As in the closed forms, times are in units of T = 1, so a bit
+lasts 2.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,57 +26,21 @@ from .signal_model import InterfererParams, IqStream
 
 _EDGE_EPS = 1e-12
 
-#: Most composite-rule steps per bit: one piece's sample arrays stay near
+#: Most carrier multiples a passband run takes: its node arrays stay near
 #: 8 MB each.
-MAX_STEPS_PER_BIT = 2**20
+MAX_CARRIER_MULTIPLE = 2**16
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Composite-rule settings: subdivisions of one 2T bit interval, the
-    rule itself, and the carrier frequency multiple for passband runs."""
-
-    steps_per_bit: int = 4096
-    method: str = "simpson"
-    carrier_multiple: int = 256
-
-    def __post_init__(self):
-        if not 64 <= self.steps_per_bit <= MAX_STEPS_PER_BIT:
-            raise ValueError(f"steps_per_bit must lie in 64..{MAX_STEPS_PER_BIT}")
-        if self.method not in ("midpoint", "simpson"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.method == "simpson" and self.steps_per_bit % 2 != 0:
-            raise ValueError("simpson requires an even step count")
-        # The shipped multiple stays valid at any step count: baseband runs
-        # ignore it, and passband runs also pass _check_passband.
-        ceiling = max(256, self.steps_per_bit // 4)
-        if not 8 <= self.carrier_multiple <= ceiling:
-            raise ValueError(f"carrier_multiple must lie in 8..{ceiling}")
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1],
+    from the eigenvalues of the Jacobi matrix (Golub and Welsch, 1969)."""
+    i = np.arange(1, n)
+    beta = i / np.sqrt(4.0 * i * i - 1.0)
+    nodes, vectors = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
+    return nodes, 2.0 * vectors[0] ** 2
 
 
-def _check_passband(cfg: QuadratureConfig) -> None:
-    """Raise ValueError unless the rule resolves the carrier.
-
-    Passband double-carrier terms have period 2T / carrier_multiple: at 4
-    steps per period (4096 steps, multiple 1024) the oracle sat 5e-7 from
-    baseband, at 2 it aliased them (0.32), and at 64 steps with the
-    shipped multiple 256 it read 2.72 off.
-    """
-    if cfg.carrier_multiple > cfg.steps_per_bit // 4:
-        raise ValueError(f"passband carrier_multiple {cfg.carrier_multiple} needs at "
-                         f"least {4 * cfg.carrier_multiple} steps per bit")
-
-
-def _composite(f, a: float, b: float, steps: int, method: str) -> float:
-    h = (b - a) / steps
-    if method == "midpoint":
-        t = a + (np.arange(steps) + 0.5) * h
-        return float(h * np.sum(f(t)))
-    t = np.linspace(a, b, steps + 1)
-    w = np.ones(steps + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return float(h / 3.0 * np.sum(w * f(t)))
+_NODES, _WEIGHTS = _gauss_legendre(16)
 
 
 def _pulse_edges(a: float, b: float, tau: float) -> list[float]:
@@ -99,28 +63,22 @@ def _pulse_edges(a: float, b: float, tau: float) -> list[float]:
 
 
 def _integrate_pieces(coeff, bits_at, a: float, b: float, tau: float,
-                      cfg: QuadratureConfig) -> float:
-    """Integrate sum_j bits_at(mid)[j] * coeff(t)[j] with bits constant per piece."""
-    points = [a] + _pulse_edges(a, b, tau) + [b]
-    steps_total = cfg.steps_per_bit
-    total = 0.0
-    for lo, hi in zip(points[:-1], points[1:]):
-        if hi - lo <= _EDGE_EPS:
-            continue
-        steps = max(4, math.ceil(steps_total * (hi - lo) / (b - a)))
-        if cfg.method == "simpson" and steps % 2:
-            steps += 1
-        mids = bits_at(0.5 * (lo + hi))
+                      panels_per_bit: int = 1) -> float:
+    """Integrate sum_j bits_at(mid)[j] * coeff(t)[j] with bits constant per piece.
 
-        def piece(t, mids=mids):
-            parts = coeff(t)
-            acc = mids[0] * parts[0]
-            for bit, part in zip(mids[1:], parts[1:]):
-                acc = acc + bit * part
-            return acc
-
-        total += _composite(piece, lo, hi, steps, cfg.method)
-    return total
+    Each piece between pulse edges gets ceil(panels_per_bit * its share of
+    [a, b]) equal Gauss-Legendre panels; coeff is evaluated once on the
+    nodes of every panel, an array of shape (panels, nodes).
+    """
+    points = [a, *_pulse_edges(a, b, tau), b]
+    pieces = list(zip(points[:-1], points[1:]))
+    counts = [math.ceil(panels_per_bit * (hi - lo) / (b - a)) for lo, hi in pieces]
+    half = np.repeat([0.5 * (hi - lo) / n for (lo, hi), n in zip(pieces, counts)], counts)
+    odd = np.concatenate([np.arange(1, 2 * n, 2) for n in counts])
+    mids = np.repeat(points[:-1], counts) + half * odd
+    parts = np.asarray(coeff(mids[:, None] + half[:, None] * _NODES))
+    bits = np.repeat([bits_at(0.5 * (lo + hi)) for lo, hi in pieces], counts, axis=0)
+    return float(np.sum(bits.T[:, :, None] * parts * (half[:, None] * _WEIGHTS)))
 
 
 def _bit_i_at(payload: IqStream, t: float, tau: float) -> int:
@@ -139,13 +97,13 @@ def _interval(k: int, branch: str) -> tuple[float, float]:
     return (float(2 * k), float(2 * k + 2))
 
 
-def oracle_lambda_baseband(params: InterfererParams, k: int, branch: str = "I",
-                           cfg: QuadratureConfig = QuadratureConfig()) -> float:
+def oracle_lambda_baseband(params: InterfererParams, k: int, branch: str = "I") -> float:
     """Numerically integrate the post-lowpass matched-filter product.
 
-    Converges to the closed form as the step count grows; independent of
-    the closed form's bit-index bookkeeping because the pulse trains are
-    evaluated pointwise.
+    Independent of the closed form's bit-index bookkeeping because the
+    pulse trains are evaluated pointwise. Within a piece the integrand has
+    frequency at most pi/T, so one Gauss-Legendre panel per piece reaches
+    round-off.
     """
     if branch not in ("I", "Q"):
         raise ValueError("branch must be 'I' or 'Q'")
@@ -169,23 +127,25 @@ def oracle_lambda_baseband(params: InterfererParams, k: int, branch: str = "I",
         return (_bit_i_at(params.payload, t, params.tau),
                 _bit_q_at(params.payload, t, params.tau))
 
-    return _integrate_pieces(coeff, bits_at, a, b, params.tau, cfg)
+    return _integrate_pieces(coeff, bits_at, a, b, params.tau)
 
 
 def oracle_lambda_passband(params: InterfererParams, k: int, branch: str = "I",
-                           cfg: QuadratureConfig = QuadratureConfig()) -> float:
+                           carrier_multiple: int = 256) -> float:
     """Integrate the full passband product with an explicit carrier.
 
     The carrier is carrier_multiple times the pulse frequency; agreement
     with the baseband oracle is up to an O(1/carrier_multiple) residue from
-    the unfiltered double-carrier terms.
+    the unfiltered double-carrier terms. A bit holds carrier_multiple
+    double-carrier periods, and each gets one Gauss-Legendre panel.
     """
     if branch not in ("I", "Q"):
         raise ValueError("branch must be 'I' or 'Q'")
-    _check_passband(cfg)
+    if not 8 <= carrier_multiple <= MAX_CARRIER_MULTIPLE:
+        raise ValueError(f"carrier_multiple must lie in 8..{MAX_CARRIER_MULTIPLE}")
     a, b = _interval(k, branch)
     w_p = math.pi / 2.0
-    w_c = cfg.carrier_multiple * w_p
+    w_c = carrier_multiple * w_p
     tau, phi_c = params.tau, params.phi_c
     gain = 2.0 * params.amplitude
 
@@ -205,7 +165,7 @@ def oracle_lambda_passband(params: InterfererParams, k: int, branch: str = "I",
         return (_bit_i_at(params.payload, t, tau),
                 _bit_q_at(params.payload, t, tau))
 
-    return _integrate_pieces(coeff, bits_at, a, b, tau, cfg)
+    return _integrate_pieces(coeff, bits_at, a, b, tau, panels_per_bit=carrier_multiple)
 
 
 def rect_integral(f_kind: str, branch: str, tau: float, payload: IqStream,
@@ -240,8 +200,7 @@ def rect_integral(f_kind: str, branch: str, tau: float, payload: IqStream,
 
 
 def rect_integral_quadrature(f_kind: str, branch: str, tau: float,
-                             payload: IqStream, k: int,
-                             cfg: QuadratureConfig = QuadratureConfig()) -> float:
+                             payload: IqStream, k: int) -> float:
     """Direct quadrature of the primitive integrals; numeric twin of
     rect_integral."""
     if f_kind not in ("one", "cos2wp", "sin2wp"):
@@ -268,4 +227,4 @@ def rect_integral_quadrature(f_kind: str, branch: str, tau: float,
         def bits_at(t):
             return (_bit_q_at(payload, t, tau),)
 
-    return _integrate_pieces(coeff, bits_at, a, b, tau, cfg)
+    return _integrate_pieces(coeff, bits_at, a, b, tau)

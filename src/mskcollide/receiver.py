@@ -32,7 +32,7 @@ from .chipseq import BIPOLAR_CHIP_TABLE, CHIPS_PER_SYMBOL
 
 _BIPOLAR_T_F64 = BIPOLAR_CHIP_TABLE.T.astype(np.float64)
 
-#: Most blocks one correlation product takes: OpenBLAS 0.3.31 (Haswell
+#: Most blocks one correlation product takes: OpenBLAS 0.3.31 (SkylakeX
 #: kernels) ran a 1,024-block product on two threads and a 512-block one on one.
 PIECE_BLOCKS = 512
 
@@ -71,5 +71,5 @@ def decide(soft, coding: str):
         np.matmul(rows, _BIPOLAR_T_F64, out=out)
     corr = corr[:n_blocks]
     np.abs(corr, out=corr)
-    lead = soft.shape[:-1] + (-1,)
+    lead = soft.shape[:-1] + (soft.shape[-1] // CHIPS_PER_SYMBOL,)
     return sliced, corr.argmax(axis=1).reshape(lead), corr.reshape(lead + (16,))

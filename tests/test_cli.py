@@ -217,18 +217,17 @@ _ONE_POINT = ["--tau-start", "0", "--tau-stop", "0", "--tau-step", "1", *_ONE_SI
     (None, ["sweep", "--phi-mode", "fixed", "--phi-c", "inf", *_ONE_POINT]),
     (None, ["zone", "--sir-db", "nan", "--packets", "10"]),
     (None, ["zone", "--sir-db", "-7000", "--packets", "10"]),
-    (None, ["validate", "--steps", "10"]),
     (None, ["validate", "--tolerance", "nan", "--draws", "1"]),
     (None, ["sweep", "--tau-start", "0", "--tau-stop", "1", "--tau-step", "nan", *_ONE_SIR]),
     (None, ["sweep", "--tau-start", "0", "--tau-stop", "inf", "--tau-step", "1", *_ONE_SIR]),
     (None, ["sweep", "--tau-start", "0", "--tau-stop", "1e6", "--tau-step", "1e-9",
             *_ONE_SIR]),
     (None, ["zone", "--phi-points", "1000000", "--packets", "10"]),
-    (None, ["validate", "--steps", "100000000000000000000"]),
     ({"tau_grid": [i / 1000 for i in range(1025)], "packets_per_point": 10}, []),
     (None, ["validate", "--passband", "--carrier-multiple", "100000000000000000000",
             "--draws", "1"]),
-    (None, ["validate", "--passband", "--steps", "64", "--draws", "5", "--tolerance", "1e-2"]),
+    (None, ["validate", "--passband", "--carrier-multiple", "4", "--draws", "1"]),
+    (None, ["validate", "--seed", "-1", "--draws", "1"]),
     (None, ["sweep", "--threads", "0", *_ONE_POINT]),
     # one point, so a run that ignored the bound would stay serial
     (None, ["sweep", "--threads", "100000", *_ONE_POINT]),
@@ -240,9 +239,10 @@ _ONE_POINT = ["--tau-start", "0", "--tau-stop", "0", "--tau-step", "1", *_ONE_SI
     (None, ["ninterf", "--max-n", "8", "--packets", "100000"]),
 ], ids=["packets-str", "packets-float", "tau-nan", "tau-bool", "sir-overflow", "sir-underflow",
         "config-not-object", "noise-nan", "phi-inf", "zone-sir-nan", "zone-sir-overflow",
-        "validate-steps", "validate-tolerance-nan", "tau-step-nan", "tau-stop-inf",
-        "grid-oversize", "zone-phi-points-oversize", "validate-steps-huge",
-        "config-grid-oversize", "validate-carrier-huge", "validate-passband-steps-64",
+        "validate-tolerance-nan", "tau-step-nan", "tau-stop-inf",
+        "grid-oversize", "zone-phi-points-oversize",
+        "config-grid-oversize", "validate-carrier-huge", "validate-carrier-4",
+        "validate-seed-negative",
         "threads-zero", "threads-huge", "ninterf-max-n-huge", "config-int-overflow",
         "sweep-packets-1e6", "ninterf-too-many-values"])
 def test_bad_input_is_config_error(tmp_path, capsys, config, argv):

@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from mskcollide import (InterfererParams, QuadratureConfig,
-                        interference_contribution, multiplex_bits,
-                        oracle_lambda_baseband, oracle_lambda_passband,
-                        rect_integral, rect_integral_quadrature)
+from mskcollide import (InterfererParams, interference_contribution,
+                        multiplex_bits, oracle, oracle_lambda_baseband,
+                        oracle_lambda_passband, rect_integral,
+                        rect_integral_quadrature)
+from mskcollide.oracle import MAX_CARRIER_MULTIPLE
 
 RECT_KINDS = ("one", "cos2wp", "sin2wp")
 
@@ -22,26 +23,6 @@ def _random_interferer(rng, n_bits=16):
         phi_c=float(rng.uniform(0.0, 2 * math.pi)),
         payload=multiplex_bits(bits),
     )
-
-
-class TestQuadratureConfig:
-    def test_defaults_valid(self):
-        cfg = QuadratureConfig()
-        assert cfg.steps_per_bit == 4096 and cfg.method == "simpson"
-
-    def test_rejects_bad_settings(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(steps_per_bit=32)
-        with pytest.raises(ValueError):
-            QuadratureConfig(steps_per_bit=4097, method="simpson")
-        with pytest.raises(ValueError):
-            QuadratureConfig(method="trapezoid")
-        with pytest.raises(ValueError):
-            QuadratureConfig(carrier_multiple=4)
-        # a quarter of the steps per bit is the highest carrier multiple
-        assert QuadratureConfig(carrier_multiple=1024).carrier_multiple == 1024
-        with pytest.raises(ValueError):
-            QuadratureConfig(carrier_multiple=1025)
 
 
 class TestRectClosedForms:
@@ -63,26 +44,11 @@ class TestRectClosedForms:
     @pytest.mark.parametrize("branch", ("I", "Q"))
     def test_agrees_with_simpson_quadrature(self, kind, branch):
         rng = np.random.default_rng([ord(c) for c in kind + branch])
-        cfg = QuadratureConfig(steps_per_bit=2048)
         for _ in range(150):
             u = _random_interferer(rng)
             k = int(rng.integers(0, 8))
             closed = rect_integral(kind, branch, u.tau, u.payload, k)
-            quad = rect_integral_quadrature(kind, branch, u.tau, u.payload, k, cfg)
-            assert closed == pytest.approx(quad, abs=1e-9 * (1 + abs(quad)))
-
-    def test_agrees_with_midpoint_quadrature(self):
-        # midpoint converges at second order, so it needs far more steps to
-        # reach the same tolerance
-        rng = np.random.default_rng(77)
-        cfg = QuadratureConfig(steps_per_bit=65536, method="midpoint")
-        for _ in range(1000):
-            u = _random_interferer(rng, n_bits=12)
-            k = int(rng.integers(0, 6))
-            kind = RECT_KINDS[int(rng.integers(0, 3))]
-            branch = "I" if rng.integers(0, 2) else "Q"
-            closed = rect_integral(kind, branch, u.tau, u.payload, k)
-            quad = rect_integral_quadrature(kind, branch, u.tau, u.payload, k, cfg)
+            quad = rect_integral_quadrature(kind, branch, u.tau, u.payload, k)
             assert closed == pytest.approx(quad, abs=1e-9 * (1 + abs(quad)))
 
     def test_rejects_unknown_kind(self):
@@ -139,21 +105,6 @@ class TestBasebandOracle:
             ref = oracle_lambda_baseband(u, 2, branch)
             assert closed == pytest.approx(ref, abs=1e-9 * (1 + abs(ref)))
 
-    def test_error_decays_at_method_order(self):
-        u = InterfererParams(1.0, 0.37, 1.1, multiplex_bits([1, -1, -1, 1, 1, 1, -1, 1]))
-        exact = interference_contribution(u, 2, "I")
-
-        def err(steps, method):
-            cfg = QuadratureConfig(steps_per_bit=steps, method=method)
-            return abs(oracle_lambda_baseband(u, 2, "I", cfg) - exact)
-
-        # fourth order: x64 fewer steps -> ~256^2 error growth; assert a
-        # conservative factor in each quadrupling
-        assert err(256, "simpson") < err(64, "simpson") / 60
-        assert err(256, "midpoint") < err(64, "midpoint") / 8
-        assert err(1024, "midpoint") < err(256, "midpoint") / 8
-
-
 class TestPassbandOracle:
     def test_synchronized_unit_within_residue(self):
         u = InterfererParams(1.0, 0.0, 0.0, multiplex_bits([+1, +1, +1, +1]))
@@ -163,12 +114,11 @@ class TestPassbandOracle:
     @pytest.mark.parametrize("branch", ("I", "Q"))
     def test_agrees_with_baseband_within_residue(self, branch):
         rng = np.random.default_rng(40)
-        cfg = QuadratureConfig(steps_per_bit=4096, carrier_multiple=256)
         for _ in range(25):
             u = _random_interferer(rng, n_bits=12)
             k = int(rng.integers(0, 6))
             base = oracle_lambda_baseband(u, k, branch)
-            pas = oracle_lambda_passband(u, k, branch, cfg)
+            pas = oracle_lambda_passband(u, k, branch)
             assert pas == pytest.approx(base, abs=1e-2 * (1 + abs(base)))
 
     def test_residue_shrinks_with_carrier_multiple(self):
@@ -177,10 +127,46 @@ class TestPassbandOracle:
         draws = [(_random_interferer(rng, n_bits=12), int(rng.integers(0, 6)))
                  for _ in range(20)]
         for mult in devs:
-            cfg = QuadratureConfig(steps_per_bit=16384, carrier_multiple=mult)
             for u, k in draws:
                 base = oracle_lambda_baseband(u, k, "I")
-                devs[mult].append(abs(oracle_lambda_passband(u, k, "I", cfg) - base))
+                devs[mult].append(abs(oracle_lambda_passband(u, k, "I", mult) - base))
         ratio = np.mean(devs[128]) / np.mean(devs[64])
         assert ratio < 0.8
         assert np.mean(devs[128]) < np.mean(devs[64])
+
+    def test_carrier_multiple_bounds(self):
+        u = InterfererParams(1.0, 0.3, 0.2, multiplex_bits([+1, -1, +1, +1]))
+        for mult in (7, MAX_CARRIER_MULTIPLE + 1):
+            with pytest.raises(ValueError):
+                oracle_lambda_passband(u, 0, "I", mult)
+        assert oracle_lambda_passband(u, 0, "I", 8) == pytest.approx(
+            oracle_lambda_baseband(u, 0, "I"), abs=0.1)
+
+
+def test_shipped_panels_have_converged(monkeypatch):
+    """Four times the shipped panels move no value beyond round-off."""
+    rng = np.random.default_rng(50)
+    draws = [(_random_interferer(rng, n_bits=12), int(rng.integers(0, 6)))
+             for _ in range(20)]
+
+    def values():
+        out = {"baseband": [], "rect": [], "passband": []}
+        for u, k in draws:
+            for branch in ("I", "Q"):
+                out["baseband"].append(oracle_lambda_baseband(u, k, branch))
+                out["rect"] += [rect_integral_quadrature(kind, branch, u.tau, u.payload, k)
+                                for kind in RECT_KINDS]
+            for mult in (8, 256, 1024):
+                out["passband"].append(oracle_lambda_passband(u, k, "I", mult))
+        return out
+
+    shipped = values()
+    integrate = oracle._integrate_pieces
+    monkeypatch.setattr(oracle, "_integrate_pieces",
+                        lambda *args, panels_per_bit=1:
+                        integrate(*args, panels_per_bit=4 * panels_per_bit))
+    finer = values()
+    assert shipped != finer
+    for name, bound in (("baseband", 1e-13), ("rect", 1e-13), ("passband", 1e-11)):
+        got, ref = np.array(shipped[name]), np.array(finer[name])
+        assert np.all(np.abs(got - ref) <= bound * (1 + np.abs(ref))), name

@@ -193,6 +193,13 @@ class TestDecide:
                                       corr_ref.reshape(lead + (16,)).view(np.int64))
         np.testing.assert_array_equal(symbols, corr_ref.argmax(axis=1).reshape(lead))
 
+    @pytest.mark.parametrize("coding", ["hdd", "sdd"])
+    def test_zero_blocks(self, coding):
+        sliced, symbols, corr = decide(np.zeros((0, 32)), coding)
+        assert sliced.shape == (0, 32)
+        assert symbols.shape == (0, 1)
+        assert corr.shape == (0, 1, 16)
+
     def test_rejects_partial_blocks(self):
         with pytest.raises(ValueError):
             decide(np.ones(33), "hdd")
