@@ -58,8 +58,9 @@ def _build_parser() -> argparse.ArgumentParser:
     val.add_argument("--tolerance", type=float, default=1e-9)
     val.add_argument("--passband", action="store_true",
                      help="integrate in passband with an explicit carrier")
-    val.add_argument("--carrier-multiple", type=int, default=256,
-                     help="passband carrier in multiples of the pulse frequency")
+    val.add_argument("--carrier-multiple", type=int,
+                     help="passband carrier in multiples of the pulse frequency "
+                          "(default 256; needs --passband)")
     val.add_argument("--seed", type=int, default=1234)
 
     common = argparse.ArgumentParser(add_help=False)
@@ -137,10 +138,11 @@ def cmd_validate(args) -> int:
         raise ConfigError("--tolerance must be finite and non-negative")
     if args.seed < 0:
         raise ConfigError("--seed must be non-negative")
-    if args.passband:
-        oracle = partial(oracle_lambda_passband, carrier_multiple=args.carrier_multiple)
-    else:
-        oracle = oracle_lambda_baseband
+    if args.carrier_multiple is not None and not args.passband:
+        raise ConfigError("--carrier-multiple needs --passband")
+    oracle = oracle_lambda_passband if args.passband else oracle_lambda_baseband
+    if args.carrier_multiple is not None:
+        oracle = partial(oracle, carrier_multiple=args.carrier_multiple)
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     worst_case = None

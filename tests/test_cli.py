@@ -227,6 +227,7 @@ _ONE_POINT = ["--tau-start", "0", "--tau-stop", "0", "--tau-step", "1", *_ONE_SI
     (None, ["validate", "--passband", "--carrier-multiple", "100000000000000000000",
             "--draws", "1"]),
     (None, ["validate", "--passband", "--carrier-multiple", "4", "--draws", "1"]),
+    (None, ["validate", "--carrier-multiple", "256", "--draws", "1"]),
     (None, ["validate", "--seed", "-1", "--draws", "1"]),
     (None, ["sweep", "--threads", "0", *_ONE_POINT]),
     # one point, so a run that ignored the bound would stay serial
@@ -242,7 +243,7 @@ _ONE_POINT = ["--tau-start", "0", "--tau-stop", "0", "--tau-step", "1", *_ONE_SI
         "validate-tolerance-nan", "tau-step-nan", "tau-stop-inf",
         "grid-oversize", "zone-phi-points-oversize",
         "config-grid-oversize", "validate-carrier-huge", "validate-carrier-4",
-        "validate-seed-negative",
+        "validate-carrier-baseband", "validate-seed-negative",
         "threads-zero", "threads-huge", "ninterf-max-n-huge", "config-int-overflow",
         "sweep-packets-1e6", "ninterf-too-many-values"])
 def test_bad_input_is_config_error(tmp_path, capsys, config, argv):

@@ -10,7 +10,6 @@ from mskcollide import (InterfererParams, interference_contribution,
                         multiplex_bits, oracle, oracle_lambda_baseband,
                         oracle_lambda_passband, rect_integral,
                         rect_integral_quadrature)
-from mskcollide.oracle import MAX_CARRIER_MULTIPLE
 
 RECT_KINDS = ("one", "cos2wp", "sin2wp")
 
@@ -136,7 +135,7 @@ class TestPassbandOracle:
 
     def test_carrier_multiple_bounds(self):
         u = InterfererParams(1.0, 0.3, 0.2, multiplex_bits([+1, -1, +1, +1]))
-        for mult in (7, MAX_CARRIER_MULTIPLE + 1):
+        for mult in (7, oracle.MAX_CARRIER_MULTIPLE + 1):
             with pytest.raises(ValueError):
                 oracle_lambda_passband(u, 0, "I", mult)
         assert oracle_lambda_passband(u, 0, "I", 8) == pytest.approx(
