@@ -85,29 +85,14 @@ def _shifted_pair(bits: np.ndarray, shift: int, num_bits: int):
     return buf[..., :-1], buf[..., 1:]
 
 
-def batch_interference(i_bits: np.ndarray, q_bits: np.ndarray, amplitude: float,
-                       tau: float, phi_c, branch: str, num_bits: int,
-                       index_offset: int = 0) -> np.ndarray:
-    """Contributions of one interferer for decision indices 0..num_bits-1.
-
-    i_bits/q_bits hold +-1 payload bits on the trailing axis with arbitrary
-    leading batch axes; phi_c broadcasts over (not beyond) those leading
-    axes. This is the only evaluator of the closed form;
-    interference_contribution is its one-row case. index_offset is the
-    interferer payload's first branch index relative to the first decision
-    index (0 when both grids start at bit 0).
-    """
+def _branch_terms(amplitude: float, tau: float, branch: str):
+    """The phase-free part of the closed form for one branch: the index
+    shifts of its main and leaking bits and the four scalar weights of
+    (main prev, main cur, leak prev, leak cur)."""
     if branch not in ("I", "Q"):
         raise ValueError("branch must be 'I' or 'Q'")
     main_dec = decompose_offset(tau, "active")
     leak_dec = decompose_offset(tau, "q_leak" if branch == "I" else "i_leak")
-    main_bits = i_bits if branch == "I" else q_bits
-    leak_bits = q_bits if branch == "I" else i_bits
-    phi_c = np.asarray(phi_c, dtype=np.float64)[..., None]
-    main_prev, main_cur = _shifted_pair(main_bits, main_dec.k_shift + index_offset,
-                                        num_bits)
-    leak_prev, leak_cur = _shifted_pair(leak_bits, leak_dec.k_shift + index_offset,
-                                        num_bits)
     # With b the detected-branch bits and l the leaking bits selected by
     # their decompositions (remainders t and t'),
     #   direct = cos(phi_p) (t b[k-1] + (2T - t) b[k]) - 2T/pi sin(phi_p) (b[k-1] - b[k])
@@ -120,15 +105,95 @@ def batch_interference(i_bits: np.ndarray, q_bits: np.ndarray, amplitude: float,
     gain = amplitude / two_t
     cos_p = math.cos(main_dec.phi_p)
     sin_p = math.sin(main_dec.phi_p)
-    # The operation order is fixed: the pinned table digests depend on every
-    # rounding. In place, so a call allocates three arrays rather than nine.
-    direct = (gain * (cos_p * main_dec.tau_rel - over_pi * sin_p)) * main_prev
-    leak = (gain * (cos_p * (two_t - main_dec.tau_rel) + over_pi * sin_p)) * main_cur
+    weights = (gain * (cos_p * main_dec.tau_rel - over_pi * sin_p),
+               gain * (cos_p * (two_t - main_dec.tau_rel) + over_pi * sin_p),
+               gain * (sin_p * leak_dec.tau_rel + over_pi * cos_p),
+               gain * (sin_p * (two_t - leak_dec.tau_rel) - over_pi * cos_p))
+    return main_dec.k_shift, leak_dec.k_shift, weights
+
+
+def _combine(weights, main_prev, main_cur, leak_prev, leak_cur, phi_c):
+    """cos(phi_c) direct - sin(phi_c) leak of the selected bits, in the one
+    operation order every soft value is computed in: the pinned table
+    digests depend on every rounding.
+
+    The weights broadcast against the bit arrays, and phi_c against both.
+    Where phi_c adds axes (the pattern tables), the phase step allocates
+    its result; otherwise it runs in place, so a call allocates three
+    arrays rather than nine.
+    """
+    w_main_prev, w_main_cur, w_leak_prev, w_leak_cur = weights
+    direct = w_main_prev * main_prev
+    leak = w_main_cur * main_cur
     direct += leak
-    np.multiply(gain * (sin_p * leak_dec.tau_rel + over_pi * cos_p), leak_prev, out=leak)
-    leak += (gain * (sin_p * (two_t - leak_dec.tau_rel) - over_pi * cos_p)) * leak_cur
-    direct *= np.cos(phi_c)
-    leak *= np.sin(phi_c)
+    np.multiply(w_leak_prev, leak_prev, out=leak)
+    leak += w_leak_cur * leak_cur
+    cos_c, sin_c = np.cos(phi_c), np.sin(phi_c)
+    if cos_c.ndim > direct.ndim:
+        table = direct * cos_c
+        table -= leak * sin_c
+        return table
+    direct *= cos_c
+    leak *= sin_c
     direct -= leak
     return direct
 
+
+def batch_interference(i_bits: np.ndarray, q_bits: np.ndarray, amplitude: float,
+                       tau: float, phi_c, branch: str, num_bits: int,
+                       index_offset: int = 0) -> np.ndarray:
+    """Contributions of one interferer for decision indices 0..num_bits-1.
+
+    i_bits/q_bits hold +-1 payload bits on the trailing axis with arbitrary
+    leading batch axes; phi_c broadcasts over (not beyond) those leading
+    axes. This evaluates the closed form bit by bit; the pattern tables
+    evaluate the same two steps (_branch_terms, then _combine) on every bit
+    pattern instead. interference_contribution is its one-row case.
+    index_offset is the interferer payload's first branch index relative
+    to the first decision index (0 when both grids start at bit 0).
+    """
+    main_shift, leak_shift, weights = _branch_terms(amplitude, tau, branch)
+    main_bits = i_bits if branch == "I" else q_bits
+    leak_bits = q_bits if branch == "I" else i_bits
+    phi_c = np.asarray(phi_c, dtype=np.float64)[..., None]
+    main_prev, main_cur = _shifted_pair(main_bits, main_shift + index_offset, num_bits)
+    leak_prev, leak_cur = _shifted_pair(leak_bits, leak_shift + index_offset, num_bits)
+    return _combine(weights, main_prev, main_cur, leak_prev, leak_cur, phi_c)
+
+
+#: Every ternary (main prev, main cur, leak prev, leak cur) bit pattern, as
+#: four 9 x 9 arrays: the main pair varies along the rows and the leak pair
+#: along the columns, each pair (prev, cur) = divmod(j, 3) - 1 at index j.
+_PATTERNS = tuple(np.broadcast_to(digits.astype(np.int8), (9, 9)) for digits in (
+    (np.arange(9) // 3 - 1)[:, None], (np.arange(9) % 3 - 1)[:, None],
+    np.arange(9) // 3 - 1, np.arange(9) % 3 - 1))
+
+
+def _pattern_table(amplitude: float, tau: float, phi_c) -> np.ndarray:
+    """One interferer's contribution for every bit pattern and phase.
+
+    Shape phi_c.shape + (162,): the 81 in-phase patterns, then the 81
+    quadrature ones, each at its code 27 (main prev + 1) + 9 (main cur + 1)
+    + 3 (leak prev + 1) + (leak cur + 1). The two branches share their main
+    weights but not their leak weights, whose offsets tau + T and tau - T
+    round apart at some tau. Every entry equals what batch_interference
+    gives a bit with that pattern and phase.
+    """
+    phi_c = np.asarray(phi_c, dtype=np.float64)[..., None, None, None]
+    terms = [_branch_terms(amplitude, tau, branch)[2] for branch in ("I", "Q")]
+    weights = np.array(terms).T[..., None, None]  # 4 weights x branch
+    table = _combine(weights, *_PATTERNS, phi_c)
+    return table.reshape(phi_c.shape[:-3] + (162,))
+
+
+def _transmit_lags(tau: float):
+    """Lags of the (main prev, main cur, leak prev, leak cur) chips in
+    transmit order: both branches' bit at transmit position n has pattern
+    chips[n - lag] (0 outside the packet). None where tau is so large that
+    rounding breaks k_shift(i_leak) = k_shift(q_leak) - 1 and the two
+    branches would need different leak lags."""
+    k_main = decompose_offset(tau, "active").k_shift
+    k_q = decompose_offset(tau, "q_leak").k_shift
+    if decompose_offset(tau, "i_leak").k_shift != k_q - 1:
+        return None
+    return (2 * k_main + 2, 2 * k_main, 2 * k_q + 1, 2 * k_q - 1)

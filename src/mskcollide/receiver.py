@@ -67,8 +67,12 @@ def decide(soft, coding: str):
         blocks = padded
     corr = np.empty((len(blocks), 16))
     pieces = max(1, -(-len(blocks) // PIECE_BLOCKS))
-    for rows, out in zip(np.array_split(blocks, pieces), np.array_split(corr, pieces)):
-        np.matmul(rows, _BIPOLAR_T_F64, out=out)
+    # np.array_split's bounds: the first len % pieces pieces hold one more
+    size, longer = divmod(len(blocks), pieces)
+    stop = 0
+    for piece in range(pieces):
+        start, stop = stop, stop + size + (piece < longer)
+        np.matmul(blocks[start:stop], _BIPOLAR_T_F64, out=corr[start:stop])
     corr = corr[:n_blocks]
     np.abs(corr, out=corr)
     lead = soft.shape[:-1] + (soft.shape[-1] // CHIPS_PER_SYMBOL,)

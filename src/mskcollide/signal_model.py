@@ -112,7 +112,7 @@ def draw_payloads(rng, mode: str, coded: bool, n_bits: int, n_interferers: int,
         if not coded:
             return None, rng.integers(0, 2, size=(packets, n_bits), dtype=np.int8) * 2 - 1
         symbols = rng.integers(0, 16, size=(packets, n_bits // BITS_PER_SYMBOL))
-        return symbols, BIPOLAR_CHIP_TABLE[symbols].reshape(packets, -1)
+        return symbols, BIPOLAR_CHIP_TABLE.take(symbols, axis=0).reshape(packets, -1)
 
     soi = draw()
     return [soi] + [soi if mode == "identical" else draw() for _ in range(n_interferers)]

@@ -8,7 +8,8 @@ import pytest
 
 from mskcollide import (InterfererParams, batch_interference,
                         interference_contribution, multiplex_bits)
-from mskcollide.demod import _shifted_pair, decompose_offset
+from mskcollide import montecarlo
+from mskcollide.demod import _branch_terms, _shifted_pair, decompose_offset
 from mskcollide.montecarlo import _compute_soft
 
 TWO_OVER_PI = 2.0 / math.pi
@@ -366,3 +367,89 @@ class TestBitIdentity:
         want[:, 1::2] += noise[1]
         _assert_bit_identical(_compute_soft(soi, interferers, amplitudes, tau, phi, noise),
                               want)
+
+
+class TestPatternTables:
+    """Packets of at least _TABLE_MIN_CHIPS chips gather each interferer's
+    contribution from per-packet tables of every bit pattern; shorter ones
+    run batch_interference. Both paths give the same soft values bit for
+    bit."""
+
+    #: Preset taus whose in-phase and quadrature leak weights differ in the
+    #: last bit, so each branch needs its own table.
+    SPLIT_TAUS = (-1.8, -1.7, -1.3, -1.2, -0.9, -0.6, -0.4, 1.2, 1.3, 1.7, 1.8)
+
+    def test_split_taus_round_apart(self):
+        for tau in self.SPLIT_TAUS:
+            i_leak = _branch_terms(1.0, tau, "I")[2][2:]
+            q_leak = _branch_terms(1.0, tau, "Q")[2][2:]
+            assert i_leak != q_leak, tau
+
+    @staticmethod
+    def _both_paths(monkeypatch, soi, chips, amplitudes, tau, phi, noise):
+        tables = _compute_soft(soi, chips, amplitudes, tau, phi, noise)
+        with monkeypatch.context() as patch:
+            patch.setattr(montecarlo, "_TABLE_MIN_CHIPS", 10**9)
+            elementwise = _compute_soft(soi, chips, amplitudes, tau, phi, noise)
+        return tables, elementwise
+
+    @pytest.mark.parametrize("tau", SPLIT_TAUS + (-100.0, -2.7, 0.0, 0.3, 2.9, 100.0))
+    def test_matches_elementwise_path(self, monkeypatch, tau):
+        rng = np.random.default_rng(83)
+        packets, n_chips = 5, 512
+        for n_interferers in (0, 1, 2):
+            for phase in ("fixed", "random"):
+                for noisy in (False, True):
+                    soi = _bits(rng, (packets, n_chips))
+                    chips = [_bits(rng, (packets, n_chips)) for _ in range(n_interferers)]
+                    amplitudes = tuple(10.0 ** rng.uniform(-2, 2, size=n_interferers))
+                    if phase == "fixed":
+                        phi = np.full((packets, n_interferers), 1.1)
+                    else:
+                        phi = rng.uniform(0.0, 2 * math.pi, size=(packets, n_interferers))
+                    noise = None
+                    if noisy:
+                        noise = tuple(rng.normal(0.0, 0.3, size=(packets, n_chips // 2))
+                                      for _ in range(2))
+                    _assert_bit_identical(*self._both_paths(
+                        monkeypatch, soi, chips, amplitudes, tau, phi, noise))
+
+    def test_one_packet_slab(self, monkeypatch):
+        rng = np.random.default_rng(84)
+        soi, chips = _bits(rng, (1, 256)), [_bits(rng, (1, 256)) for _ in range(2)]
+        phi = rng.uniform(0.0, 2 * math.pi, size=(1, 2))
+        for tau in (-1.2, 0.7):
+            _assert_bit_identical(*self._both_paths(
+                monkeypatch, soi, chips, (0.8, 3.1), tau, phi, None))
+
+    @pytest.mark.parametrize("tau", [-0.6, 1.3])
+    def test_run_point_matches_elementwise_path(self, monkeypatch, tau):
+        # slabs of 40 packets, the last one short, share the point's buffers
+        cfg = montecarlo.ExperimentConfig(
+            coding="sdd", packets_per_point=130, payload_bits=32, n_interferers=2,
+            interferer_power_split="equal_split", noise_std=0.3, master_seed=5)
+        monkeypatch.setattr(montecarlo, "SLAB_VALUES", 40 * 256)
+        tables = montecarlo.run_point(cfg, tau, -4.0)
+        monkeypatch.setattr(montecarlo, "_TABLE_MIN_CHIPS", 10**9)
+        assert montecarlo.run_point(cfg, tau, -4.0) == tables
+        assert 0.0 < tables.ber < 1.0
+
+    @pytest.mark.parametrize("n_chips, tau, kernel_calls",
+                             [(512, 0.3, 0), (64, 0.3, 4), (512, 1e17, 4)])
+    def test_length_rule(self, monkeypatch, n_chips, tau, kernel_calls):
+        # a coded 64-bit packet (512 chips) gathers, an uncoded one (64 chips)
+        # does not, and neither does a tau at which tau + T and tau - T round
+        # to one value, so the two branches' leak lags differ
+        calls = []
+        kernel = montecarlo.batch_interference
+
+        def counting(*args, **kwargs):
+            calls.append(args[5])
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "batch_interference", counting)
+        rng = np.random.default_rng(85)
+        soi, chips = _bits(rng, (3, n_chips)), [_bits(rng, (3, n_chips)) for _ in range(2)]
+        _compute_soft(soi, chips, (0.5, 2.0), tau, rng.uniform(0.0, 6.0, size=(3, 2)))
+        assert len(calls) == kernel_calls
+        assert montecarlo._TABLE_MIN_CHIPS == 2 * 81
