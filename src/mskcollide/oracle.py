@@ -67,18 +67,24 @@ def _integrate_pieces(coeff, bits_at, a: float, b: float, tau: float,
     """Integrate sum_j bits_at(mid)[j] * coeff(t)[j] with bits constant per piece.
 
     Each piece between pulse edges gets ceil(panels_per_bit * its share of
-    [a, b]) equal Gauss-Legendre panels; coeff is evaluated once on the
-    nodes of every panel, an array of shape (panels, nodes).
+    [a, b]) equal Gauss-Legendre panels. A table row per piece holds its
+    first panel's midpoint, the half-width and the piece's bits, repeated
+    per panel where a piece has more than one; coeff is evaluated once on
+    the nodes of every panel, an array of shape (panels, nodes).
     """
     points = [a, *_pulse_edges(a, b, tau), b]
-    pieces = list(zip(points[:-1], points[1:]))
-    counts = [math.ceil(panels_per_bit * (hi - lo) / (b - a)) for lo, hi in pieces]
-    half = np.repeat([0.5 * (hi - lo) / n for (lo, hi), n in zip(pieces, counts)], counts)
-    odd = np.concatenate([np.arange(1, 2 * n, 2) for n in counts])
-    mids = np.repeat(points[:-1], counts) + half * odd
-    parts = np.asarray(coeff(mids[:, None] + half[:, None] * _NODES))
-    bits = np.repeat([bits_at(0.5 * (lo + hi)) for lo, hi in pieces], counts, axis=0)
-    return float(np.sum(bits.T[:, :, None] * parts * (half[:, None] * _WEIGHTS)))
+    counts, rows = [], []
+    for lo, hi in zip(points[:-1], points[1:]):
+        counts.append(math.ceil(panels_per_bit * (hi - lo) / (b - a)))
+        half = 0.5 * (hi - lo) / counts[-1]
+        rows.append((lo + half, half, *bits_at(0.5 * (lo + hi))))
+    table = np.array(rows)
+    if len(rows) < sum(counts):
+        table = np.repeat(table, counts, axis=0)
+        panel = np.arange(len(table)) - np.repeat(np.cumsum(counts) - counts, counts)
+        table[:, 0] += 2.0 * table[:, 1] * panel
+    parts = np.asarray(coeff(table[:, :1] + table[:, 1:2] * _NODES)) @ _WEIGHTS
+    return float(np.vdot(parts, table[:, 2:].T * table[:, 1]))
 
 
 def _bit_i_at(payload: IqStream, t: float, tau: float) -> int:
@@ -209,22 +215,13 @@ def rect_integral_quadrature(f_kind: str, branch: str, tau: float,
         raise ValueError("branch must be 'I' or 'Q'")
     a, b = _interval(k, "I")
     w_p = math.pi / 2.0
+    smooth = {"one": np.ones_like, "cos2wp": np.cos, "sin2wp": np.sin}[f_kind]
+    bit_at = _bit_i_at if branch == "I" else _bit_q_at
 
-    if f_kind == "one":
-        def coeff(t):
-            return (np.ones_like(t),)
-    elif f_kind == "cos2wp":
-        def coeff(t):
-            return (np.cos(2.0 * w_p * t),)
-    else:
-        def coeff(t):
-            return (np.sin(2.0 * w_p * t),)
+    def coeff(t):
+        return (smooth(2.0 * w_p * t),)
 
-    if branch == "I":
-        def bits_at(t):
-            return (_bit_i_at(payload, t, tau),)
-    else:
-        def bits_at(t):
-            return (_bit_q_at(payload, t, tau),)
+    def bits_at(t):
+        return (bit_at(payload, t, tau),)
 
     return _integrate_pieces(coeff, bits_at, a, b, tau)

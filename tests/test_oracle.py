@@ -2,6 +2,7 @@
 the closed forms."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -169,3 +170,92 @@ def test_shipped_panels_have_converged(monkeypatch):
     for name, bound in (("baseband", 1e-13), ("rect", 1e-13), ("passband", 1e-11)):
         got, ref = np.array(shipped[name]), np.array(finer[name])
         assert np.all(np.abs(got - ref) <= bound * (1 + np.abs(ref))), name
+
+
+def _brute_force_integrate(coeff, bits_at, a, b, tau, panels_per_bit=1):
+    """_integrate_pieces one node at a time: piece, then panel, then node,
+    every product summed exactly by math.fsum."""
+    points = [a, *oracle._pulse_edges(a, b, tau), b]
+    terms = []
+    for lo, hi in zip(points[:-1], points[1:]):
+        panels = math.ceil(panels_per_bit * (hi - lo) / (b - a))
+        half = 0.5 * (hi - lo) / panels
+        bits = bits_at(0.5 * (lo + hi))
+        for panel in range(panels):
+            mid = lo + half + 2.0 * half * panel
+            for node, weight in zip(oracle._NODES, oracle._WEIGHTS):
+                values = coeff(np.array([mid + half * node]))
+                terms += [bit * float(value[0]) * half * weight
+                          for bit, value in zip(bits, values)]
+    return math.fsum(terms)
+
+
+def _oracle_calls(draws):
+    """Every integration of the baseband, rect and passband (multiples 8 and
+    64) oracles on the given draws."""
+    for u, k in draws:
+        for branch in ("I", "Q"):
+            yield partial(oracle_lambda_baseband, u, k, branch)
+            for kind in RECT_KINDS:
+                yield partial(rect_integral_quadrature, kind, branch, u.tau, u.payload, k)
+            for mult in (8, 64):
+                yield partial(oracle_lambda_passband, u, k, branch, mult)
+
+
+def _draws_with_two_and_three_pieces():
+    rng = np.random.default_rng(60)
+    draws = [(_random_interferer(rng, n_bits=12), int(rng.integers(0, 6)))
+             for _ in range(12)]
+    u = _random_interferer(rng, n_bits=12)
+    aligned = InterfererParams(u.amplitude, 1.0, u.phi_c, u.payload)
+    return draws + [(aligned, 2)]
+
+
+def test_panel_table_matches_brute_force(monkeypatch):
+    integrate = oracle._integrate_pieces
+    seen = []
+
+    def both(coeff, bits_at, a, b, tau, panels_per_bit=1):
+        got = integrate(coeff, bits_at, a, b, tau, panels_per_bit=panels_per_bit)
+        ref = _brute_force_integrate(coeff, bits_at, a, b, tau, panels_per_bit)
+        seen.append((len(oracle._pulse_edges(a, b, tau)) + 1, panels_per_bit))
+        assert abs(got - ref) <= 1e-14 * (1 + abs(ref)), (a, b, tau, panels_per_bit)
+        return got
+
+    monkeypatch.setattr(oracle, "_integrate_pieces", both)
+    for call in _oracle_calls(_draws_with_two_and_three_pieces()):
+        call()
+    for panels_per_bit in (1, 8, 64):
+        assert {p for p, ppb in seen if ppb == panels_per_bit} == {2, 3}
+
+
+def test_one_coeff_call_per_integration(monkeypatch):
+    integrate = oracle._integrate_pieces
+    shapes = []
+
+    def recording(coeff, bits_at, a, b, tau, panels_per_bit=1):
+        calls = []
+
+        def counted(t):
+            calls.append(t.shape)
+            return coeff(t)
+
+        value = integrate(counted, bits_at, a, b, tau, panels_per_bit=panels_per_bit)
+        points = [a, *oracle._pulse_edges(a, b, tau), b]
+        panels = sum(math.ceil(panels_per_bit * (hi - lo) / (b - a))
+                     for lo, hi in zip(points[:-1], points[1:]))
+        assert calls == [(panels, 16)]
+        shapes.append((tau, panels_per_bit, len(points) - 1, panels))
+        return value
+
+    monkeypatch.setattr(oracle, "_integrate_pieces", recording)
+    for call in _oracle_calls(_draws_with_two_and_three_pieces()):
+        call()
+    assert all(panels == pieces for _, ppb, pieces, panels in shapes if ppb == 1)
+    # (1, 3) at tau = 0.3 has pieces of 0.15, 0.5 and 0.35 of the bit.
+    u = InterfererParams(1.0, 0.3, 0.2, multiplex_bits([1, -1, 1, 1, -1, 1]))
+    shapes.clear()
+    oracle_lambda_baseband(u, 1, "I")
+    oracle_lambda_passband(u, 1, "I", 8)
+    oracle_lambda_passband(u, 1, "I", 64)
+    assert [panels for *_, panels in shapes] == [3, 2 + 4 + 3, 10 + 32 + 23]
