@@ -245,13 +245,13 @@ def test_one_coeff_call_per_integration(monkeypatch):
         panels = sum(math.ceil(panels_per_bit * (hi - lo) / (b - a))
                      for lo, hi in zip(points[:-1], points[1:]))
         assert calls == [(panels, 16)]
-        shapes.append((tau, panels_per_bit, len(points) - 1, panels))
+        shapes.append((panels_per_bit, len(points) - 1, panels))
         return value
 
     monkeypatch.setattr(oracle, "_integrate_pieces", recording)
     for call in _oracle_calls(_draws_with_two_and_three_pieces()):
         call()
-    assert all(panels == pieces for _, ppb, pieces, panels in shapes if ppb == 1)
+    assert all(panels == pieces for ppb, pieces, panels in shapes if ppb == 1)
     # (1, 3) at tau = 0.3 has pieces of 0.15, 0.5 and 0.35 of the bit.
     u = InterfererParams(1.0, 0.3, 0.2, multiplex_bits([1, -1, 1, 1, -1, 1]))
     shapes.clear()
