@@ -18,7 +18,7 @@ from .oracle import (oracle_lambda_baseband, oracle_lambda_passband,
                      rect_integral, rect_integral_quadrature)
 from .presets import NINTERF_DEFAULTS, PRESETS, ZONE_PRESETS
 from .receiver import decide
-from .signal_model import InterfererParams, IqStream, multiplex_bits
+from .signal_model import InterfererParams
 
 __all__ = [
     "__version__",
@@ -31,5 +31,5 @@ __all__ = [
     "rect_integral", "rect_integral_quadrature",
     "NINTERF_DEFAULTS", "PRESETS", "ZONE_PRESETS",
     "decide",
-    "InterfererParams", "IqStream", "multiplex_bits",
+    "InterfererParams",
 ]

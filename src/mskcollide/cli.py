@@ -33,7 +33,7 @@ from .oracle import (oracle_lambda_baseband, oracle_lambda_passband,
 from .output import (write_chip_table, write_manifest, write_ninterf,
                      write_sweep, write_zone)
 from .presets import NINTERF_DEFAULTS, PRESETS, ZONE_PRESETS
-from .signal_model import InterfererParams, multiplex_bits
+from .signal_model import InterfererParams
 
 T_NANOSECONDS = 500.0  # half a 1 us bit duration
 
@@ -71,19 +71,20 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--threads", type=int, default=1)
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--out", required=True, help="output table path")
+    common.add_argument("--coding", choices=("uncoded", "hdd", "sdd"))
+    common.add_argument("--payload-bits", type=int)
 
-    swp = sub.add_parser("sweep", parents=[common],
+    tau = argparse.ArgumentParser(add_help=False)
+    tau.add_argument("--tau-unit", choices=("T", "ns"), default="T")
+    for end in ("start", "stop", "step"):
+        tau.add_argument(f"--tau-{end}", type=float)
+
+    swp = sub.add_parser("sweep", parents=[common, tau],
                          help="PRR/BER/SER grid over tau x SIR")
     swp.add_argument("--preset", choices=sorted(PRESETS))
     swp.add_argument("--config", help="JSON config file mirroring ExperimentConfig")
-    swp.add_argument("--coding", choices=("uncoded", "hdd", "sdd"))
     swp.add_argument("--payload-mode", choices=("independent", "identical"))
     swp.add_argument("--target", choices=("soi", "interferer"))
-    swp.add_argument("--payload-bits", type=int)
-    swp.add_argument("--tau-unit", choices=("T", "ns"), default="T")
-    swp.add_argument("--tau-start", type=float)
-    swp.add_argument("--tau-stop", type=float)
-    swp.add_argument("--tau-step", type=float)
     swp.add_argument("--sir-start", type=float)
     swp.add_argument("--sir-stop", type=float)
     swp.add_argument("--sir-step", type=float)
@@ -94,23 +95,15 @@ def _build_parser() -> argparse.ArgumentParser:
                      choices=("single", "equal_split"))
     swp.add_argument("--noise-std", type=float)
 
-    zone = sub.add_parser("zone", parents=[common],
+    zone = sub.add_parser("zone", parents=[common, tau],
                           help="error-rate map over tau x carrier phase")
     zone.add_argument("--preset", choices=sorted(ZONE_PRESETS))
     zone.add_argument("--sir-db", type=float)
-    zone.add_argument("--coding", choices=("uncoded", "hdd", "sdd"))
-    zone.add_argument("--tau-unit", choices=("T", "ns"), default="T")
-    zone.add_argument("--tau-start", type=float)
-    zone.add_argument("--tau-stop", type=float)
-    zone.add_argument("--tau-step", type=float)
     zone.add_argument("--phi-points", type=int, default=64)
-    zone.add_argument("--payload-bits", type=int)
 
     nin = sub.add_parser("ninterf", parents=[common],
                          help="reception ratio vs number of interferers")
     nin.add_argument("--max-n", type=int, default=8)
-    nin.add_argument("--coding", choices=("uncoded", "hdd", "sdd"))
-    nin.add_argument("--payload-bits", type=int)
 
     chip = sub.add_parser("chiptable", help="dump the chipping sequences as CSV")
     chip.add_argument("--out", default=None, help="output path (stdout if omitted)")
@@ -120,15 +113,32 @@ def _build_parser() -> argparse.ArgumentParser:
 def _random_params(rng) -> tuple[InterfererParams, int]:
     n_bits = int(rng.integers(4, 13)) * 2
     bits = rng.integers(0, 2, size=n_bits) * 2 - 1
-    payload = multiplex_bits(bits)
     params = InterfererParams(
         amplitude=float(10.0 ** rng.uniform(-2, 2)),
         tau=float(rng.uniform(-4.0, 4.0)),
         phi_c=float(rng.uniform(0.0, 2.0 * math.pi)),
-        payload=payload,
+        bits=bits,
     )
     k = int(rng.integers(0, n_bits // 2))
     return params, k
+
+
+def _checks(params: InterfererParams, k: int, oracle, passband: bool):
+    """(label, closed form, reference) for every value a validate draw
+    compares: lambda on both branches, then in baseband the primitive
+    integrals."""
+    for branch in ("I", "Q"):
+        try:
+            reference = oracle(params, k, branch)
+        except ValueError as exc:  # the carrier multiple is out of range
+            raise ConfigError(str(exc)) from exc
+        yield branch, interference_contribution(params, k, branch), reference
+    if not passband:
+        for kind in RECT_KINDS:
+            for branch in ("I", "Q"):
+                yield (f"rect/{kind}/{branch}",
+                       rect_integral(kind, branch, params.tau, params.bits, k),
+                       rect_integral_quadrature(kind, branch, params.tau, params.bits, k))
 
 
 def cmd_validate(args) -> int:
@@ -148,27 +158,11 @@ def cmd_validate(args) -> int:
     worst_case = None
     for _ in range(args.draws):
         params, k = _random_params(rng)
-        for branch in ("I", "Q"):
-            closed = interference_contribution(params, k, branch)
-            try:
-                reference = oracle(params, k, branch)
-            except ValueError as exc:  # the carrier multiple is out of range
-                raise ConfigError(str(exc)) from exc
+        for label, closed, reference in _checks(params, k, oracle, args.passband):
             dev = abs(closed - reference) / (1.0 + abs(reference))
             if dev > worst:
-                worst, worst_case = dev, (branch, params.tau, params.phi_c,
+                worst, worst_case = dev, (label, params.tau, params.phi_c,
                                           params.amplitude, k)
-        if not args.passband:
-            for kind in RECT_KINDS:
-                for branch in ("I", "Q"):
-                    closed = rect_integral(kind, branch, params.tau, params.payload, k)
-                    reference = rect_integral_quadrature(kind, branch, params.tau,
-                                                         params.payload, k)
-                    dev = abs(closed - reference) / (1.0 + abs(reference))
-                    if dev > worst:
-                        worst, worst_case = dev, (f"rect/{kind}/{branch}",
-                                                  params.tau, params.phi_c,
-                                                  params.amplitude, k)
     mode = "passband" if args.passband else "baseband"
     print(f"validate ({mode}): {args.draws} draws, max scaled deviation {worst:.3e}")
     if worst > args.tolerance:

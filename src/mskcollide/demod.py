@@ -68,10 +68,8 @@ def interference_contribution(params: InterfererParams, k: int,
                               branch: str = "I") -> float:
     """Closed-form contribution of one interferer to soft bit k of a branch:
     a one-row evaluation of batch_interference."""
-    payload = params.payload
-    return float(batch_interference(payload.i_bits, payload.q_bits, params.amplitude,
-                                    params.tau, params.phi_c, branch, 1,
-                                    index_offset=-k)[0])
+    return float(batch_interference(params.bits, params.amplitude, params.tau,
+                                    params.phi_c, branch, 1, index_offset=-k)[0])
 
 
 def _shifted_pair(bits: np.ndarray, shift: int, num_bits: int):
@@ -139,22 +137,23 @@ def _combine(weights, main_prev, main_cur, leak_prev, leak_cur, phi_c):
     return direct
 
 
-def batch_interference(i_bits: np.ndarray, q_bits: np.ndarray, amplitude: float,
-                       tau: float, phi_c, branch: str, num_bits: int,
-                       index_offset: int = 0) -> np.ndarray:
+def batch_interference(bits: np.ndarray, amplitude: float, tau: float, phi_c,
+                       branch: str, num_bits: int, index_offset: int = 0) -> np.ndarray:
     """Contributions of one interferer for decision indices 0..num_bits-1.
 
-    i_bits/q_bits hold +-1 payload bits on the trailing axis with arbitrary
-    leading batch axes; phi_c broadcasts over (not beyond) those leading
-    axes. This evaluates the closed form bit by bit; the pattern tables
-    evaluate the same two steps (_branch_terms, then _combine) on every bit
-    pattern instead. interference_contribution is its one-row case.
+    bits holds +-1 payload bits in transmit order on the trailing axis, with
+    arbitrary leading batch axes; its even positions are the in-phase bits
+    and its odd positions the quadrature bits. phi_c broadcasts over (not
+    beyond) the leading axes. This evaluates the closed form bit by bit;
+    the pattern tables evaluate the same two steps (_branch_terms, then
+    _combine) on every bit pattern instead. interference_contribution is
+    its one-row case.
     index_offset is the interferer payload's first branch index relative
     to the first decision index (0 when both grids start at bit 0).
     """
     main_shift, leak_shift, weights = _branch_terms(amplitude, tau, branch)
-    main_bits = i_bits if branch == "I" else q_bits
-    leak_bits = q_bits if branch == "I" else i_bits
+    i_bits, q_bits = bits[..., 0::2], bits[..., 1::2]
+    main_bits, leak_bits = (i_bits, q_bits) if branch == "I" else (q_bits, i_bits)
     phi_c = np.asarray(phi_c, dtype=np.float64)[..., None]
     main_prev, main_cur = _shifted_pair(main_bits, main_shift + index_offset, num_bits)
     leak_prev, leak_cur = _shifted_pair(leak_bits, leak_shift + index_offset, num_bits)

@@ -366,7 +366,7 @@ def _pattern_gather(rows: int, n_chips: int, tau: float):
 
 
 def _compute_soft(soi_chips, interferer_chips, amplitudes, tau, phi,
-                  noise=None, soi_amplitude=1.0, out=None, gather=None):
+                  noise=None, out=None, gather=None):
     """Transmit-order soft values of a batch of packets (pure given the draws).
 
     soi_chips and each entry of interferer_chips are (packets, n_chips) +-1
@@ -384,7 +384,8 @@ def _compute_soft(soi_chips, interferer_chips, amplitudes, tau, phi,
     views. Both paths compute every value with the same expression in the
     same operation order, so they agree bit for bit.
     """
-    soft = np.multiply(soi_amplitude, soi_chips, dtype=np.float64, out=out)
+    soft = np.empty(soi_chips.shape) if out is None else out
+    np.copyto(soft, soi_chips)  # a copy: the input is never written
     if gather is None and len(interferer_chips):
         gather = _pattern_gather(len(soft), soft.shape[-1], tau)
     soft_i, soft_q = soft[..., 0::2], soft[..., 1::2]
@@ -394,9 +395,8 @@ def _compute_soft(soi_chips, interferer_chips, amplitudes, tau, phi,
         if gather is not None:
             soft += gather(chips, _pattern_table(amplitudes[idx], tau, phi_col))
             continue
-        beta_i, beta_q = chips[..., 0::2], chips[..., 1::2]
-        soft_i += batch_interference(beta_i, beta_q, amplitudes[idx], tau, phi_col, "I", n_i)
-        soft_q += batch_interference(beta_i, beta_q, amplitudes[idx], tau, phi_col, "Q", n_q)
+        soft_i += batch_interference(chips, amplitudes[idx], tau, phi_col, "I", n_i)
+        soft_q += batch_interference(chips, amplitudes[idx], tau, phi_col, "Q", n_q)
     if noise is not None:
         soft_i += noise[0]
         soft_q += noise[1]

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .demod import decompose_offset
-from .signal_model import InterfererParams, IqStream
+from .signal_model import InterfererParams
 
 _EDGE_EPS = 1e-12
 
@@ -87,14 +87,20 @@ def _integrate_pieces(coeff, bits_at, a: float, b: float, tau: float,
     return float(np.vdot(parts, table[:, 2:].T * table[:, 1]))
 
 
-def _bit_i_at(payload: IqStream, t: float, tau: float) -> int:
+def _bit(bits: np.ndarray, n: int) -> int:
+    """Payload bit at transmit position n: in-phase bit m sits at 2m and
+    quadrature bit m at 2m + 1. 0 (silence) outside the payload."""
+    return int(bits[n]) if 0 <= n < len(bits) else 0
+
+
+def _bit_i_at(bits: np.ndarray, t: float, tau: float) -> int:
     """In-phase pulse-train value at time t for a signal delayed by tau."""
-    return payload.i_bit(math.floor((t - tau + 1.0) / 2.0))
+    return _bit(bits, 2 * math.floor((t - tau + 1.0) / 2.0))
 
 
-def _bit_q_at(payload: IqStream, t: float, tau: float) -> int:
+def _bit_q_at(bits: np.ndarray, t: float, tau: float) -> int:
     """Quadrature pulse-train value at time t for a signal delayed by tau."""
-    return payload.q_bit(math.floor((t - tau) / 2.0))
+    return _bit(bits, 2 * math.floor((t - tau) / 2.0) + 1)
 
 
 def _interval(k: int, branch: str) -> tuple[float, float]:
@@ -130,8 +136,8 @@ def oracle_lambda_baseband(params: InterfererParams, k: int, branch: str = "I") 
                     amp * cos_c * (math.cos(phi_p) - np.cos(2 * w_p * t - phi_p)))
 
     def bits_at(t):
-        return (_bit_i_at(params.payload, t, params.tau),
-                _bit_q_at(params.payload, t, params.tau))
+        return (_bit_i_at(params.bits, t, params.tau),
+                _bit_q_at(params.bits, t, params.tau))
 
     return _integrate_pieces(coeff, bits_at, a, b, params.tau)
 
@@ -168,20 +174,21 @@ def oracle_lambda_passband(params: InterfererParams, k: int, branch: str = "I",
                 ph * np.sin(w_p * (t - tau)) * np.sin(w_c * t + phi_c))
 
     def bits_at(t):
-        return (_bit_i_at(params.payload, t, tau),
-                _bit_q_at(params.payload, t, tau))
+        return (_bit_i_at(params.bits, t, tau),
+                _bit_q_at(params.bits, t, tau))
 
     return _integrate_pieces(coeff, bits_at, a, b, tau, panels_per_bit=carrier_multiple)
 
 
-def rect_integral(f_kind: str, branch: str, tau: float, payload: IqStream,
+def rect_integral(f_kind: str, branch: str, tau: float, bits: np.ndarray,
                   k: int) -> float:
     """Closed form of the pulse-train primitive integrals over the in-phase
     decision interval of bit k.
 
     f_kind selects the smooth factor: "one", "cos2wp" (cos 2*w_p*t) or
     "sin2wp" (sin 2*w_p*t). branch "I" integrates the in-phase pulse train,
-    "Q" the quadrature train leaking into the same interval.
+    "Q" the quadrature train leaking into the same interval. bits is the
+    payload in transmit order.
     """
     if f_kind not in ("one", "cos2wp", "sin2wp"):
         raise ValueError(f"unknown f_kind {f_kind!r}")
@@ -190,9 +197,8 @@ def rect_integral(f_kind: str, branch: str, tau: float, payload: IqStream,
     two_t = 2.0
     w_p = math.pi / two_t
     dec = decompose_offset(tau, "active" if branch == "I" else "q_leak")
-    bit = payload.i_bit if branch == "I" else payload.q_bit
-    kk = k - dec.k_shift
-    prev, cur = bit(kk - 1), bit(kk)
+    n = 2 * (k - dec.k_shift) + (0 if branch == "I" else 1)
+    prev, cur = _bit(bits, n - 2), _bit(bits, n)
     phi_p = dec.phi_p
     if f_kind == "one":
         return dec.tau_rel * prev + (two_t - dec.tau_rel) * cur
@@ -206,7 +212,7 @@ def rect_integral(f_kind: str, branch: str, tau: float, payload: IqStream,
 
 
 def rect_integral_quadrature(f_kind: str, branch: str, tau: float,
-                             payload: IqStream, k: int) -> float:
+                             bits: np.ndarray, k: int) -> float:
     """Direct quadrature of the primitive integrals; numeric twin of
     rect_integral."""
     if f_kind not in ("one", "cos2wp", "sin2wp"):
@@ -222,6 +228,6 @@ def rect_integral_quadrature(f_kind: str, branch: str, tau: float,
         return (smooth(2.0 * w_p * t),)
 
     def bits_at(t):
-        return (bit_at(payload, t, tau),)
+        return (bit_at(bits, t, tau),)
 
     return _integrate_pieces(coeff, bits_at, a, b, tau)

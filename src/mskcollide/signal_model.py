@@ -1,12 +1,12 @@
-"""Payload draws, bit-to-branch multiplexing, and interferer descriptions.
+"""Payload draws and interferer descriptions.
 
-Bits are antipodal: +-1 inside a packet, 0 encodes silence outside it. The
-transmit stream alternates branches: position 2m carries in-phase bit m,
-position 2m+1 carries quadrature bit m (the quadrature pulse train is
-staggered by half a bit duration). `draw_payloads` draws whole batches of
-transmit-order payloads for the Monte Carlo engine; `IqStream` and
-`InterfererParams` describe one interferer, with its own time offset and
-phase, for the one-row closed form and the numerical oracle.
+Bits are antipodal: +-1 inside a packet, 0 encodes silence outside it. A
+payload is one array in transmit order, which alternates branches:
+position 2m carries in-phase bit m, position 2m+1 carries quadrature bit m
+(the quadrature pulse train is staggered by half a bit duration).
+`draw_payloads` draws whole batches of such payloads for the Monte Carlo
+engine; `InterfererParams` describes one interferer, with its own time
+offset and phase, for the one-row closed form and the numerical oracle.
 
 All types are immutable after construction; operations are pure given an
 explicit RNG.
@@ -24,73 +24,29 @@ from .chipseq import BIPOLAR_CHIP_TABLE, BITS_PER_SYMBOL
 TWO_PI = 2.0 * math.pi
 
 
-def _as_payload_bits(bits, what="bits"):
-    arr = np.asarray(bits)
-    if arr.ndim != 1:
-        raise ValueError(f"{what} must be one-dimensional")
-    if arr.size and not np.all(np.abs(arr) == 1):
-        raise ValueError(f"{what} must take values +1 or -1")
-    arr = arr.astype(np.int8)
-    arr.setflags(write=False)
-    return arr
-
-
-@dataclass(frozen=True)
-class IqStream:
-    """A packet's payload split into in-phase and quadrature bit sequences.
-
-    Branch bit index 0 is the first stored payload bit; indexing outside
-    the stored range yields 0 (silence), never an error.
-    """
-
-    i_bits: np.ndarray
-    q_bits: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "i_bits", _as_payload_bits(self.i_bits, "i_bits"))
-        object.__setattr__(self, "q_bits", _as_payload_bits(self.q_bits, "q_bits"))
-        if abs(len(self.i_bits) - len(self.q_bits)) > 1:
-            raise ValueError("i_bits and q_bits lengths may differ by at most 1")
-
-    def i_bit(self, k: int) -> int:
-        """In-phase bit at branch index k; 0 outside the payload span."""
-        if 0 <= k < len(self.i_bits):
-            return int(self.i_bits[k])
-        return 0
-
-    def q_bit(self, k: int) -> int:
-        """Quadrature bit at branch index k; 0 outside the payload span."""
-        if 0 <= k < len(self.q_bits):
-            return int(self.q_bits[k])
-        return 0
-
-
-def multiplex_bits(bits) -> IqStream:
-    """Split a +-1 bit sequence onto the two branches.
-
-    Even transmit positions (0, 2, 4, ...) become in-phase bits, odd
-    positions quadrature bits.
-    """
-    arr = _as_payload_bits(bits, "payload")
-    if arr.size == 0:
-        raise ValueError("empty payload")
-    return IqStream(i_bits=arr[0::2], q_bits=arr[1::2])
-
-
 @dataclass(frozen=True)
 class InterfererParams:
     """One interfering sender: linear amplitude, time offset tau (in units
     of T, positive arrives later), carrier phase offset (normalized into [0, 2pi)),
-    and its payload."""
+    and its payload bits in transmit order (even positions in-phase, odd
+    quadrature), stored as read-only int8."""
 
     amplitude: float
     tau: float
     phi_c: float
-    payload: IqStream
+    bits: np.ndarray
 
     def __post_init__(self):
         if not self.amplitude > 0:
             raise ValueError("amplitude must be positive")
+        bits = np.asarray(self.bits)
+        if bits.ndim != 1 or bits.size == 0:
+            raise ValueError("bits must be one-dimensional and non-empty")
+        if not np.all(np.abs(bits) == 1):
+            raise ValueError("bits must take values +1 or -1")
+        bits = bits.astype(np.int8)
+        bits.setflags(write=False)
+        object.__setattr__(self, "bits", bits)
         object.__setattr__(self, "phi_c", float(self.phi_c) % TWO_PI)
         object.__setattr__(self, "tau", float(self.tau))
         object.__setattr__(self, "amplitude", float(self.amplitude))

@@ -16,10 +16,9 @@ import pytest
 
 from mskcollide import (BIPOLAR_CHIP_TABLE, InterfererParams, PRESETS,
                         ZONE_PRESETS, capture_zone, decide,
-                        interference_contribution, multiplex_bits,
-                        n_interferer_experiment, oracle_lambda_baseband,
-                        rect_integral, rect_integral_quadrature, run_point,
-                        sweep)
+                        interference_contribution, n_interferer_experiment,
+                        oracle_lambda_baseband, rect_integral,
+                        rect_integral_quadrature, run_point, sweep)
 from mskcollide.cli import main as cli_main
 from mskcollide.montecarlo import threshold_extract
 
@@ -37,7 +36,7 @@ def _random_interferer(rng, n_bits_half=8):
         amplitude=float(10.0 ** rng.uniform(-2, 2)),
         tau=float(rng.uniform(-4.0, 4.0)),
         phi_c=float(rng.uniform(0.0, 2 * math.pi)),
-        payload=multiplex_bits(bits),
+        bits=bits,
     )
 
 
@@ -72,8 +71,8 @@ def test_criterion_01_oracle_equivalence():
                                abs(closed - ref) / (1.0 + abs(ref)))
         for kind in RECT_KINDS:
             for branch in ("I", "Q"):
-                closed = rect_integral(kind, branch, u.tau, u.payload, k)
-                ref = rect_integral_quadrature(kind, branch, u.tau, u.payload, k)
+                closed = rect_integral(kind, branch, u.tau, u.bits, k)
+                ref = rect_integral_quadrature(kind, branch, u.tau, u.bits, k)
                 worst_rect = max(worst_rect,
                                  abs(closed - ref) / (1.0 + abs(ref)))
     elapsed = time.perf_counter() - started
@@ -87,21 +86,24 @@ def test_criterion_01_oracle_equivalence():
 
 
 def test_criterion_02_reduction_identities():
+    def bit(u, branch, m):
+        # bit m of one branch in transmit order; 0 (silence) outside the payload
+        n = 2 * m + (0 if branch == "I" else 1)
+        return int(u.bits[n]) if 0 <= n < len(u.bits) else 0
+
     def phase_only(u, k):
-        p = u.payload
-        return u.amplitude * (math.cos(u.phi_c) * p.i_bit(k)
+        return u.amplitude * (math.cos(u.phi_c) * bit(u, "I", k)
                               - math.sin(u.phi_c) / math.pi
-                              * (p.q_bit(k - 1) - p.q_bit(k)))
+                              * (bit(u, "Q", k - 1) - bit(u, "Q", k)))
 
     def time_only(u, k):
         shift = math.floor(u.tau / 2.0)
         tau_rel = u.tau - 2.0 * shift
-        kp = k - shift
-        p = u.payload
+        prev, cur = bit(u, "I", k - shift - 1), bit(u, "I", k - shift)
         phi_p = math.pi * u.tau / 2.0
         return u.amplitude / 2.0 * (
-            math.cos(phi_p) * (tau_rel * p.i_bit(kp - 1) + (2.0 - tau_rel) * p.i_bit(kp))
-            - 2.0 / math.pi * math.sin(phi_p) * (p.i_bit(kp - 1) - p.i_bit(kp)))
+            math.cos(phi_p) * (tau_rel * prev + (2.0 - tau_rel) * cur)
+            - 2.0 / math.pi * math.sin(phi_p) * (prev - cur))
 
     rng = np.random.default_rng(20140902)
     worst = 0.0
@@ -109,10 +111,10 @@ def test_criterion_02_reduction_identities():
         u = _random_interferer(rng)
         k = int(rng.integers(0, 8))
         startpoints = (
-            (InterfererParams(u.amplitude, 0.0, u.phi_c, u.payload), phase_only),
-            (InterfererParams(u.amplitude, u.tau, 0.0, u.payload), time_only),
-            (InterfererParams(u.amplitude, 0.0, 0.0, u.payload),
-             lambda v, kk: v.amplitude * v.payload.i_bit(kk)),
+            (InterfererParams(u.amplitude, 0.0, u.phi_c, u.bits), phase_only),
+            (InterfererParams(u.amplitude, u.tau, 0.0, u.bits), time_only),
+            (InterfererParams(u.amplitude, 0.0, 0.0, u.bits),
+             lambda v, kk: v.amplitude * bit(v, "I", kk)),
         )
         for v, reference in startpoints:
             got = interference_contribution(v, k, "I")

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from mskcollide import (InterfererParams, batch_interference,
-                        interference_contribution, multiplex_bits)
+                        interference_contribution, oracle_lambda_baseband,
+                        rect_integral, rect_integral_quadrature)
 from mskcollide import montecarlo
 from mskcollide.demod import _branch_terms, _shifted_pair, decompose_offset
 from mskcollide.montecarlo import _compute_soft
@@ -16,8 +17,7 @@ TWO_OVER_PI = 2.0 / math.pi
 
 
 def _interferer(bits, amplitude=1.0, tau=0.0, phi_c=0.0):
-    return InterfererParams(amplitude=amplitude, tau=tau, phi_c=phi_c,
-                            payload=multiplex_bits(bits))
+    return InterfererParams(amplitude=amplitude, tau=tau, phi_c=phi_c, bits=bits)
 
 
 def _random_interferer(rng, n_bits=16, tau_span=4.0):
@@ -26,8 +26,14 @@ def _random_interferer(rng, n_bits=16, tau_span=4.0):
         amplitude=float(10.0 ** rng.uniform(-2, 2)),
         tau=float(rng.uniform(-tau_span, tau_span)),
         phi_c=float(rng.uniform(0.0, 2 * math.pi)),
-        payload=multiplex_bits(bits),
+        bits=bits,
     )
+
+
+def _bit(u, branch, m):
+    """Bit m of one branch of u's payload; 0 (silence) outside it."""
+    n = 2 * m + (0 if branch == "I" else 1)
+    return int(u.bits[n]) if 0 <= n < len(u.bits) else 0
 
 
 class TestDecomposeOffset:
@@ -137,27 +143,25 @@ class TestReductions:
 
     @staticmethod
     def _phase_only(u, k):
-        p = u.payload
-        return u.amplitude * (math.cos(u.phi_c) * p.i_bit(k)
+        return u.amplitude * (math.cos(u.phi_c) * _bit(u, "I", k)
                               - math.sin(u.phi_c) / math.pi
-                              * (p.q_bit(k - 1) - p.q_bit(k)))
+                              * (_bit(u, "Q", k - 1) - _bit(u, "Q", k)))
 
     @staticmethod
     def _time_only(u, k):
         shift = math.floor(u.tau / 2)
         tau_rel = u.tau - 2 * shift
-        kp = k - shift
-        p = u.payload
+        prev, cur = _bit(u, "I", k - shift - 1), _bit(u, "I", k - shift)
         phi_p = math.pi * u.tau / 2
         return u.amplitude / 2 * (
-            math.cos(phi_p) * (tau_rel * p.i_bit(kp - 1) + (2 - tau_rel) * p.i_bit(kp))
-            - (2 / math.pi) * math.sin(phi_p) * (p.i_bit(kp - 1) - p.i_bit(kp)))
+            math.cos(phi_p) * (tau_rel * prev + (2 - tau_rel) * cur)
+            - (2 / math.pi) * math.sin(phi_p) * (prev - cur))
 
     def test_reduces_to_phase_only_form(self):
         rng = np.random.default_rng(10)
         for _ in range(400):
             u = _random_interferer(rng)
-            u = InterfererParams(u.amplitude, 0.0, u.phi_c, u.payload)
+            u = InterfererParams(u.amplitude, 0.0, u.phi_c, u.bits)
             k = int(rng.integers(0, 8))
             got = interference_contribution(u, k, "I")
             want = self._phase_only(u, k)
@@ -167,7 +171,7 @@ class TestReductions:
         rng = np.random.default_rng(11)
         for _ in range(400):
             u = _random_interferer(rng)
-            u = InterfererParams(u.amplitude, u.tau, 0.0, u.payload)
+            u = InterfererParams(u.amplitude, u.tau, 0.0, u.bits)
             k = int(rng.integers(0, 8))
             got = interference_contribution(u, k, "I")
             want = self._time_only(u, k)
@@ -177,10 +181,10 @@ class TestReductions:
         rng = np.random.default_rng(12)
         for _ in range(100):
             u = _random_interferer(rng)
-            u = InterfererParams(u.amplitude, 0.0, 0.0, u.payload)
+            u = InterfererParams(u.amplitude, 0.0, 0.0, u.bits)
             k = int(rng.integers(0, 8))
             got = interference_contribution(u, k, "I")
-            want = u.amplitude * u.payload.i_bit(k)
+            want = u.amplitude * _bit(u, "I", k)
             assert got == pytest.approx(want, abs=1e-13 * (1 + abs(want)))
 
 
@@ -191,8 +195,8 @@ class TestProperties:
         for _ in range(100):
             tau = float(rng.uniform(-8, 8))
             phi = float(rng.uniform(0, 2 * math.pi))
-            a = InterfererParams(1.0, tau, phi, multiplex_bits(bits))
-            b = InterfererParams(1.0, tau + 4.0, phi, multiplex_bits(bits))
+            a = InterfererParams(1.0, tau, phi, bits)
+            b = InterfererParams(1.0, tau + 4.0, phi, bits)
             # k in the payload middle so both offsets stay inside the span
             va = interference_contribution(a, 16, "I")
             vb = interference_contribution(b, 18, "I")
@@ -212,12 +216,9 @@ class TestProperties:
         rng = np.random.default_rng(16)
         for _ in range(60):
             u = _random_interferer(rng, n_bits=20)
-            n_i = len(u.payload.i_bits)
-            n_q = len(u.payload.q_bits)
-            for branch, n in (("I", n_i), ("Q", n_q)):
-                vec = batch_interference(u.payload.i_bits, u.payload.q_bits,
-                                         u.amplitude, u.tau, u.phi_c, branch, n)
-                for k in range(n):
+            for branch in ("I", "Q"):
+                vec = batch_interference(u.bits, u.amplitude, u.tau, u.phi_c, branch, 10)
+                for k in range(10):
                     want = interference_contribution(u, k, branch)
                     assert vec[k] == pytest.approx(want, abs=1e-12 * (1 + abs(want)))
 
@@ -226,13 +227,32 @@ class TestProperties:
         # same payload starting at 0 gives decision k - 3
         rng = np.random.default_rng(17)
         bits = rng.integers(0, 2, size=16) * 2 - 1
-        stream = multiplex_bits(bits)
-        u = InterfererParams(1.3, 0.7, 2.1, stream)
-        vec = batch_interference(stream.i_bits, stream.q_bits, u.amplitude,
-                                 u.tau, u.phi_c, "I", 8, index_offset=3)
+        u = InterfererParams(1.3, 0.7, 2.1, bits)
+        vec = batch_interference(u.bits, u.amplitude, u.tau, u.phi_c, "I", 8,
+                                 index_offset=3)
         for k in range(8):
             assert vec[k] == pytest.approx(interference_contribution(u, k - 3, "I"),
                                            abs=1e-12)
+
+    def test_odd_length_payload(self):
+        # 4 in-phase and 3 quadrature bits: every evaluator agrees at the
+        # last bits of each branch and gives 0 beyond the payload, which at
+        # tau = 0.6 starts two decisions after a branch's last bit
+        u = _interferer([1, -1, -1, 1, 1, -1, 1], amplitude=1.7, tau=0.6, phi_c=1.1)
+        for branch, last in (("I", 3), ("Q", 2)):
+            row = batch_interference(u.bits, u.amplitude, u.tau, u.phi_c, branch, last + 4)
+            for k in range(last, last + 4):
+                closed = interference_contribution(u, k, branch)
+                assert row[k] == closed
+                ref = oracle_lambda_baseband(u, k, branch)
+                assert closed == pytest.approx(ref, abs=1e-12 * (1 + abs(ref)))
+                rect = rect_integral("one", branch, u.tau, u.bits, k)
+                quad = rect_integral_quadrature("one", branch, u.tau, u.bits, k)
+                assert rect == pytest.approx(quad, abs=1e-12)
+                if k >= last + 2:
+                    assert closed == ref == rect == 0.0
+                else:
+                    assert closed != 0.0
 
 
 def _bits(rng, shape, dtype=np.int8):
@@ -280,8 +300,7 @@ class TestSoftBit:
             np.random.default_rng(19), packets, n_chips)
         soft = _compute_soft(soi, chips, amplitudes, tau, phi)
         for p in range(packets):
-            interferers = [InterfererParams(amplitudes[idx], tau, phi[p, idx],
-                                            multiplex_bits(chips[idx][p]))
+            interferers = [InterfererParams(amplitudes[idx], tau, phi[p, idx], chips[idx][p])
                            for idx in range(2)]
             for j in range(n_chips):
                 branch, k = "IQ"[j % 2], j // 2
@@ -292,9 +311,9 @@ class TestSoftBit:
 
 def _expression_form(i_bits, q_bits, amplitude, tau, phi_c, branch, num_bits,
                      index_offset=0):
-    """The closed form as one expression, with the kernel's coefficients and
-    operation order: the reference the in-place kernel must match bit for
-    bit."""
+    """The closed form as one expression on the two branches' bits, with the
+    kernel's coefficients and operation order: the reference the in-place
+    kernel must match bit for bit."""
     main_dec = decompose_offset(tau, "active")
     leak_dec = decompose_offset(tau, "q_leak" if branch == "I" else "i_leak")
     main_bits = i_bits if branch == "I" else q_bits
@@ -333,20 +352,22 @@ class TestBitIdentity:
         rng = np.random.default_rng(80)
         for dtype, index_offset in ((np.int8, 0), (np.float64, 0),
                                     (np.int8, 3), (np.float64, -2)):
-            i_bits, q_bits = _bits(rng, 12, dtype), _bits(rng, 11, dtype)
-            args = (i_bits, q_bits, 2.3, tau, 1.1, branch, 12, index_offset)
-            _assert_bit_identical(batch_interference(*args), _expression_form(*args))
+            bits = _bits(rng, 23, dtype)
+            args = (2.3, tau, 1.1, branch, 12, index_offset)
+            _assert_bit_identical(batch_interference(bits, *args),
+                                  _expression_form(bits[0::2], bits[1::2], *args))
 
     @pytest.mark.parametrize("tau", TAUS)
     @pytest.mark.parametrize("branch", ["I", "Q"])
     def test_packet_batch(self, tau, branch):
         rng = np.random.default_rng(81)
-        i_bits, q_bits = _bits(rng, (7, 64)), _bits(rng, (7, 64))
+        bits = _bits(rng, (7, 128))
         per_packet = rng.uniform(0.0, 2 * math.pi, size=7)
         for phi_c, index_offset in ((0.7, 0), (per_packet, 0), (per_packet, 5),
                                     (per_packet, -1)):
-            args = (i_bits, q_bits, 0.37, tau, phi_c, branch, 64, index_offset)
-            _assert_bit_identical(batch_interference(*args), _expression_form(*args))
+            args = (0.37, tau, phi_c, branch, 64, index_offset)
+            _assert_bit_identical(batch_interference(bits, *args),
+                                  _expression_form(bits[:, 0::2], bits[:, 1::2], *args))
 
     def test_compute_soft_two_interferers_with_noise(self):
         rng = np.random.default_rng(82)
@@ -444,7 +465,7 @@ class TestPatternTables:
         kernel = montecarlo.batch_interference
 
         def counting(*args, **kwargs):
-            calls.append(args[5])
+            calls.append(args[4])
             return kernel(*args, **kwargs)
 
         monkeypatch.setattr(montecarlo, "batch_interference", counting)

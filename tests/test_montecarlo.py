@@ -16,8 +16,7 @@ import pytest
 from mskcollide import (BIPOLAR_CHIP_TABLE, ConfigError, ExperimentConfig,
                         InterfererParams, MetricPoint, capture_zone, decide,
                         grid, interference_contribution, montecarlo,
-                        multiplex_bits, n_interferer_experiment, run_point,
-                        sweep)
+                        n_interferer_experiment, run_point, sweep)
 from mskcollide.montecarlo import (MAX_GRID_POINTS, MAX_POINT_VALUES, _compute_soft,
                                    _point_amplitudes, _point_rng, _prr_stats,
                                    _simulate_batch, split_amplitudes,
@@ -164,7 +163,7 @@ class TestEngineMatchesLibraryPath:
         amp, tau = 3.7, -0.43
         soft = _compute_soft(chips, [beta], (amp,), tau, phi)
         for p in range(packets):
-            u = InterfererParams(amp, tau, float(phi[p, 0]), multiplex_bits(beta[p]))
+            u = InterfererParams(amp, tau, float(phi[p, 0]), beta[p])
             for j in range(n_bits):
                 want = chips[p, j] + interference_contribution(u, j // 2, "IQ"[j % 2])
                 assert soft[p, j] == pytest.approx(want, abs=1e-12)

@@ -7,10 +7,9 @@ from functools import partial
 import numpy as np
 import pytest
 
-from mskcollide import (InterfererParams, interference_contribution,
-                        multiplex_bits, oracle, oracle_lambda_baseband,
-                        oracle_lambda_passband, rect_integral,
-                        rect_integral_quadrature)
+from mskcollide import (InterfererParams, interference_contribution, oracle,
+                        oracle_lambda_baseband, oracle_lambda_passband,
+                        rect_integral, rect_integral_quadrature)
 
 RECT_KINDS = ("one", "cos2wp", "sin2wp")
 
@@ -21,23 +20,23 @@ def _random_interferer(rng, n_bits=16):
         amplitude=float(10.0 ** rng.uniform(-1, 1)),
         tau=float(rng.uniform(-4.0, 4.0)),
         phi_c=float(rng.uniform(0.0, 2 * math.pi)),
-        payload=multiplex_bits(bits),
+        bits=bits,
     )
 
 
 class TestRectClosedForms:
     def test_one_synchronized(self):
-        payload = multiplex_bits([+1, +1, +1, +1])
-        assert rect_integral("one", "I", 0.0, payload, 0) == pytest.approx(2.0)
+        bits = np.array([+1, +1, +1, +1])
+        assert rect_integral("one", "I", 0.0, bits, 0) == pytest.approx(2.0)
 
     def test_cos_term_vanishes_at_zero_offset(self):
-        payload = multiplex_bits([+1, -1, -1, +1])
-        assert rect_integral("cos2wp", "I", 0.0, payload, 0) == pytest.approx(0.0, abs=1e-15)
+        bits = np.array([+1, -1, -1, +1])
+        assert rect_integral("cos2wp", "I", 0.0, bits, 0) == pytest.approx(0.0, abs=1e-15)
 
     def test_sin_term_half_bit(self):
         # i bits (k-1, k) = (+1, -1); tau = T/2 makes 2*phi_p = pi/2
-        payload = multiplex_bits([+1, +1, -1, -1])
-        got = rect_integral("sin2wp", "I", 0.5, payload, 1)
+        bits = np.array([+1, +1, -1, -1])
+        got = rect_integral("sin2wp", "I", 0.5, bits, 1)
         assert got == pytest.approx(-2.0 / math.pi, abs=1e-12)
 
     @pytest.mark.parametrize("kind", RECT_KINDS)
@@ -47,14 +46,14 @@ class TestRectClosedForms:
         for _ in range(150):
             u = _random_interferer(rng)
             k = int(rng.integers(0, 8))
-            closed = rect_integral(kind, branch, u.tau, u.payload, k)
-            quad = rect_integral_quadrature(kind, branch, u.tau, u.payload, k)
+            closed = rect_integral(kind, branch, u.tau, u.bits, k)
+            quad = rect_integral_quadrature(kind, branch, u.tau, u.bits, k)
             assert closed == pytest.approx(quad, abs=1e-9 * (1 + abs(quad)))
 
     def test_rejects_unknown_kind(self):
-        payload = multiplex_bits([1, -1])
+        bits = np.array([1, -1])
         with pytest.raises(ValueError):
-            rect_integral("tan2wp", "I", 0.0, payload, 0)
+            rect_integral("tan2wp", "I", 0.0, bits, 0)
 
 
 class TestReassembly:
@@ -66,12 +65,12 @@ class TestReassembly:
             u = _random_interferer(rng)
             k = int(rng.integers(0, 8))
             phi_p = math.pi * u.tau / 2.0
-            x1 = (math.cos(phi_p) * rect_integral("one", "I", u.tau, u.payload, k)
-                  + math.cos(phi_p) * rect_integral("cos2wp", "I", u.tau, u.payload, k)
-                  + math.sin(phi_p) * rect_integral("sin2wp", "I", u.tau, u.payload, k))
-            x2 = -(math.sin(phi_p) * rect_integral("one", "Q", u.tau, u.payload, k)
-                   + math.sin(phi_p) * rect_integral("cos2wp", "Q", u.tau, u.payload, k)
-                   - math.cos(phi_p) * rect_integral("sin2wp", "Q", u.tau, u.payload, k))
+            x1 = (math.cos(phi_p) * rect_integral("one", "I", u.tau, u.bits, k)
+                  + math.cos(phi_p) * rect_integral("cos2wp", "I", u.tau, u.bits, k)
+                  + math.sin(phi_p) * rect_integral("sin2wp", "I", u.tau, u.bits, k))
+            x2 = -(math.sin(phi_p) * rect_integral("one", "Q", u.tau, u.bits, k)
+                   + math.sin(phi_p) * rect_integral("cos2wp", "Q", u.tau, u.bits, k)
+                   - math.cos(phi_p) * rect_integral("sin2wp", "Q", u.tau, u.bits, k))
             rebuilt = u.amplitude / 2.0 * (math.cos(u.phi_c) * x1 + math.sin(u.phi_c) * x2)
             direct = interference_contribution(u, k, "I")
             assert rebuilt == pytest.approx(direct, abs=1e-12 * (1 + abs(direct)))
@@ -79,12 +78,12 @@ class TestReassembly:
 
 class TestBasebandOracle:
     def test_synchronized_unit(self):
-        u = InterfererParams(1.0, 0.0, 0.0, multiplex_bits([+1, +1, +1, +1]))
+        u = InterfererParams(1.0, 0.0, 0.0, [+1, +1, +1, +1])
         got = oracle_lambda_baseband(u, 0, "I")
         assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_half_bit_transition_value(self):
-        u = InterfererParams(1.0, 1.0, 0.0, multiplex_bits([+1, +1, -1, -1]))
+        u = InterfererParams(1.0, 1.0, 0.0, [+1, +1, -1, -1])
         got = oracle_lambda_baseband(u, 1, "I")
         assert got == pytest.approx(-2.0 / math.pi, abs=1e-9)
 
@@ -99,7 +98,7 @@ class TestBasebandOracle:
             assert closed == pytest.approx(ref, abs=1e-9 * (1 + abs(ref)))
 
     def test_specific_mixed_offsets_case(self):
-        u = InterfererParams(1.0, 0.37, 1.1, multiplex_bits([1, -1, -1, 1, 1, 1, -1, 1]))
+        u = InterfererParams(1.0, 0.37, 1.1, [1, -1, -1, 1, 1, 1, -1, 1])
         for branch in ("I", "Q"):
             closed = interference_contribution(u, 2, branch)
             ref = oracle_lambda_baseband(u, 2, branch)
@@ -107,7 +106,7 @@ class TestBasebandOracle:
 
 class TestPassbandOracle:
     def test_synchronized_unit_within_residue(self):
-        u = InterfererParams(1.0, 0.0, 0.0, multiplex_bits([+1, +1, +1, +1]))
+        u = InterfererParams(1.0, 0.0, 0.0, [+1, +1, +1, +1])
         got = oracle_lambda_passband(u, 0, "I")
         assert got == pytest.approx(1.0, abs=1e-2)
 
@@ -135,7 +134,7 @@ class TestPassbandOracle:
         assert np.mean(devs[128]) < np.mean(devs[64])
 
     def test_carrier_multiple_bounds(self):
-        u = InterfererParams(1.0, 0.3, 0.2, multiplex_bits([+1, -1, +1, +1]))
+        u = InterfererParams(1.0, 0.3, 0.2, [+1, -1, +1, +1])
         for mult in (7, oracle.MAX_CARRIER_MULTIPLE + 1):
             with pytest.raises(ValueError):
                 oracle_lambda_passband(u, 0, "I", mult)
@@ -154,7 +153,7 @@ def test_shipped_panels_have_converged(monkeypatch):
         for u, k in draws:
             for branch in ("I", "Q"):
                 out["baseband"].append(oracle_lambda_baseband(u, k, branch))
-                out["rect"] += [rect_integral_quadrature(kind, branch, u.tau, u.payload, k)
+                out["rect"] += [rect_integral_quadrature(kind, branch, u.tau, u.bits, k)
                                 for kind in RECT_KINDS]
             for mult in (8, 256, 1024):
                 out["passband"].append(oracle_lambda_passband(u, k, "I", mult))
@@ -197,7 +196,7 @@ def _oracle_calls(draws):
         for branch in ("I", "Q"):
             yield partial(oracle_lambda_baseband, u, k, branch)
             for kind in RECT_KINDS:
-                yield partial(rect_integral_quadrature, kind, branch, u.tau, u.payload, k)
+                yield partial(rect_integral_quadrature, kind, branch, u.tau, u.bits, k)
             for mult in (8, 64):
                 yield partial(oracle_lambda_passband, u, k, branch, mult)
 
@@ -207,7 +206,7 @@ def _draws_with_two_and_three_pieces():
     draws = [(_random_interferer(rng, n_bits=12), int(rng.integers(0, 6)))
              for _ in range(12)]
     u = _random_interferer(rng, n_bits=12)
-    aligned = InterfererParams(u.amplitude, 1.0, u.phi_c, u.payload)
+    aligned = InterfererParams(u.amplitude, 1.0, u.phi_c, u.bits)
     return draws + [(aligned, 2)]
 
 
@@ -253,7 +252,7 @@ def test_one_coeff_call_per_integration(monkeypatch):
         call()
     assert all(panels == pieces for ppb, pieces, panels in shapes if ppb == 1)
     # (1, 3) at tau = 0.3 has pieces of 0.15, 0.5 and 0.35 of the bit.
-    u = InterfererParams(1.0, 0.3, 0.2, multiplex_bits([1, -1, 1, 1, -1, 1]))
+    u = InterfererParams(1.0, 0.3, 0.2, [1, -1, 1, 1, -1, 1])
     shapes.clear()
     oracle_lambda_baseband(u, 1, "I")
     oracle_lambda_passband(u, 1, "I", 8)

@@ -241,8 +241,9 @@ class TestDecodePacket:
         phi = np.full((20, 1), 1.2)
         base = decide(_compute_soft(soi, [interferer], (2.0,), 0.31, phi), "sdd")
         for scale in (0.01, 1.0, 7.3):
-            soft = _compute_soft(soi, [interferer], (2.0 * scale,), 0.31, phi,
-                                 soi_amplitude=scale)
+            scaled = scale * soi
+            soft = _compute_soft(scaled, [interferer], (2.0 * scale,), 0.31, phi)
+            assert np.array_equal(scaled, scale * soi)  # the input is not written
             sliced, symbols, _ = decide(soft, "sdd")
             assert np.array_equal(symbols, base[1])
             assert np.array_equal(sliced, base[0])

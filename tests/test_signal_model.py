@@ -1,4 +1,4 @@
-"""Multiplexing, payload streams, interferer descriptions and payload draws."""
+"""Transmit-order payloads, interferer descriptions and payload draws."""
 
 import math
 from dataclasses import replace
@@ -7,73 +7,82 @@ import numpy as np
 import pytest
 
 from mskcollide import (BIPOLAR_CHIP_TABLE, ConfigError, ExperimentConfig,
-                        InterfererParams, IqStream, interference_contribution,
-                        multiplex_bits)
+                        InterfererParams, batch_interference,
+                        interference_contribution)
 from mskcollide.montecarlo import _point_amplitudes
 from mskcollide.signal_model import draw_payloads
 
 
+def _unit(bits):
+    return InterfererParams(1.0, 0.0, 0.0, bits)
+
+
 def test_multiplex_even_odd_split():
-    s = multiplex_bits([+1, +1, +1, -1])
-    assert list(s.i_bits) == [1, 1]
-    assert list(s.q_bits) == [1, -1]
+    # at zero offsets a unit interferer's branches read back its even
+    # (in-phase) and odd (quadrature) transmit positions
+    u = _unit([+1, +1, +1, -1])
+    assert batch_interference(u.bits, 1.0, 0.0, 0.0, "I", 2).tolist() == [1, 1]
+    assert batch_interference(u.bits, 1.0, 0.0, 0.0, "Q", 2).tolist() == [1, -1]
 
 
 def test_multiplex_single_bit():
-    s = multiplex_bits([+1])
-    assert list(s.i_bits) == [1]
-    assert len(s.q_bits) == 0
+    u = _unit([+1])
+    assert interference_contribution(u, 0, "I") == 1.0
+    assert interference_contribution(u, 0, "Q") == 0.0
 
 
 def test_multiplex_empty_payload_rejected():
-    with pytest.raises(ValueError, match="empty payload"):
-        multiplex_bits([])
+    with pytest.raises(ValueError, match="non-empty"):
+        _unit([])
 
 
 def test_multiplex_demultiplex_round_trip():
     # a unit interferer at zero offsets contributes exactly its bits, so the
-    # one-row closed form reads the multiplexed stream back in transmit order
+    # one-row closed form reads the payload back in transmit order
     rng = np.random.default_rng(42)
     bits = rng.integers(0, 2, size=64) * 2 - 1
-    u = InterfererParams(1.0, 0.0, 0.0, multiplex_bits(bits))
+    u = _unit(bits)
     back = [interference_contribution(u, j // 2, "IQ"[j % 2]) for j in range(64)]
     assert back == bits.tolist()
 
 
 def test_non_antipodal_bits_rejected():
     with pytest.raises(ValueError):
-        multiplex_bits([1, 0, -1])
+        _unit([1, 0, -1])
     with pytest.raises(ValueError):
-        multiplex_bits([2, 1])
+        _unit([2, 1])
+
+
+def test_two_dimensional_bits_rejected():
+    with pytest.raises(ValueError, match="one-dimensional"):
+        _unit([[1, -1], [1, 1]])
 
 
 def test_stream_silence_outside_span():
-    s = multiplex_bits([1, -1, 1, -1])
-    assert s.i_bit(-1) == 0
-    assert s.i_bit(2) == 0
-    assert s.q_bit(5) == 0
-    assert s.i_bit(0) == 1
-    assert s.q_bit(1) == -1
-
-
-def test_stream_length_mismatch_rejected():
-    with pytest.raises(ValueError):
-        IqStream(i_bits=[1, 1, 1], q_bits=[1])
+    u = _unit([1, -1, 1, -1])
+    assert interference_contribution(u, -1, "I") == 0.0
+    assert interference_contribution(u, 2, "I") == 0.0
+    assert interference_contribution(u, 5, "Q") == 0.0
+    assert interference_contribution(u, 0, "I") == 1.0
+    assert interference_contribution(u, 1, "Q") == -1.0
 
 
 def test_stream_is_immutable():
-    s = multiplex_bits([1, -1, 1, -1])
+    bits = np.array([1, -1, 1, -1])
+    u = _unit(bits)
+    assert u.bits.dtype == np.int8 and not u.bits.flags.writeable
     with pytest.raises(ValueError):
-        s.i_bits[0] = -1
+        u.bits[0] = -1
+    bits[0] = -1  # the caller's array is copied, not shared
+    assert u.bits[0] == 1
 
 
 def test_interferer_params_normalize_phase():
-    payload = multiplex_bits([1, -1])
-    u = InterfererParams(amplitude=2.0, tau=0.5, phi_c=-math.pi, payload=payload)
+    u = InterfererParams(amplitude=2.0, tau=0.5, phi_c=-math.pi, bits=[1, -1])
     assert 0.0 <= u.phi_c < 2 * math.pi
     assert u.phi_c == pytest.approx(math.pi)
     with pytest.raises(ValueError):
-        InterfererParams(amplitude=0.0, tau=0.0, phi_c=0.0, payload=payload)
+        InterfererParams(amplitude=0.0, tau=0.0, phi_c=0.0, bits=[1, -1])
 
 
 def test_scenario_sir():
