@@ -11,10 +11,13 @@ synchronized unit-amplitude signal contributes exactly its bit value.
 The quadrature branch obeys the same expression with the branch roles
 exchanged: its own bits enter with the plain offset decomposition and the
 in-phase bits leak with the offset shifted by -T (the in-phase pulse grid
-leads the quadrature grid by half a bit). The sign conventions used here
-are pinned by the numerical oracle (see the oracle module and its tests).
-Times are in units of T, half a bit duration: the closed form depends on
-the offset only through tau / T, so T = 1 throughout.
+leads the quadrature grid by half a bit). That is the in-phase branch's
+leak offset tau + T moved back by one bit (2T), so both branches take it
+from one decomposition and share all four weights, differing only in
+index shifts. The sign conventions used here are pinned by the numerical
+oracle (see the oracle module and its tests). Times are in units of T,
+half a bit duration: the closed form depends on the offset only through
+tau / T, so T = 1 throughout.
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ from .signal_model import InterfererParams
 
 #: Extra pulse-grid shift applied before decomposing, in units of T.
 #: "active" decomposes tau itself (bits of the branch being detected),
-#: "q_leak" quadrature bits leaking into in-phase detection (tau + T),
-#: "i_leak" in-phase bits leaking into quadrature detection (tau - T).
-VARIANT_SHIFTS = {"active": 0.0, "q_leak": 1.0, "i_leak": -1.0}
+#: "q_leak" quadrature bits leaking into in-phase detection (tau + T);
+#: in-phase bits leak into quadrature detection one bit later on that grid.
+VARIANT_SHIFTS = {"active": 0.0, "q_leak": 1.0}
 
 
 @dataclass(frozen=True)
@@ -86,11 +89,12 @@ def _shifted_pair(bits: np.ndarray, shift: int, num_bits: int):
 def _branch_terms(amplitude: float, tau: float, branch: str):
     """The phase-free part of the closed form for one branch: the index
     shifts of its main and leaking bits and the four scalar weights of
-    (main prev, main cur, leak prev, leak cur)."""
+    (main prev, main cur, leak prev, leak cur). The weights are the same
+    for both branches; the quadrature leak shift is one less."""
     if branch not in ("I", "Q"):
         raise ValueError("branch must be 'I' or 'Q'")
     main_dec = decompose_offset(tau, "active")
-    leak_dec = decompose_offset(tau, "q_leak" if branch == "I" else "i_leak")
+    leak_dec = decompose_offset(tau, "q_leak")
     # With b the detected-branch bits and l the leaking bits selected by
     # their decompositions (remainders t and t'),
     #   direct = cos(phi_p) (t b[k-1] + (2T - t) b[k]) - 2T/pi sin(phi_p) (b[k-1] - b[k])
@@ -107,7 +111,8 @@ def _branch_terms(amplitude: float, tau: float, branch: str):
                gain * (cos_p * (two_t - main_dec.tau_rel) + over_pi * sin_p),
                gain * (sin_p * leak_dec.tau_rel + over_pi * cos_p),
                gain * (sin_p * (two_t - leak_dec.tau_rel) - over_pi * cos_p))
-    return main_dec.k_shift, leak_dec.k_shift, weights
+    leak_shift = leak_dec.k_shift if branch == "I" else leak_dec.k_shift - 1
+    return main_dec.k_shift, leak_shift, weights
 
 
 def _combine(weights, main_prev, main_cur, leak_prev, leak_cur, phi_c):
@@ -171,28 +176,21 @@ _PATTERNS = tuple(np.broadcast_to(digits.astype(np.int8), (9, 9)) for digits in 
 def _pattern_table(amplitude: float, tau: float, phi_c) -> np.ndarray:
     """One interferer's contribution for every bit pattern and phase.
 
-    Shape phi_c.shape + (162,): the 81 in-phase patterns, then the 81
-    quadrature ones, each at its code 27 (main prev + 1) + 9 (main cur + 1)
-    + 3 (leak prev + 1) + (leak cur + 1). The two branches share their main
-    weights but not their leak weights, whose offsets tau + T and tau - T
-    round apart at some tau. Every entry equals what batch_interference
-    gives a bit with that pattern and phase.
+    Shape phi_c.shape + (81,): each pattern at its code 27 (main prev + 1)
+    + 9 (main cur + 1) + 3 (leak prev + 1) + (leak cur + 1). Both branches
+    share the four weights, so one table serves both. Every entry equals
+    what batch_interference gives a bit of either branch with that pattern
+    and phase.
     """
-    phi_c = np.asarray(phi_c, dtype=np.float64)[..., None, None, None]
-    terms = [_branch_terms(amplitude, tau, branch)[2] for branch in ("I", "Q")]
-    weights = np.array(terms).T[..., None, None]  # 4 weights x branch
-    table = _combine(weights, *_PATTERNS, phi_c)
-    return table.reshape(phi_c.shape[:-3] + (162,))
+    phi_c = np.asarray(phi_c, dtype=np.float64)[..., None, None]
+    table = _combine(_branch_terms(amplitude, tau, "I")[2], *_PATTERNS, phi_c)
+    return table.reshape(phi_c.shape[:-2] + (81,))
 
 
 def _transmit_lags(tau: float):
     """Lags of the (main prev, main cur, leak prev, leak cur) chips in
     transmit order: both branches' bit at transmit position n has pattern
-    chips[n - lag] (0 outside the packet). None where tau is so large that
-    rounding breaks k_shift(i_leak) = k_shift(q_leak) - 1 and the two
-    branches would need different leak lags."""
+    chips[n - lag] (0 outside the packet)."""
     k_main = decompose_offset(tau, "active").k_shift
-    k_q = decompose_offset(tau, "q_leak").k_shift
-    if decompose_offset(tau, "i_leak").k_shift != k_q - 1:
-        return None
-    return (2 * k_main + 2, 2 * k_main, 2 * k_q + 1, 2 * k_q - 1)
+    k_leak = decompose_offset(tau, "q_leak").k_shift
+    return (2 * k_main + 2, 2 * k_main, 2 * k_leak + 1, 2 * k_leak - 1)

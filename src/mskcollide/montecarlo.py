@@ -302,26 +302,27 @@ class _BatchStats:
 
 
 #: Fewest chips a packet needs for _compute_soft to gather its interference
-#: from tables of all 81 bit patterns per branch: a shorter packet has fewer
-#: chips than its tables have entries. On a 2-vCPU Xeon the gather cost
-#: 1.09x the elementwise kernel at 128 chips, 1.03x at 160 and 0.77x at 256.
+#: from its 81-entry pattern table rather than run the elementwise kernel.
+#: On a 2-vCPU Xeon the gather cost 1.10-1.17x the elementwise kernel on
+#: 64-chip slabs (uncoded points) and 0.58x on 512-chip (coded) ones.
 _TABLE_MIN_CHIPS = 2 * 81
 
 
 class _PatternGather:
     """Buffers that turn an interferer's chips and its per-packet pattern
     tables into its transmit-order contribution, for slabs of up to `rows`
-    packets of n_chips chips; allocated once per point.
+    packets of n_chips chips at offset tau; allocated once per point.
 
     Each chip is stored as the digit chip + 1 in a buffer whose padding
     holds the digit of a silent chip, so the four digits of every
     position's pattern are one flat slice of it apiece, and the base-3
     pattern code is built with whole-slab int8 operations. The code plus
-    the position's table offset (162 per packet row, 81 more at quadrature
-    positions) indexes one np.take from the flattened tables.
+    its packet row's table offset (81 per row) indexes one np.take from the
+    flattened tables.
     """
 
-    def __init__(self, rows: int, n_chips: int, lags: tuple):
+    def __init__(self, rows: int, n_chips: int, tau: float):
+        lags = _transmit_lags(tau)
         pad = min(max(map(abs, lags)), n_chips)
         # a lag of n_chips or more reads only padding, as a lag of n_chips does
         self.starts = [pad - max(-pad, min(pad, lag)) for lag in lags]
@@ -330,11 +331,10 @@ class _PatternGather:
         self.code = np.empty((rows, self.width), dtype=np.int8)
         self.index = np.empty((rows, n_chips), dtype=np.intp)
         self.values = np.empty((rows, n_chips))
-        self.offset = (np.arange(0, 162 * rows, 162)[:, None]
-                       + np.resize(np.array([0, 81]), n_chips))
+        self.offset = np.arange(0, 81 * rows, 81)[:, None]
 
     def __call__(self, chips, table):
-        """Contribution of chips (packets, n_chips) with tables (packets, 162)."""
+        """Contribution of chips (packets, n_chips) with tables (packets, 81)."""
         rows, pad, n_chips = len(chips), self.pad, self.n_chips
         inner = (slice(None, rows), slice(pad, pad + n_chips))
         np.add(chips, 1, out=self.digits[inner], casting="unsafe")
@@ -350,19 +350,9 @@ class _PatternGather:
         code += leak_prev
         code *= 3
         code += leak_cur
-        index = self.index[:rows]
-        np.copyto(index, self.code[inner])
-        index += self.offset[:rows]
+        index = np.add(self.code[inner], self.offset[:rows], out=self.index[:rows])
         # every index is in range; "clip" only spares take a buffered out
         return np.take(table.reshape(-1), index, out=self.values[:rows], mode="clip")
-
-
-def _pattern_gather(rows: int, n_chips: int, tau: float):
-    """A _PatternGather for this packet length and tau, or None where the
-    elementwise kernel runs: packets shorter than _TABLE_MIN_CHIPS, or a tau
-    too large for shared transmit-order lags."""
-    lags = _transmit_lags(tau) if n_chips >= _TABLE_MIN_CHIPS else None
-    return None if lags is None else _PatternGather(rows, n_chips, lags)
 
 
 def _compute_soft(soi_chips, interferer_chips, amplitudes, tau, phi,
@@ -376,9 +366,9 @@ def _compute_soft(soi_chips, interferer_chips, amplitudes, tau, phi,
 
     Within a packet, an interferer's contribution at a position depends
     only on its phase and four ternary chips (main prev/cur, leak
-    prev/cur), so it takes at most 81 values per branch. Packets of at
-    least _TABLE_MIN_CHIPS chips (every coded point) gather it from a
-    per-packet table of all 81 patterns per branch (gather, a
+    prev/cur), and both branches weight those chips alike, so it takes at
+    most 81 values. Packets of at least _TABLE_MIN_CHIPS chips (every coded
+    point) gather it from a per-packet table of all 81 patterns (gather, a
     _PatternGather for at least these packets, or one built here); shorter
     packets add batch_interference's values per branch through strided
     views. Both paths compute every value with the same expression in the
@@ -386,8 +376,8 @@ def _compute_soft(soi_chips, interferer_chips, amplitudes, tau, phi,
     """
     soft = np.empty(soi_chips.shape) if out is None else out
     np.copyto(soft, soi_chips)  # a copy: the input is never written
-    if gather is None and len(interferer_chips):
-        gather = _pattern_gather(len(soft), soft.shape[-1], tau)
+    if gather is None and len(interferer_chips) and soft.shape[-1] >= _TABLE_MIN_CHIPS:
+        gather = _PatternGather(len(soft), soft.shape[-1], tau)
     soft_i, soft_q = soft[..., 0::2], soft[..., 1::2]
     n_i, n_q = soft_i.shape[-1], soft_q.shape[-1]
     for idx, chips in enumerate(interferer_chips):
@@ -436,7 +426,9 @@ def _simulate_batch(cfg: ExperimentConfig, tau: float, amplitudes: tuple) -> _Ba
     sym_err = np.zeros(packets, dtype=np.int64)
     slab = max(1, SLAB_VALUES // n_chips)
     soft_buf = np.empty((min(slab, packets), n_chips))
-    gather = _pattern_gather(len(soft_buf), n_chips, tau) if n_int else None
+    gather = None
+    if n_int and n_chips >= _TABLE_MIN_CHIPS:
+        gather = _PatternGather(len(soft_buf), n_chips, tau)
     for start in range(0, packets, slab):
         rows = slice(start, start + slab)
         soi_chips = senders[0][1][rows]

@@ -39,6 +39,9 @@ class InterfererParams:
     def __post_init__(self):
         if not self.amplitude > 0:
             raise ValueError("amplitude must be positive")
+        for name in ("amplitude", "tau", "phi_c"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         bits = np.asarray(self.bits)
         if bits.ndim != 1 or bits.size == 0:
             raise ValueError("bits must be one-dimensional and non-empty")

@@ -56,11 +56,6 @@ class TestDecomposeOffset:
         assert d.k_shift == 0
         assert d.tau_rel == pytest.approx(1.0)
 
-    def test_i_leak_shifts_by_minus_T(self):
-        d = decompose_offset(0.0, "i_leak")
-        assert d.k_shift == -1
-        assert d.tau_rel == pytest.approx(1.0)
-
     def test_remainder_confined_and_consistent(self):
         rng = np.random.default_rng(0)
         for _ in range(2000):
@@ -313,16 +308,17 @@ def _expression_form(i_bits, q_bits, amplitude, tau, phi_c, branch, num_bits,
                      index_offset=0):
     """The closed form as one expression on the two branches' bits, with the
     kernel's coefficients and operation order: the reference the in-place
-    kernel must match bit for bit."""
+    kernel must match bit for bit. The in-phase bits leak into quadrature
+    detection through the quadrature leak decomposition, one bit later."""
     main_dec = decompose_offset(tau, "active")
-    leak_dec = decompose_offset(tau, "q_leak" if branch == "I" else "i_leak")
+    leak_dec = decompose_offset(tau, "q_leak")
+    leak_shift = leak_dec.k_shift - (1 if branch == "Q" else 0)
     main_bits = i_bits if branch == "I" else q_bits
     leak_bits = q_bits if branch == "I" else i_bits
     phi_c = np.asarray(phi_c, dtype=np.float64)[..., None]
     main_prev, main_cur = _shifted_pair(main_bits, main_dec.k_shift + index_offset,
                                         num_bits)
-    leak_prev, leak_cur = _shifted_pair(leak_bits, leak_dec.k_shift + index_offset,
-                                        num_bits)
+    leak_prev, leak_cur = _shifted_pair(leak_bits, leak_shift + index_offset, num_bits)
     two_t = 2.0
     over_pi = two_t / math.pi
     gain = amplitude / two_t
@@ -344,7 +340,7 @@ class TestBitIdentity:
     """The in-place kernel rounds exactly as the expression form did, so the
     soft values (and every table built from them) stay bit-identical."""
 
-    TAUS = (-3.0, -2.7, -1.0, -0.3, 0.0, 0.3, 1.0, 2.9)
+    TAUS = (-3.0, -2.7, -1.8, -1.0, -0.6, -0.3, 0.0, 0.3, 1.0, 1.3, 2.9)
 
     @pytest.mark.parametrize("tau", TAUS)
     @pytest.mark.parametrize("branch", ["I", "Q"])
@@ -396,15 +392,19 @@ class TestPatternTables:
     run batch_interference. Both paths give the same soft values bit for
     bit."""
 
-    #: Preset taus whose in-phase and quadrature leak weights differ in the
-    #: last bit, so each branch needs its own table.
+    #: Preset taus at which decomposing tau + T and tau - T separately gave
+    #: the two branches leak weights a few ulps apart.
     SPLIT_TAUS = (-1.8, -1.7, -1.3, -1.2, -0.9, -0.6, -0.4, 1.2, 1.3, 1.7, 1.8)
 
-    def test_split_taus_round_apart(self):
-        for tau in self.SPLIT_TAUS:
-            i_leak = _branch_terms(1.0, tau, "I")[2][2:]
-            q_leak = _branch_terms(1.0, tau, "Q")[2][2:]
-            assert i_leak != q_leak, tau
+    def test_branches_share_leak_weights(self):
+        # one table serves both branches: their weights are equal and the
+        # quadrature leak shift is one less
+        taus = self.SPLIT_TAUS + tuple(np.random.default_rng(86).uniform(-100, 100, 2000))
+        for tau in taus:
+            main_i, leak_i, weights_i = _branch_terms(1.7, float(tau), "I")
+            main_q, leak_q, weights_q = _branch_terms(1.7, float(tau), "Q")
+            assert weights_q == weights_i, tau
+            assert (main_q, leak_q) == (main_i, leak_i - 1), tau
 
     @staticmethod
     def _both_paths(monkeypatch, soi, chips, amplitudes, tau, phi, noise):
@@ -414,7 +414,8 @@ class TestPatternTables:
             elementwise = _compute_soft(soi, chips, amplitudes, tau, phi, noise)
         return tables, elementwise
 
-    @pytest.mark.parametrize("tau", SPLIT_TAUS + (-100.0, -2.7, 0.0, 0.3, 2.9, 100.0))
+    @pytest.mark.parametrize("tau", SPLIT_TAUS + (
+        -100.0, -3.0000000000000004, -2.7, -1.0000000000000002, 0.0, 0.3, 2.9, 100.0, 1e17))
     def test_matches_elementwise_path(self, monkeypatch, tau):
         rng = np.random.default_rng(83)
         packets, n_chips = 5, 512
@@ -456,11 +457,10 @@ class TestPatternTables:
         assert 0.0 < tables.ber < 1.0
 
     @pytest.mark.parametrize("n_chips, tau, kernel_calls",
-                             [(512, 0.3, 0), (64, 0.3, 4), (512, 1e17, 4)])
+                             [(512, 0.3, 0), (64, 0.3, 4), (512, 1e17, 0)])
     def test_length_rule(self, monkeypatch, n_chips, tau, kernel_calls):
-        # a coded 64-bit packet (512 chips) gathers, an uncoded one (64 chips)
-        # does not, and neither does a tau at which tau + T and tau - T round
-        # to one value, so the two branches' leak lags differ
+        # a coded 64-bit packet (512 chips) gathers, at any tau, and an
+        # uncoded one (64 chips) does not
         calls = []
         kernel = montecarlo.batch_interference
 

@@ -85,6 +85,16 @@ def test_interferer_params_normalize_phase():
         InterfererParams(amplitude=0.0, tau=0.0, phi_c=0.0, bits=[1, -1])
 
 
+@pytest.mark.parametrize("field, value", [
+    ("amplitude", math.inf), ("tau", math.nan), ("tau", math.inf), ("tau", -math.inf),
+    ("phi_c", math.inf), ("phi_c", -math.inf), ("phi_c", math.nan)])
+def test_interferer_params_reject_non_finite(field, value):
+    # each would otherwise give NaN soft values or fail later inside math.floor
+    fields = {"amplitude": 1.0, "tau": 0.0, "phi_c": 0.0, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        InterfererParams(bits=[1, -1], **fields)
+
+
 def test_scenario_sir():
     # the engine's interferer amplitudes realize the point's SIR, whatever
     # the power split
