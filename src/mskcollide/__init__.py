@@ -10,7 +10,7 @@ engine for capture-threshold and capture-zone experiments.
 __version__ = "0.1.0"
 
 from .chipseq import BIPOLAR_CHIP_TABLE
-from .demod import batch_interference, interference_contribution
+from .demod import interference_contribution
 from .montecarlo import (ConfigError, ExperimentConfig, MetricPoint,
                          NInterfererPoint, ZoneCell, capture_zone, grid,
                          n_interferer_experiment, run_point, sweep)
@@ -23,7 +23,7 @@ from .signal_model import InterfererParams
 __all__ = [
     "__version__",
     "BIPOLAR_CHIP_TABLE",
-    "batch_interference", "interference_contribution",
+    "interference_contribution",
     "ConfigError", "ExperimentConfig", "MetricPoint", "NInterfererPoint",
     "ZoneCell", "capture_zone", "grid", "n_interferer_experiment",
     "run_point", "sweep",

@@ -14,10 +14,15 @@ in-phase bits leak with the offset shifted by -T (the in-phase pulse grid
 leads the quadrature grid by half a bit). That is the in-phase branch's
 leak offset tau + T moved back by one bit (2T), so both branches take it
 from one decomposition and share all four weights, differing only in
-index shifts. The sign conventions used here are pinned by the numerical
-oracle (see the oracle module and its tests). Times are in units of T,
-half a bit duration: the closed form depends on the offset only through
-tau / T, so T = 1 throughout.
+index shifts. So an interferer's contribution to any decision is one of
+the 81 entries of its pattern table (_pattern_table), picked by four
+ternary bits (+-1, or 0 for silence): interference_contribution reads one
+entry, and the Monte Carlo engine gathers whole packets from it.
+
+The sign conventions used here are pinned by the numerical oracle (see the
+oracle module and its tests). Times are in units of T, half a bit
+duration: the closed form depends on the offset only through tau / T, so
+T = 1 throughout.
 """
 
 from __future__ import annotations
@@ -67,25 +72,6 @@ def decompose_offset(tau: float, variant: str = "active") -> OffsetDecomposition
     return OffsetDecomposition(k_shift, tau_rel, math.pi * tau / two_t)
 
 
-def interference_contribution(params: InterfererParams, k: int,
-                              branch: str = "I") -> float:
-    """Closed-form contribution of one interferer to soft bit k of a branch:
-    a one-row evaluation of batch_interference."""
-    return float(batch_interference(params.bits, params.amplitude, params.tau,
-                                    params.phi_c, branch, 1, index_offset=-k)[0])
-
-
-def _shifted_pair(bits: np.ndarray, shift: int, num_bits: int):
-    """(prev, cur) where cur[..., k] = bits[..., k - shift] and prev lags cur
-    by one index; single buffer, zero outside the payload."""
-    buf = np.zeros(bits.shape[:-1] + (num_bits + 1,), dtype=bits.dtype)
-    lo = max(0, shift + 1)
-    hi = min(num_bits + 1, bits.shape[-1] + shift + 1)
-    if lo < hi:
-        buf[..., lo:hi] = bits[..., lo - shift - 1 : hi - shift - 1]
-    return buf[..., :-1], buf[..., 1:]
-
-
 def _branch_terms(amplitude: float, tau: float, branch: str):
     """The phase-free part of the closed form for one branch: the index
     shifts of its main and leaking bits and the four scalar weights of
@@ -118,57 +104,24 @@ def _branch_terms(amplitude: float, tau: float, branch: str):
 def _combine(weights, main_prev, main_cur, leak_prev, leak_cur, phi_c):
     """cos(phi_c) direct - sin(phi_c) leak of the selected bits, in the one
     operation order every soft value is computed in: the pinned table
-    digests depend on every rounding.
-
-    The weights broadcast against the bit arrays, and phi_c against both.
-    Where phi_c adds axes (the pattern tables), the phase step allocates
-    its result; otherwise it runs in place, so a call allocates three
-    arrays rather than nine.
-    """
+    digests depend on every rounding. The weights broadcast against the
+    bit arrays, and phi_c against both."""
     w_main_prev, w_main_cur, w_leak_prev, w_leak_cur = weights
     direct = w_main_prev * main_prev
     leak = w_main_cur * main_cur
     direct += leak
     np.multiply(w_leak_prev, leak_prev, out=leak)
     leak += w_leak_cur * leak_cur
-    cos_c, sin_c = np.cos(phi_c), np.sin(phi_c)
-    if cos_c.ndim > direct.ndim:
-        table = direct * cos_c
-        table -= leak * sin_c
-        return table
-    direct *= cos_c
-    leak *= sin_c
-    direct -= leak
-    return direct
-
-
-def batch_interference(bits: np.ndarray, amplitude: float, tau: float, phi_c,
-                       branch: str, num_bits: int, index_offset: int = 0) -> np.ndarray:
-    """Contributions of one interferer for decision indices 0..num_bits-1.
-
-    bits holds +-1 payload bits in transmit order on the trailing axis, with
-    arbitrary leading batch axes; its even positions are the in-phase bits
-    and its odd positions the quadrature bits. phi_c broadcasts over (not
-    beyond) the leading axes. This evaluates the closed form bit by bit;
-    the pattern tables evaluate the same two steps (_branch_terms, then
-    _combine) on every bit pattern instead. interference_contribution is
-    its one-row case.
-    index_offset is the interferer payload's first branch index relative
-    to the first decision index (0 when both grids start at bit 0).
-    """
-    main_shift, leak_shift, weights = _branch_terms(amplitude, tau, branch)
-    i_bits, q_bits = bits[..., 0::2], bits[..., 1::2]
-    main_bits, leak_bits = (i_bits, q_bits) if branch == "I" else (q_bits, i_bits)
-    phi_c = np.asarray(phi_c, dtype=np.float64)[..., None]
-    main_prev, main_cur = _shifted_pair(main_bits, main_shift + index_offset, num_bits)
-    leak_prev, leak_cur = _shifted_pair(leak_bits, leak_shift + index_offset, num_bits)
-    return _combine(weights, main_prev, main_cur, leak_prev, leak_cur, phi_c)
+    table = direct * np.cos(phi_c)
+    table -= leak * np.sin(phi_c)
+    return table
 
 
 #: Every ternary (main prev, main cur, leak prev, leak cur) bit pattern, as
 #: four 9 x 9 arrays: the main pair varies along the rows and the leak pair
 #: along the columns, each pair (prev, cur) = divmod(j, 3) - 1 at index j.
-_PATTERNS = tuple(np.broadcast_to(digits.astype(np.int8), (9, 9)) for digits in (
+#: Contiguous float64, so a one-row table spends no time on casts.
+_PATTERNS = tuple(np.broadcast_to(digits, (9, 9)).astype(np.float64) for digits in (
     (np.arange(9) // 3 - 1)[:, None], (np.arange(9) % 3 - 1)[:, None],
     np.arange(9) // 3 - 1, np.arange(9) % 3 - 1))
 
@@ -178,9 +131,9 @@ def _pattern_table(amplitude: float, tau: float, phi_c) -> np.ndarray:
 
     Shape phi_c.shape + (81,): each pattern at its code 27 (main prev + 1)
     + 9 (main cur + 1) + 3 (leak prev + 1) + (leak cur + 1). Both branches
-    share the four weights, so one table serves both. Every entry equals
-    what batch_interference gives a bit of either branch with that pattern
-    and phase.
+    share the four weights, so one table serves both. It is the one
+    evaluation of the closed form: interference_contribution reads one
+    entry and the Monte Carlo engine gathers whole packets from it.
     """
     phi_c = np.asarray(phi_c, dtype=np.float64)[..., None, None]
     table = _combine(_branch_terms(amplitude, tau, "I")[2], *_PATTERNS, phi_c)
@@ -194,3 +147,19 @@ def _transmit_lags(tau: float):
     k_main = decompose_offset(tau, "active").k_shift
     k_leak = decompose_offset(tau, "q_leak").k_shift
     return (2 * k_main + 2, 2 * k_main, 2 * k_leak + 1, 2 * k_leak - 1)
+
+
+def interference_contribution(params: InterfererParams, k: int,
+                              branch: str = "I") -> float:
+    """Closed-form contribution of one interferer to soft bit k of a branch:
+    the entry of its pattern table (_pattern_table) at the pattern of the
+    bit's transmit position, as the Monte Carlo engine reads it."""
+    if branch not in ("I", "Q"):
+        raise ValueError("branch must be 'I' or 'Q'")
+    n = 2 * k + (0 if branch == "I" else 1)
+    bits = params.bits
+    code = 0
+    for lag in _transmit_lags(params.tau):
+        m = n - lag
+        code = 3 * code + (int(bits[m]) + 1 if 0 <= m < len(bits) else 1)
+    return float(_pattern_table(params.amplitude, params.tau, params.phi_c)[code])

@@ -41,7 +41,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .chipseq import BITS_PER_SYMBOL, CHIPS_PER_SYMBOL
-from .demod import _pattern_table, _transmit_lags, batch_interference
+from .demod import _pattern_table, _transmit_lags
 from .receiver import decide
 from .signal_model import draw_payloads
 
@@ -207,15 +207,6 @@ class ZoneCell:
 
 
 @dataclass(frozen=True)
-class ThresholdPoint:
-    """Smallest SIR reaching the PRR threshold at one time offset; sir_db is
-    None where no grid SIR reaches it."""
-
-    tau: float
-    sir_db: float | None
-
-
-@dataclass(frozen=True)
 class NInterfererPoint:
     """SDD-style reception ratio for one (n, layout, payload_mode) cell."""
 
@@ -301,13 +292,6 @@ class _BatchStats:
     total_symbols: int
 
 
-#: Fewest chips a packet needs for _compute_soft to gather its interference
-#: from its 81-entry pattern table rather than run the elementwise kernel.
-#: On a 2-vCPU Xeon the gather cost 1.10-1.17x the elementwise kernel on
-#: 64-chip slabs (uncoded points) and 0.58x on 512-chip (coded) ones.
-_TABLE_MIN_CHIPS = 2 * 81
-
-
 class _PatternGather:
     """Buffers that turn an interferer's chips and its per-packet pattern
     tables into its transmit-order contribution, for slabs of up to `rows`
@@ -367,29 +351,19 @@ def _compute_soft(soi_chips, interferer_chips, amplitudes, tau, phi,
     Within a packet, an interferer's contribution at a position depends
     only on its phase and four ternary chips (main prev/cur, leak
     prev/cur), and both branches weight those chips alike, so it takes at
-    most 81 values. Packets of at least _TABLE_MIN_CHIPS chips (every coded
-    point) gather it from a per-packet table of all 81 patterns (gather, a
-    _PatternGather for at least these packets, or one built here); shorter
-    packets add batch_interference's values per branch through strided
-    views. Both paths compute every value with the same expression in the
-    same operation order, so they agree bit for bit.
+    most 81 values: it is gathered from a per-packet table of all 81
+    patterns (gather, a _PatternGather for at least these packets, or one
+    built here), the same table interference_contribution reads.
     """
     soft = np.empty(soi_chips.shape) if out is None else out
     np.copyto(soft, soi_chips)  # a copy: the input is never written
-    if gather is None and len(interferer_chips) and soft.shape[-1] >= _TABLE_MIN_CHIPS:
+    if gather is None and len(interferer_chips):
         gather = _PatternGather(len(soft), soft.shape[-1], tau)
-    soft_i, soft_q = soft[..., 0::2], soft[..., 1::2]
-    n_i, n_q = soft_i.shape[-1], soft_q.shape[-1]
     for idx, chips in enumerate(interferer_chips):
-        phi_col = phi[..., idx]
-        if gather is not None:
-            soft += gather(chips, _pattern_table(amplitudes[idx], tau, phi_col))
-            continue
-        soft_i += batch_interference(chips, amplitudes[idx], tau, phi_col, "I", n_i)
-        soft_q += batch_interference(chips, amplitudes[idx], tau, phi_col, "Q", n_q)
+        soft += gather(chips, _pattern_table(amplitudes[idx], tau, phi[..., idx]))
     if noise is not None:
-        soft_i += noise[0]
-        soft_q += noise[1]
+        soft[..., 0::2] += noise[0]
+        soft[..., 1::2] += noise[1]
     return soft
 
 
@@ -426,9 +400,7 @@ def _simulate_batch(cfg: ExperimentConfig, tau: float, amplitudes: tuple) -> _Ba
     sym_err = np.zeros(packets, dtype=np.int64)
     slab = max(1, SLAB_VALUES // n_chips)
     soft_buf = np.empty((min(slab, packets), n_chips))
-    gather = None
-    if n_int and n_chips >= _TABLE_MIN_CHIPS:
-        gather = _PatternGather(len(soft_buf), n_chips, tau)
+    gather = _PatternGather(len(soft_buf), n_chips, tau) if n_int else None
     for start in range(0, packets, slab):
         rows = slice(start, start + slab)
         soi_chips = senders[0][1][rows]
@@ -588,30 +560,3 @@ def n_interferer_experiment(cfg: ExperimentConfig, max_n: int = 8,
              for layout in POWER_SPLITS
              for n in range(1, max_n + 1)]
     return _map_tasks(_ninterf_task, tasks, threads)
-
-
-def threshold_extract(points: list[MetricPoint],
-                      prr_threshold: float = 0.9) -> list[ThresholdPoint]:
-    """Per time offset, the smallest SIR whose PRR reaches the threshold.
-
-    Linear interpolation between the bracketing SIR grid points; None where
-    the curve never reaches the threshold.
-    """
-    by_tau: dict[float, list[MetricPoint]] = {}
-    for p in points:
-        by_tau.setdefault(p.tau, []).append(p)
-    out = []
-    for tau in sorted(by_tau):
-        pts = sorted(by_tau[tau], key=lambda p: p.sir_db)
-        sir = None
-        for i, p in enumerate(pts):
-            if p.prr_mean >= prr_threshold:
-                if i == 0:
-                    sir = p.sir_db
-                else:
-                    prev = pts[i - 1]
-                    frac = (prr_threshold - prev.prr_mean) / (p.prr_mean - prev.prr_mean)
-                    sir = prev.sir_db + frac * (p.sir_db - prev.sir_db)
-                break
-        out.append(ThresholdPoint(tau=tau, sir_db=sir))
-    return out

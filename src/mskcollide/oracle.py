@@ -115,7 +115,8 @@ def oracle_lambda_baseband(params: InterfererParams, k: int, branch: str = "I") 
     Independent of the closed form's bit-index bookkeeping because the
     pulse trains are evaluated pointwise. Within a piece the integrand has
     frequency at most pi/T, so one Gauss-Legendre panel per piece reaches
-    round-off.
+    round-off. The integrand is taken at unit amplitude and the result
+    scaled, so no finite amplitude overflows inside the sum.
     """
     if branch not in ("I", "Q"):
         raise ValueError("branch must be 'I' or 'Q'")
@@ -123,7 +124,7 @@ def oracle_lambda_baseband(params: InterfererParams, k: int, branch: str = "I") 
     w_p = math.pi / 2.0
     phi_p = w_p * params.tau
     phi_c = params.phi_c
-    amp = 2.0 * params.amplitude / 4.0
+    amp = 0.5
     cos_c, sin_c = math.cos(phi_c), math.sin(phi_c)
 
     if branch == "I":
@@ -139,7 +140,7 @@ def oracle_lambda_baseband(params: InterfererParams, k: int, branch: str = "I") 
         return (_bit_i_at(params.bits, t, params.tau),
                 _bit_q_at(params.bits, t, params.tau))
 
-    return _integrate_pieces(coeff, bits_at, a, b, params.tau)
+    return params.amplitude * _integrate_pieces(coeff, bits_at, a, b, params.tau)
 
 
 def oracle_lambda_passband(params: InterfererParams, k: int, branch: str = "I",
@@ -149,7 +150,8 @@ def oracle_lambda_passband(params: InterfererParams, k: int, branch: str = "I",
     The carrier is carrier_multiple times the pulse frequency; agreement
     with the baseband oracle is up to an O(1/carrier_multiple) residue from
     the unfiltered double-carrier terms. A bit holds carrier_multiple
-    double-carrier periods, and each gets one Gauss-Legendre panel.
+    double-carrier periods, and each gets one Gauss-Legendre panel. As in
+    baseband, the integral is taken at unit amplitude and then scaled.
     """
     if branch not in ("I", "Q"):
         raise ValueError("branch must be 'I' or 'Q'")
@@ -159,7 +161,6 @@ def oracle_lambda_passband(params: InterfererParams, k: int, branch: str = "I",
     w_p = math.pi / 2.0
     w_c = carrier_multiple * w_p
     tau, phi_c = params.tau, params.phi_c
-    gain = 2.0 * params.amplitude
 
     if branch == "I":
         def basis(t):
@@ -169,7 +170,7 @@ def oracle_lambda_passband(params: InterfererParams, k: int, branch: str = "I",
             return np.sin(w_p * t) * np.sin(w_c * t)
 
     def coeff(t):
-        ph = basis(t) * gain
+        ph = basis(t) * 2.0
         return (ph * np.cos(w_p * (t - tau)) * np.cos(w_c * t + phi_c),
                 ph * np.sin(w_p * (t - tau)) * np.sin(w_c * t + phi_c))
 
@@ -177,7 +178,8 @@ def oracle_lambda_passband(params: InterfererParams, k: int, branch: str = "I",
         return (_bit_i_at(params.bits, t, tau),
                 _bit_q_at(params.bits, t, tau))
 
-    return _integrate_pieces(coeff, bits_at, a, b, tau, panels_per_bit=carrier_multiple)
+    return params.amplitude * _integrate_pieces(coeff, bits_at, a, b, tau,
+                                                panels_per_bit=carrier_multiple)
 
 
 def rect_integral(f_kind: str, branch: str, tau: float, bits: np.ndarray,

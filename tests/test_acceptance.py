@@ -20,7 +20,7 @@ from mskcollide import (BIPOLAR_CHIP_TABLE, InterfererParams, PRESETS,
                         oracle_lambda_baseband, rect_integral,
                         rect_integral_quadrature, run_point, sweep)
 from mskcollide.cli import main as cli_main
-from mskcollide.montecarlo import threshold_extract
+from thresholds import threshold_extract
 
 RECT_KINDS = ("one", "cos2wp", "sin2wp")
 THREADS = 2

@@ -1,16 +1,17 @@
 """Closed-form demodulator contributions: special cases, reductions, and
-agreement between one-row and whole-packet evaluations of the kernel."""
+agreement of the one-row lookup and the whole-packet gather with the
+closed form written as one expression."""
 
 import math
 
 import numpy as np
 import pytest
 
-from mskcollide import (InterfererParams, batch_interference,
-                        interference_contribution, oracle_lambda_baseband,
-                        rect_integral, rect_integral_quadrature)
+from mskcollide import (InterfererParams, interference_contribution,
+                        oracle_lambda_baseband, rect_integral,
+                        rect_integral_quadrature)
 from mskcollide import montecarlo
-from mskcollide.demod import _branch_terms, _shifted_pair, decompose_offset
+from mskcollide.demod import _branch_terms, decompose_offset
 from mskcollide.montecarlo import _compute_soft
 
 TWO_OVER_PI = 2.0 / math.pi
@@ -208,37 +209,36 @@ class TestProperties:
                 assert abs(v) <= u.amplitude * bound + 1e-12
 
     def test_batch_matches_scalar(self):
+        # a whole packet's values are the one-row values, exactly
         rng = np.random.default_rng(16)
         for _ in range(60):
             u = _random_interferer(rng, n_bits=20)
-            for branch in ("I", "Q"):
-                vec = batch_interference(u.bits, u.amplitude, u.tau, u.phi_c, branch, 10)
-                for k in range(10):
-                    want = interference_contribution(u, k, branch)
-                    assert vec[k] == pytest.approx(want, abs=1e-12 * (1 + abs(want)))
+            row = _interferer_row(u, u.bits)
+            for j in range(20):
+                assert row[j] == interference_contribution(u, j // 2, "IQ"[j % 2])
 
     def test_batch_honors_origin_offset(self):
-        # a payload starting at branch index 3 gives decision k what the
-        # same payload starting at 0 gives decision k - 3
+        # a payload starting at branch index 3 (after six silent chips)
+        # gives decision k what the same payload starting at 0 gives
+        # decision k - 3
         rng = np.random.default_rng(17)
         bits = rng.integers(0, 2, size=16) * 2 - 1
         u = InterfererParams(1.3, 0.7, 2.1, bits)
-        vec = batch_interference(u.bits, u.amplitude, u.tau, u.phi_c, "I", 8,
-                                 index_offset=3)
-        for k in range(8):
-            assert vec[k] == pytest.approx(interference_contribution(u, k - 3, "I"),
-                                           abs=1e-12)
+        row = _interferer_row(u, np.concatenate([np.zeros(6, np.int8), u.bits]))
+        for j in range(22):
+            assert row[j] == interference_contribution(u, j // 2 - 3, "IQ"[j % 2])
 
     def test_odd_length_payload(self):
         # 4 in-phase and 3 quadrature bits: every evaluator agrees at the
         # last bits of each branch and gives 0 beyond the payload, which at
         # tau = 0.6 starts two decisions after a branch's last bit
         u = _interferer([1, -1, -1, 1, 1, -1, 1], amplitude=1.7, tau=0.6, phi_c=1.1)
+        # a packet of 14 chips, silent after the payload's seven
+        row = _interferer_row(u, np.concatenate([u.bits, np.zeros(7, np.int8)]))
         for branch, last in (("I", 3), ("Q", 2)):
-            row = batch_interference(u.bits, u.amplitude, u.tau, u.phi_c, branch, last + 4)
             for k in range(last, last + 4):
                 closed = interference_contribution(u, k, branch)
-                assert row[k] == closed
+                assert row[2 * k + (branch == "Q")] == closed
                 ref = oracle_lambda_baseband(u, k, branch)
                 assert closed == pytest.approx(ref, abs=1e-12 * (1 + abs(ref)))
                 rect = rect_integral("one", branch, u.tau, u.bits, k)
@@ -248,6 +248,15 @@ class TestProperties:
                     assert closed == ref == rect == 0.0
                 else:
                     assert closed != 0.0
+
+
+def _interferer_row(u, chips):
+    """Whole-packet values (_compute_soft) of u's time offset, amplitude and
+    phase on chips (a transmit-order row, 0 for silence), with no
+    synchronized sender."""
+    chips = np.asarray(chips, dtype=np.int8)[None]
+    return _compute_soft(np.zeros_like(chips), [chips], (u.amplitude,), u.tau,
+                         np.array([[u.phi_c]]))[0]
 
 
 def _bits(rng, shape, dtype=np.int8):
@@ -303,13 +312,42 @@ class TestSoftBit:
                                        for u in interferers)
                 assert soft[p, j] == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("n_chips", [64, 512])
+    def test_one_interferer_soft_bits_are_the_one_row_values(self, n_chips):
+        # with one interferer the engine's soft value is the synchronized
+        # chip plus the one-row contribution that validate checks against
+        # the oracle, bit for bit
+        packets = 3
+        soi, chips, amplitudes, tau, phi = _two_interferer_batch(
+            np.random.default_rng(20), packets, n_chips)
+        soft = _compute_soft(soi, chips[:1], amplitudes[:1], tau, phi[:, :1])
+        want = np.empty_like(soft)
+        for p in range(packets):
+            u = InterfererParams(amplitudes[0], tau, phi[p, 0], chips[0][p])
+            for j in range(n_chips):
+                want[p, j] = soi[p, j] + interference_contribution(u, j // 2, "IQ"[j % 2])
+        _assert_bit_identical(soft, want)
+
+
+def _shifted_pair(bits: np.ndarray, shift: int, num_bits: int):
+    """(prev, cur) where cur[..., k] = bits[..., k - shift] and prev lags cur
+    by one index; zero outside the payload."""
+    buf = np.zeros(bits.shape[:-1] + (num_bits + 1,), dtype=bits.dtype)
+    lo = max(0, shift + 1)
+    hi = min(num_bits + 1, bits.shape[-1] + shift + 1)
+    if lo < hi:
+        buf[..., lo:hi] = bits[..., lo - shift - 1 : hi - shift - 1]
+    return buf[..., :-1], buf[..., 1:]
+
 
 def _expression_form(i_bits, q_bits, amplitude, tau, phi_c, branch, num_bits,
                      index_offset=0):
-    """The closed form as one expression on the two branches' bits, with the
-    kernel's coefficients and operation order: the reference the in-place
-    kernel must match bit for bit. The in-phase bits leak into quadrature
-    detection through the quadrature leak decomposition, one bit later."""
+    """The closed form as one expression on the two branches' bits, bit by
+    bit, with the engine's coefficients and operation order: the reference
+    the pattern tables must match bit for bit. index_offset is the
+    payload's first branch index relative to the first decision index. The
+    in-phase bits leak into quadrature detection through the quadrature
+    leak decomposition, one bit later."""
     main_dec = decompose_offset(tau, "active")
     leak_dec = decompose_offset(tau, "q_leak")
     leak_shift = leak_dec.k_shift - (1 if branch == "Q" else 0)
@@ -331,14 +369,31 @@ def _expression_form(i_bits, q_bits, amplitude, tau, phi_c, branch, num_bits,
     return np.cos(phi_c) * direct - np.sin(phi_c) * leak
 
 
+def _reference_soft(soi, chips, amplitudes, tau, phi, noise=None):
+    """_compute_soft's values from the expression form, added in its order:
+    the synchronized chips, each interferer on both branches, the noise."""
+    want = np.multiply(1.0, soi, dtype=np.float64)
+    n_chips = soi.shape[-1]
+    for idx, bits in enumerate(chips):
+        for branch, start in (("I", 0), ("Q", 1)):
+            want[:, start::2] += _expression_form(
+                bits[:, 0::2], bits[:, 1::2], amplitudes[idx], tau, phi[:, idx], branch,
+                len(range(start, n_chips, 2)))
+    if noise is not None:
+        want[:, 0::2] += noise[0]
+        want[:, 1::2] += noise[1]
+    return want
+
+
 def _assert_bit_identical(got, want):
     assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestBitIdentity:
-    """The in-place kernel rounds exactly as the expression form did, so the
-    soft values (and every table built from them) stay bit-identical."""
+    """The pattern tables round exactly as the expression form, so the
+    one-row lookup and the whole-packet gather (and every table built from
+    them) stay bit-identical to it."""
 
     TAUS = (-3.0, -2.7, -1.8, -1.0, -0.6, -0.3, 0.0, 0.3, 1.0, 1.3, 2.9)
 
@@ -349,21 +404,23 @@ class TestBitIdentity:
         for dtype, index_offset in ((np.int8, 0), (np.float64, 0),
                                     (np.int8, 3), (np.float64, -2)):
             bits = _bits(rng, 23, dtype)
-            args = (2.3, tau, 1.1, branch, 12, index_offset)
-            _assert_bit_identical(batch_interference(bits, *args),
-                                  _expression_form(bits[0::2], bits[1::2], *args))
+            u = InterfererParams(2.3, tau, 1.1, bits)
+            got = np.array([interference_contribution(u, k - index_offset, branch)
+                            for k in range(12)])
+            _assert_bit_identical(got, _expression_form(
+                bits[0::2], bits[1::2], 2.3, tau, 1.1, branch, 12, index_offset))
 
     @pytest.mark.parametrize("tau", TAUS)
     @pytest.mark.parametrize("branch", ["I", "Q"])
     def test_packet_batch(self, tau, branch):
         rng = np.random.default_rng(81)
-        bits = _bits(rng, (7, 128))
-        per_packet = rng.uniform(0.0, 2 * math.pi, size=7)
-        for phi_c, index_offset in ((0.7, 0), (per_packet, 0), (per_packet, 5),
-                                    (per_packet, -1)):
-            args = (0.37, tau, phi_c, branch, 64, index_offset)
-            _assert_bit_identical(batch_interference(bits, *args),
-                                  _expression_form(bits[:, 0::2], bits[:, 1::2], *args))
+        soi, bits = _bits(rng, (7, 128)), _bits(rng, (7, 128))
+        start = 0 if branch == "I" else 1
+        for phi in (np.full((7, 1), 0.7), rng.uniform(0.0, 2 * math.pi, size=(7, 1))):
+            got = _compute_soft(soi, [bits], (0.37,), tau, phi)[:, start::2]
+            want = soi[:, start::2] + _expression_form(
+                bits[:, 0::2], bits[:, 1::2], 0.37, tau, phi[:, 0], branch, 64)
+            _assert_bit_identical(got, want)
 
     def test_compute_soft_two_interferers_with_noise(self):
         rng = np.random.default_rng(82)
@@ -374,23 +431,14 @@ class TestBitIdentity:
         phi = rng.uniform(0.0, 2 * math.pi, size=(packets, 2))
         noise = (rng.normal(0.0, 0.2, size=(packets, n_chips // 2)),
                  rng.normal(0.0, 0.2, size=(packets, n_chips // 2)))
-        want = np.multiply(1.0, soi, dtype=np.float64)
-        for idx, chips in enumerate(interferers):
-            for branch, start in (("I", 0), ("Q", 1)):
-                want[:, start::2] += _expression_form(
-                    chips[:, 0::2], chips[:, 1::2], amplitudes[idx], tau,
-                    phi[:, idx], branch, n_chips // 2)
-        want[:, 0::2] += noise[0]
-        want[:, 1::2] += noise[1]
         _assert_bit_identical(_compute_soft(soi, interferers, amplitudes, tau, phi, noise),
-                              want)
+                              _reference_soft(soi, interferers, amplitudes, tau, phi, noise))
 
 
 class TestPatternTables:
-    """Packets of at least _TABLE_MIN_CHIPS chips gather each interferer's
-    contribution from per-packet tables of every bit pattern; shorter ones
-    run batch_interference. Both paths give the same soft values bit for
-    bit."""
+    """Every packet, at any length, gathers each interferer's contribution
+    from per-packet tables of every bit pattern, and the gathered soft
+    values equal the expression form bit for bit."""
 
     #: Preset taus at which decomposing tau + T and tau - T separately gave
     #: the two branches leak weights a few ulps apart.
@@ -406,71 +454,52 @@ class TestPatternTables:
             assert weights_q == weights_i, tau
             assert (main_q, leak_q) == (main_i, leak_i - 1), tau
 
-    @staticmethod
-    def _both_paths(monkeypatch, soi, chips, amplitudes, tau, phi, noise):
-        tables = _compute_soft(soi, chips, amplitudes, tau, phi, noise)
-        with monkeypatch.context() as patch:
-            patch.setattr(montecarlo, "_TABLE_MIN_CHIPS", 10**9)
-            elementwise = _compute_soft(soi, chips, amplitudes, tau, phi, noise)
-        return tables, elementwise
-
     @pytest.mark.parametrize("tau", SPLIT_TAUS + (
         -100.0, -3.0000000000000004, -2.7, -1.0000000000000002, 0.0, 0.3, 2.9, 100.0, 1e17))
-    def test_matches_elementwise_path(self, monkeypatch, tau):
+    def test_matches_elementwise_path(self, tau):
+        # the elementwise reference is _expression_form, at uncoded, odd and
+        # coded packet lengths
         rng = np.random.default_rng(83)
-        packets, n_chips = 5, 512
-        for n_interferers in (0, 1, 2):
-            for phase in ("fixed", "random"):
-                for noisy in (False, True):
-                    soi = _bits(rng, (packets, n_chips))
-                    chips = [_bits(rng, (packets, n_chips)) for _ in range(n_interferers)]
-                    amplitudes = tuple(10.0 ** rng.uniform(-2, 2, size=n_interferers))
-                    if phase == "fixed":
-                        phi = np.full((packets, n_interferers), 1.1)
-                    else:
-                        phi = rng.uniform(0.0, 2 * math.pi, size=(packets, n_interferers))
-                    noise = None
-                    if noisy:
-                        noise = tuple(rng.normal(0.0, 0.3, size=(packets, n_chips // 2))
-                                      for _ in range(2))
-                    _assert_bit_identical(*self._both_paths(
-                        monkeypatch, soi, chips, amplitudes, tau, phi, noise))
+        packets = 5
+        for n_chips in (1, 7, 64, 80, 161, 162, 512):
+            for n_interferers in (0, 1, 2):
+                for phase in ("fixed", "random"):
+                    for noisy in (False, True):
+                        soi = _bits(rng, (packets, n_chips))
+                        chips = [_bits(rng, (packets, n_chips)) for _ in range(n_interferers)]
+                        amplitudes = tuple(10.0 ** rng.uniform(-2, 2, size=n_interferers))
+                        if phase == "fixed":
+                            phi = np.full((packets, n_interferers), 1.1)
+                        else:
+                            phi = rng.uniform(0.0, 2 * math.pi, size=(packets, n_interferers))
+                        noise = None
+                        if noisy:
+                            noise = tuple(rng.normal(0.0, 0.3, size=(packets, size))
+                                          for size in (n_chips - n_chips // 2, n_chips // 2))
+                        args = (soi, chips, amplitudes, tau, phi, noise)
+                        _assert_bit_identical(_compute_soft(*args), _reference_soft(*args))
 
-    def test_one_packet_slab(self, monkeypatch):
+    def test_one_packet_slab(self):
         rng = np.random.default_rng(84)
         soi, chips = _bits(rng, (1, 256)), [_bits(rng, (1, 256)) for _ in range(2)]
         phi = rng.uniform(0.0, 2 * math.pi, size=(1, 2))
         for tau in (-1.2, 0.7):
-            _assert_bit_identical(*self._both_paths(
-                monkeypatch, soi, chips, (0.8, 3.1), tau, phi, None))
+            args = (soi, chips, (0.8, 3.1), tau, phi, None)
+            _assert_bit_identical(_compute_soft(*args), _reference_soft(*args))
 
     @pytest.mark.parametrize("tau", [-0.6, 1.3])
     def test_run_point_matches_elementwise_path(self, monkeypatch, tau):
-        # slabs of 40 packets, the last one short, share the point's buffers
+        # slabs of 40 packets, the last one short, share the point's
+        # buffers and give the point the expression form gives it
         cfg = montecarlo.ExperimentConfig(
             coding="sdd", packets_per_point=130, payload_bits=32, n_interferers=2,
             interferer_power_split="equal_split", noise_std=0.3, master_seed=5)
         monkeypatch.setattr(montecarlo, "SLAB_VALUES", 40 * 256)
         tables = montecarlo.run_point(cfg, tau, -4.0)
-        monkeypatch.setattr(montecarlo, "_TABLE_MIN_CHIPS", 10**9)
+
+        def reference(soi, chips, amplitudes, tau, phi, noise=None, out=None, gather=None):
+            return _reference_soft(soi, chips, amplitudes, tau, phi, noise)
+
+        monkeypatch.setattr(montecarlo, "_compute_soft", reference)
         assert montecarlo.run_point(cfg, tau, -4.0) == tables
         assert 0.0 < tables.ber < 1.0
-
-    @pytest.mark.parametrize("n_chips, tau, kernel_calls",
-                             [(512, 0.3, 0), (64, 0.3, 4), (512, 1e17, 0)])
-    def test_length_rule(self, monkeypatch, n_chips, tau, kernel_calls):
-        # a coded 64-bit packet (512 chips) gathers, at any tau, and an
-        # uncoded one (64 chips) does not
-        calls = []
-        kernel = montecarlo.batch_interference
-
-        def counting(*args, **kwargs):
-            calls.append(args[4])
-            return kernel(*args, **kwargs)
-
-        monkeypatch.setattr(montecarlo, "batch_interference", counting)
-        rng = np.random.default_rng(85)
-        soi, chips = _bits(rng, (3, n_chips)), [_bits(rng, (3, n_chips)) for _ in range(2)]
-        _compute_soft(soi, chips, (0.5, 2.0), tau, rng.uniform(0.0, 6.0, size=(3, 2)))
-        assert calls == ["I", "Q"] * (kernel_calls // 2)
-        assert montecarlo._TABLE_MIN_CHIPS == 2 * 81

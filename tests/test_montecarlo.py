@@ -19,11 +19,11 @@ from mskcollide import (BIPOLAR_CHIP_TABLE, ConfigError, ExperimentConfig,
                         n_interferer_experiment, run_point, sweep)
 from mskcollide.montecarlo import (MAX_GRID_POINTS, MAX_POINT_VALUES, _compute_soft,
                                    _point_amplitudes, _point_rng, _prr_stats,
-                                   _simulate_batch, split_amplitudes,
-                                   threshold_extract)
+                                   _simulate_batch, split_amplitudes)
 from mskcollide.presets import PRESETS
 from mskcollide.signal_model import draw_payloads
 from test_receiver import brute_force_decision
+from thresholds import threshold_extract
 
 
 def small_cfg(**kw):

@@ -104,6 +104,15 @@ class TestBasebandOracle:
             ref = oracle_lambda_baseband(u, 2, branch)
             assert closed == pytest.approx(ref, abs=1e-9 * (1 + abs(ref)))
 
+    @pytest.mark.parametrize("branch", ("I", "Q"))
+    def test_largest_amplitude_stays_finite(self, branch):
+        # the integrand is taken at unit amplitude and the result scaled, so
+        # an amplitude near the largest float does not overflow in the sum
+        u = InterfererParams(1e308, 0.3, 1.0, [1, -1, 1, 1, -1, 1])
+        ref = oracle_lambda_baseband(u, 1, branch)
+        assert math.isfinite(ref) and math.isfinite(oracle_lambda_passband(u, 1, branch))
+        assert abs(interference_contribution(u, 1, branch) - ref) <= 1e-9 * (1 + abs(ref))
+
 class TestPassbandOracle:
     def test_synchronized_unit_within_residue(self):
         u = InterfererParams(1.0, 0.0, 0.0, [+1, +1, +1, +1])

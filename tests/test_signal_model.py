@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from mskcollide import (BIPOLAR_CHIP_TABLE, ConfigError, ExperimentConfig,
-                        InterfererParams, batch_interference,
-                        interference_contribution)
+                        InterfererParams, interference_contribution)
 from mskcollide.montecarlo import _point_amplitudes
 from mskcollide.signal_model import draw_payloads
 
@@ -21,8 +20,8 @@ def test_multiplex_even_odd_split():
     # at zero offsets a unit interferer's branches read back its even
     # (in-phase) and odd (quadrature) transmit positions
     u = _unit([+1, +1, +1, -1])
-    assert batch_interference(u.bits, 1.0, 0.0, 0.0, "I", 2).tolist() == [1, 1]
-    assert batch_interference(u.bits, 1.0, 0.0, 0.0, "Q", 2).tolist() == [1, -1]
+    assert [interference_contribution(u, k, "I") for k in range(2)] == [1, 1]
+    assert [interference_contribution(u, k, "Q") for k in range(2)] == [1, -1]
 
 
 def test_multiplex_single_bit():
