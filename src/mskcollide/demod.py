@@ -12,12 +12,13 @@ The quadrature branch obeys the same expression with the branch roles
 exchanged: its own bits enter with the plain offset decomposition and the
 in-phase bits leak with the offset shifted by -T (the in-phase pulse grid
 leads the quadrature grid by half a bit). That is the in-phase branch's
-leak offset tau + T moved back by one bit (2T), so both branches take it
-from one decomposition and share all four weights, differing only in
-index shifts. So an interferer's contribution to any decision is one of
-the 81 entries of its pattern table (_pattern_table), picked by four
-ternary bits (+-1, or 0 for silence): interference_contribution reads one
-entry, and the Monte Carlo engine gathers whole packets from it.
+leak offset tau + T moved back by one bit (2T), so one decomposition of
+tau and one of tau + T (_offset_terms) give both branches the same four
+weights and, in transmit order, the same four chip lags. So an
+interferer's contribution to any decision is one of the 81 entries of its
+pattern table (_pattern_table), picked by four ternary chips (+-1, or 0
+for silence): interference_contribution reads one entry, and
+_PatternGather gathers whole packets for the Monte Carlo engine.
 
 The sign conventions used here are pinned by the numerical oracle (see the
 oracle module and its tests). Times are in units of T, half a bit
@@ -28,38 +29,16 @@ T = 1 throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .signal_model import InterfererParams
 
-#: Extra pulse-grid shift applied before decomposing, in units of T.
-#: "active" decomposes tau itself (bits of the branch being detected),
-#: "q_leak" quadrature bits leaking into in-phase detection (tau + T);
-#: in-phase bits leak into quadrature detection one bit later on that grid.
-VARIANT_SHIFTS = {"active": 0.0, "q_leak": 1.0}
 
-
-@dataclass(frozen=True)
-class OffsetDecomposition:
-    """Time offset split into a whole-bit index shift and a remainder.
-
-    tau_rel is confined to [0, 2T); the active bit indices for decision k
-    are k - k_shift - 1 and k - k_shift. phi_p is the pulse phase pi*tau/2T
-    of the full (unwrapped) offset.
-    """
-
-    k_shift: int
-    tau_rel: float
-    phi_p: float
-
-
-def decompose_offset(tau: float, variant: str = "active") -> OffsetDecomposition:
-    """Decompose a time offset for one pulse grid; total for all finite tau."""
-    if variant not in VARIANT_SHIFTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    shifted = tau + VARIANT_SHIFTS[variant]
+def decompose_offset(shifted: float) -> tuple[int, float]:
+    """(k_shift, tau_rel) of an offset on one pulse grid (tau, or tau + T for
+    the leaking bits): decision k reads bits k - k_shift - 1 and k - k_shift,
+    and tau_rel lies in [0, 2T). Total for all finite offsets."""
     two_t = 2.0
     k_shift = math.floor(shifted / two_t)
     tau_rel = shifted - two_t * k_shift
@@ -69,36 +48,31 @@ def decompose_offset(tau: float, variant: str = "active") -> OffsetDecomposition
         tau_rel -= two_t
     if tau_rel < 0.0:
         tau_rel = 0.0
-    return OffsetDecomposition(k_shift, tau_rel, math.pi * tau / two_t)
+    return k_shift, tau_rel
 
 
-def _branch_terms(amplitude: float, tau: float, branch: str):
-    """The phase-free part of the closed form for one branch: the index
-    shifts of its main and leaking bits and the four scalar weights of
-    (main prev, main cur, leak prev, leak cur). The weights are the same
-    for both branches; the quadrature leak shift is one less."""
-    if branch not in ("I", "Q"):
-        raise ValueError("branch must be 'I' or 'Q'")
-    main_dec = decompose_offset(tau, "active")
-    leak_dec = decompose_offset(tau, "q_leak")
+def _offset_terms(tau: float):
+    """Lags and phase-free weights (without the gain A / 2T) of the (main
+    prev, main cur, leak prev, leak cur) chips: both branches' bit at
+    transmit position n has pattern chips[n - lag] (0 outside the packet)."""
+    k_main, rel_main = decompose_offset(tau)
+    k_leak, rel_leak = decompose_offset(tau + 1.0)
     # With b the detected-branch bits and l the leaking bits selected by
     # their decompositions (remainders t and t'),
     #   direct = cos(phi_p) (t b[k-1] + (2T - t) b[k]) - 2T/pi sin(phi_p) (b[k-1] - b[k])
     #   leak   = sin(phi_p) (t' l[k-1] + (2T - t') l[k]) + 2T/pi cos(phi_p) (l[k-1] - l[k])
     #   lambda = A / 2T (cos(phi_c) direct - sin(phi_c) leak),
-    # folded into one scalar weight per selected bit so each array is
-    # touched only twice.
+    # folded into one scalar weight per selected bit.
     two_t = 2.0
     over_pi = two_t / math.pi
-    gain = amplitude / two_t
-    cos_p = math.cos(main_dec.phi_p)
-    sin_p = math.sin(main_dec.phi_p)
-    weights = (gain * (cos_p * main_dec.tau_rel - over_pi * sin_p),
-               gain * (cos_p * (two_t - main_dec.tau_rel) + over_pi * sin_p),
-               gain * (sin_p * leak_dec.tau_rel + over_pi * cos_p),
-               gain * (sin_p * (two_t - leak_dec.tau_rel) - over_pi * cos_p))
-    leak_shift = leak_dec.k_shift if branch == "I" else leak_dec.k_shift - 1
-    return main_dec.k_shift, leak_shift, weights
+    phi_p = math.pi * tau / two_t
+    cos_p, sin_p = math.cos(phi_p), math.sin(phi_p)
+    weights = (cos_p * rel_main - over_pi * sin_p,
+               cos_p * (two_t - rel_main) + over_pi * sin_p,
+               sin_p * rel_leak + over_pi * cos_p,
+               sin_p * (two_t - rel_leak) - over_pi * cos_p)
+    lags = (2 * k_main + 2, 2 * k_main, 2 * k_leak + 1, 2 * k_leak - 1)
+    return lags, weights
 
 
 def _combine(weights, main_prev, main_cur, leak_prev, leak_cur, phi_c):
@@ -126,7 +100,7 @@ _PATTERNS = tuple(np.broadcast_to(digits, (9, 9)).astype(np.float64) for digits 
     np.arange(9) // 3 - 1, np.arange(9) % 3 - 1))
 
 
-def _pattern_table(amplitude: float, tau: float, phi_c) -> np.ndarray:
+def _pattern_table(amplitude: float, weights, phi_c) -> np.ndarray:
     """One interferer's contribution for every bit pattern and phase.
 
     Shape phi_c.shape + (81,): each pattern at its code 27 (main prev + 1)
@@ -135,18 +109,10 @@ def _pattern_table(amplitude: float, tau: float, phi_c) -> np.ndarray:
     evaluation of the closed form: interference_contribution reads one
     entry and the Monte Carlo engine gathers whole packets from it.
     """
+    gain = amplitude / 2.0
     phi_c = np.asarray(phi_c, dtype=np.float64)[..., None, None]
-    table = _combine(_branch_terms(amplitude, tau, "I")[2], *_PATTERNS, phi_c)
+    table = _combine([gain * weight for weight in weights], *_PATTERNS, phi_c)
     return table.reshape(phi_c.shape[:-2] + (81,))
-
-
-def _transmit_lags(tau: float):
-    """Lags of the (main prev, main cur, leak prev, leak cur) chips in
-    transmit order: both branches' bit at transmit position n has pattern
-    chips[n - lag] (0 outside the packet)."""
-    k_main = decompose_offset(tau, "active").k_shift
-    k_leak = decompose_offset(tau, "q_leak").k_shift
-    return (2 * k_main + 2, 2 * k_main, 2 * k_leak + 1, 2 * k_leak - 1)
 
 
 def interference_contribution(params: InterfererParams, k: int,
@@ -158,8 +124,57 @@ def interference_contribution(params: InterfererParams, k: int,
         raise ValueError("branch must be 'I' or 'Q'")
     n = 2 * k + (0 if branch == "I" else 1)
     bits = params.bits
+    lags, weights = _offset_terms(params.tau)
     code = 0
-    for lag in _transmit_lags(params.tau):
+    for lag in lags:
         m = n - lag
         code = 3 * code + (int(bits[m]) + 1 if 0 <= m < len(bits) else 1)
-    return float(_pattern_table(params.amplitude, params.tau, params.phi_c)[code])
+    return float(_pattern_table(params.amplitude, weights, params.phi_c)[code])
+
+
+class _PatternGather:
+    """Buffers that turn an interferer's chips, amplitude and per-packet
+    phases into its transmit-order contribution, for slabs of up to `rows`
+    packets of n_chips chips at offset tau; allocated once per point.
+
+    Each chip is stored as the digit chip + 1 in a buffer whose padding
+    holds the digit of a silent chip, so the four digits of every
+    position's pattern are one flat slice of it apiece, and the base-3
+    pattern code is built with whole-slab int8 operations. The code plus
+    its packet row's table offset (81 per row) indexes one np.take from the
+    flattened per-packet pattern tables.
+    """
+
+    def __init__(self, rows: int, n_chips: int, tau: float):
+        lags, self.weights = _offset_terms(tau)
+        pad = min(max(map(abs, lags)), n_chips)
+        # a lag of n_chips or more reads only padding, as a lag of n_chips does
+        self.starts = [pad - max(-pad, min(pad, lag)) for lag in lags]
+        self.pad, self.n_chips, self.width = pad, n_chips, n_chips + 2 * pad
+        self.digits = np.ones((rows, self.width), dtype=np.int8)
+        self.code = np.empty((rows, self.width), dtype=np.int8)
+        self.index = np.empty((rows, n_chips), dtype=np.intp)
+        self.values = np.empty((rows, n_chips))
+        self.offset = np.arange(0, 81 * rows, 81)[:, None]
+
+    def __call__(self, chips, amplitude, phi_c):
+        """Contribution of chips (packets, n_chips) at phases (packets,)."""
+        table = _pattern_table(amplitude, self.weights, phi_c)
+        rows, pad, n_chips = len(chips), self.pad, self.n_chips
+        inner = (slice(None, rows), slice(pad, pad + n_chips))
+        np.add(chips, 1, out=self.digits[inner], casting="unsafe")
+        # flat slices skip the first and last pad positions, so every packet
+        # position reads digits of its own row
+        size = rows * self.width - 2 * pad
+        digits = self.digits.reshape(-1)
+        main_prev, main_cur, leak_prev, leak_cur = (
+            digits[start:start + size] for start in self.starts)
+        code = np.multiply(main_prev, 3, out=self.code.reshape(-1)[pad:pad + size])
+        code += main_cur
+        code *= 3
+        code += leak_prev
+        code *= 3
+        code += leak_cur
+        index = np.add(self.code[inner], self.offset[:rows], out=self.index[:rows])
+        # every index is in range; "clip" only spares take a buffered out
+        return np.take(table.reshape(-1), index, out=self.values[:rows], mode="clip")

@@ -41,7 +41,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .chipseq import BITS_PER_SYMBOL, CHIPS_PER_SYMBOL
-from .demod import _pattern_table, _transmit_lags
+from .demod import _PatternGather
 from .receiver import decide
 from .signal_model import draw_payloads
 
@@ -91,6 +91,14 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
+def _is_finite(value) -> bool:
+    """math.isfinite, reading an integer too large for a float as infinite."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Experiment description; grids and per-point simulation parameters."""
@@ -121,17 +129,19 @@ class ExperimentConfig:
             for value in values:
                 if isinstance(value, bool) or not isinstance(value, numbers.Real):
                     raise ConfigError(f"{name} values must be numbers, not {value!r}")
-            object.__setattr__(self, name, tuple(map(float, values)))
-            if not all(map(math.isfinite, getattr(self, name))):
+            if not all(map(_is_finite, values)):
                 raise ConfigError(f"{name} values must be finite")
+            object.__setattr__(self, name, tuple(map(float, values)))
         for name in ("packets_per_point", "payload_bits", "n_interferers", "master_seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, not {value!r}")
+        if not 0 <= self.master_seed < 2**64:
+            raise ConfigError(f"master_seed must lie in 0..2**64 - 1, not {self.master_seed}")
         for name in ("phi_c", "noise_std"):
             value = getattr(self, name)
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
+                    or not _is_finite(value)):
                 raise ConfigError(f"{name} must be a finite number, not {value!r}")
         for sir_db in self.sir_db_grid:
             _interference_level(sir_db)
@@ -177,7 +187,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         try:
             return cls(**data)
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
 
@@ -279,7 +289,7 @@ def _point_rng(master_seed: int, *parts) -> np.random.Generator:
     digest = hashlib.blake2b(b"".join(_encode_part(p) for p in parts),
                              digest_size=16).digest()
     key = int.from_bytes(digest, "little")
-    seq = np.random.SeedSequence([int(master_seed) & (2**64 - 1), key])
+    seq = np.random.SeedSequence([int(master_seed), key])
     return np.random.default_rng(seq)
 
 
@@ -290,53 +300,6 @@ class _BatchStats:
     total_bits: int
     symbol_errors: int
     total_symbols: int
-
-
-class _PatternGather:
-    """Buffers that turn an interferer's chips and its per-packet pattern
-    tables into its transmit-order contribution, for slabs of up to `rows`
-    packets of n_chips chips at offset tau; allocated once per point.
-
-    Each chip is stored as the digit chip + 1 in a buffer whose padding
-    holds the digit of a silent chip, so the four digits of every
-    position's pattern are one flat slice of it apiece, and the base-3
-    pattern code is built with whole-slab int8 operations. The code plus
-    its packet row's table offset (81 per row) indexes one np.take from the
-    flattened tables.
-    """
-
-    def __init__(self, rows: int, n_chips: int, tau: float):
-        lags = _transmit_lags(tau)
-        pad = min(max(map(abs, lags)), n_chips)
-        # a lag of n_chips or more reads only padding, as a lag of n_chips does
-        self.starts = [pad - max(-pad, min(pad, lag)) for lag in lags]
-        self.pad, self.n_chips, self.width = pad, n_chips, n_chips + 2 * pad
-        self.digits = np.ones((rows, self.width), dtype=np.int8)
-        self.code = np.empty((rows, self.width), dtype=np.int8)
-        self.index = np.empty((rows, n_chips), dtype=np.intp)
-        self.values = np.empty((rows, n_chips))
-        self.offset = np.arange(0, 81 * rows, 81)[:, None]
-
-    def __call__(self, chips, table):
-        """Contribution of chips (packets, n_chips) with tables (packets, 81)."""
-        rows, pad, n_chips = len(chips), self.pad, self.n_chips
-        inner = (slice(None, rows), slice(pad, pad + n_chips))
-        np.add(chips, 1, out=self.digits[inner], casting="unsafe")
-        # flat slices skip the first and last pad positions, so every packet
-        # position reads digits of its own row
-        size = rows * self.width - 2 * pad
-        digits = self.digits.reshape(-1)
-        main_prev, main_cur, leak_prev, leak_cur = (
-            digits[start:start + size] for start in self.starts)
-        code = np.multiply(main_prev, 3, out=self.code.reshape(-1)[pad:pad + size])
-        code += main_cur
-        code *= 3
-        code += leak_prev
-        code *= 3
-        code += leak_cur
-        index = np.add(self.code[inner], self.offset[:rows], out=self.index[:rows])
-        # every index is in range; "clip" only spares take a buffered out
-        return np.take(table.reshape(-1), index, out=self.values[:rows], mode="clip")
 
 
 def _compute_soft(soi_chips, interferer_chips, amplitudes, tau, phi,
@@ -360,7 +323,7 @@ def _compute_soft(soi_chips, interferer_chips, amplitudes, tau, phi,
     if gather is None and len(interferer_chips):
         gather = _PatternGather(len(soft), soft.shape[-1], tau)
     for idx, chips in enumerate(interferer_chips):
-        soft += gather(chips, _pattern_table(amplitudes[idx], tau, phi[..., idx]))
+        soft += gather(chips, amplitudes[idx], phi[..., idx])
     if noise is not None:
         soft[..., 0::2] += noise[0]
         soft[..., 1::2] += noise[1]

@@ -198,12 +198,12 @@ def rect_integral(f_kind: str, branch: str, tau: float, bits: np.ndarray,
         raise ValueError("branch must be 'I' or 'Q'")
     two_t = 2.0
     w_p = math.pi / two_t
-    dec = decompose_offset(tau, "active" if branch == "I" else "q_leak")
-    n = 2 * (k - dec.k_shift) + (0 if branch == "I" else 1)
+    k_shift, tau_rel = decompose_offset(tau if branch == "I" else tau + 1.0)
+    n = 2 * (k - k_shift) + (0 if branch == "I" else 1)
     prev, cur = _bit(bits, n - 2), _bit(bits, n)
-    phi_p = dec.phi_p
+    phi_p = math.pi * tau / two_t
     if f_kind == "one":
-        return dec.tau_rel * prev + (two_t - dec.tau_rel) * cur
+        return tau_rel * prev + (two_t - tau_rel) * cur
     diff = prev - cur
     if f_kind == "cos2wp":
         val = -1.0 / (2.0 * w_p) * math.sin(2.0 * phi_p) * diff

@@ -40,7 +40,11 @@ class InterfererParams:
         if not self.amplitude > 0:
             raise ValueError("amplitude must be positive")
         for name in ("amplitude", "tau", "phi_c"):
-            if not math.isfinite(getattr(self, name)):
+            try:
+                finite = math.isfinite(getattr(self, name))
+            except OverflowError:  # an integer too large for a float
+                finite = False
+            if not finite:
                 raise ValueError(f"{name} must be finite")
         bits = np.asarray(self.bits)
         if bits.ndim != 1 or bits.size == 0:

@@ -234,6 +234,8 @@ _ONE_POINT = ["--tau-start", "0", "--tau-stop", "0", "--tau-step", "1", *_ONE_SI
     (None, ["sweep", "--threads", "100000", *_ONE_POINT]),
     (None, ["ninterf", "--max-n", "1000000000000", "--packets", "10"]),
     ({"phi_c": 10**400}, []),
+    ({"master_seed": 2**64}, []),
+    (None, ["sweep", "--seed", "-1", *_ONE_POINT]),
     # the later --packets wins: 5.1e8 values in a point
     (None, ["sweep", "--preset", "fig5c", *_ONE_POINT, "--packets", "1000000"]),
     # n = 1 fits the ceiling (1.0e8 values), n = 8 does not (4.6e8)
@@ -245,6 +247,7 @@ _ONE_POINT = ["--tau-start", "0", "--tau-stop", "0", "--tau-step", "1", *_ONE_SI
         "config-grid-oversize", "validate-carrier-huge", "validate-carrier-4",
         "validate-carrier-baseband", "validate-seed-negative",
         "threads-zero", "threads-huge", "ninterf-max-n-huge", "config-int-overflow",
+        "config-seed-huge", "sweep-seed-negative",
         "sweep-packets-1e6", "ninterf-too-many-values"])
 def test_bad_input_is_config_error(tmp_path, capsys, config, argv):
     out = ["--out", str(tmp_path / "x.csv")]

@@ -11,7 +11,7 @@ from mskcollide import (InterfererParams, interference_contribution,
                         oracle_lambda_baseband, rect_integral,
                         rect_integral_quadrature)
 from mskcollide import montecarlo
-from mskcollide.demod import _branch_terms, decompose_offset
+from mskcollide.demod import decompose_offset
 from mskcollide.montecarlo import _compute_soft
 
 TWO_OVER_PI = 2.0 / math.pi
@@ -39,35 +39,30 @@ def _bit(u, branch, m):
 
 class TestDecomposeOffset:
     def test_zero_offset(self):
-        d = decompose_offset(0.0, "active")
-        assert (d.k_shift, d.tau_rel, d.phi_p) == (0, 0.0, 0.0)
+        assert decompose_offset(0.0) == (0, 0.0)
 
     def test_positive_offset(self):
-        d = decompose_offset(2.5, "active")
-        assert d.k_shift == 1
-        assert d.tau_rel == pytest.approx(0.5)
+        k_shift, tau_rel = decompose_offset(2.5)
+        assert k_shift == 1
+        assert tau_rel == pytest.approx(0.5)
 
     def test_negative_offset_floors_down(self):
-        d = decompose_offset(-0.5, "active")
-        assert d.k_shift == -1
-        assert d.tau_rel == pytest.approx(1.5)
+        k_shift, tau_rel = decompose_offset(-0.5)
+        assert k_shift == -1
+        assert tau_rel == pytest.approx(1.5)
 
     def test_q_leak_shifts_by_plus_T(self):
-        d = decompose_offset(0.0, "q_leak")
-        assert d.k_shift == 0
-        assert d.tau_rel == pytest.approx(1.0)
+        k_shift, tau_rel = decompose_offset(0.0 + 1.0)
+        assert k_shift == 0
+        assert tau_rel == pytest.approx(1.0)
 
     def test_remainder_confined_and_consistent(self):
         rng = np.random.default_rng(0)
         for _ in range(2000):
             tau = float(rng.uniform(-50, 50))
-            d = decompose_offset(tau, "active")
-            assert 0.0 <= d.tau_rel < 2.0
-            assert tau == pytest.approx(d.tau_rel + 2 * d.k_shift, abs=1e-9)
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            decompose_offset(0.0, "sideways")
+            k_shift, tau_rel = decompose_offset(tau)
+            assert 0.0 <= tau_rel < 2.0
+            assert tau == pytest.approx(tau_rel + 2 * k_shift, abs=1e-9)
 
 
 class TestSynchronizedContribution:
@@ -348,24 +343,24 @@ def _expression_form(i_bits, q_bits, amplitude, tau, phi_c, branch, num_bits,
     payload's first branch index relative to the first decision index. The
     in-phase bits leak into quadrature detection through the quadrature
     leak decomposition, one bit later."""
-    main_dec = decompose_offset(tau, "active")
-    leak_dec = decompose_offset(tau, "q_leak")
-    leak_shift = leak_dec.k_shift - (1 if branch == "Q" else 0)
+    main_shift, main_rel = decompose_offset(tau)
+    leak_shift, leak_rel = decompose_offset(tau + 1.0)
+    leak_shift -= 1 if branch == "Q" else 0
     main_bits = i_bits if branch == "I" else q_bits
     leak_bits = q_bits if branch == "I" else i_bits
     phi_c = np.asarray(phi_c, dtype=np.float64)[..., None]
-    main_prev, main_cur = _shifted_pair(main_bits, main_dec.k_shift + index_offset,
-                                        num_bits)
+    main_prev, main_cur = _shifted_pair(main_bits, main_shift + index_offset, num_bits)
     leak_prev, leak_cur = _shifted_pair(leak_bits, leak_shift + index_offset, num_bits)
     two_t = 2.0
     over_pi = two_t / math.pi
     gain = amplitude / two_t
-    cos_p = math.cos(main_dec.phi_p)
-    sin_p = math.sin(main_dec.phi_p)
-    direct = ((gain * (cos_p * main_dec.tau_rel - over_pi * sin_p)) * main_prev
-              + (gain * (cos_p * (two_t - main_dec.tau_rel) + over_pi * sin_p)) * main_cur)
-    leak = ((gain * (sin_p * leak_dec.tau_rel + over_pi * cos_p)) * leak_prev
-            + (gain * (sin_p * (two_t - leak_dec.tau_rel) - over_pi * cos_p)) * leak_cur)
+    phi_p = math.pi * tau / 2.0
+    cos_p = math.cos(phi_p)
+    sin_p = math.sin(phi_p)
+    direct = ((gain * (cos_p * main_rel - over_pi * sin_p)) * main_prev
+              + (gain * (cos_p * (two_t - main_rel) + over_pi * sin_p)) * main_cur)
+    leak = ((gain * (sin_p * leak_rel + over_pi * cos_p)) * leak_prev
+            + (gain * (sin_p * (two_t - leak_rel) - over_pi * cos_p)) * leak_cur)
     return np.cos(phi_c) * direct - np.sin(phi_c) * leak
 
 
@@ -395,7 +390,9 @@ class TestBitIdentity:
     one-row lookup and the whole-packet gather (and every table built from
     them) stay bit-identical to it."""
 
-    TAUS = (-3.0, -2.7, -1.8, -1.0, -0.6, -0.3, 0.0, 0.3, 1.0, 1.3, 2.9)
+    #: Includes all 11 split taus (TestPatternTables.SPLIT_TAUS).
+    TAUS = (-3.0, -2.7, -1.8, -1.7, -1.3, -1.2, -1.0, -0.9, -0.6, -0.4, -0.3, 0.0, 0.3,
+            1.0, 1.2, 1.3, 1.7, 1.8, 2.9)
 
     @pytest.mark.parametrize("tau", TAUS)
     @pytest.mark.parametrize("branch", ["I", "Q"])
@@ -443,16 +440,6 @@ class TestPatternTables:
     #: Preset taus at which decomposing tau + T and tau - T separately gave
     #: the two branches leak weights a few ulps apart.
     SPLIT_TAUS = (-1.8, -1.7, -1.3, -1.2, -0.9, -0.6, -0.4, 1.2, 1.3, 1.7, 1.8)
-
-    def test_branches_share_leak_weights(self):
-        # one table serves both branches: their weights are equal and the
-        # quadrature leak shift is one less
-        taus = self.SPLIT_TAUS + tuple(np.random.default_rng(86).uniform(-100, 100, 2000))
-        for tau in taus:
-            main_i, leak_i, weights_i = _branch_terms(1.7, float(tau), "I")
-            main_q, leak_q, weights_q = _branch_terms(1.7, float(tau), "Q")
-            assert weights_q == weights_i, tau
-            assert (main_q, leak_q) == (main_i, leak_i - 1), tau
 
     @pytest.mark.parametrize("tau", SPLIT_TAUS + (
         -100.0, -3.0000000000000004, -2.7, -1.0000000000000002, 0.0, 0.3, 2.9, 100.0, 1e17))

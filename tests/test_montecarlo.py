@@ -50,6 +50,18 @@ class TestConfig:
             small_cfg(target="interferer", n_interferers=0)
         with pytest.raises(ConfigError):
             replace(small_cfg(), noise_std=-1.0)
+        # an integer too large for a float is a bad value, not an OverflowError
+        for fields in ({"tau_grid": (0.0, 10**400)}, {"sir_db_grid": (10**400,)},
+                       {"phi_c": 10**400}, {"noise_std": 10**400}):
+            with pytest.raises(ConfigError):
+                small_cfg(**fields)
+            with pytest.raises(ConfigError):
+                replace(small_cfg(), **fields)
+        # the seed is one 64-bit word: two seeds never share a stream
+        for seed in (-1, 2**64):
+            with pytest.raises(ConfigError):
+                small_cfg(master_seed=seed)
+        assert small_cfg(master_seed=2**64 - 1).master_seed == 2**64 - 1
         # the per-point ceiling counts packets x chips x senders
         at_cap = small_cfg(packets_per_point=MAX_POINT_VALUES // (32 * 2))
         for fields in ({"packets_per_point": at_cap.packets_per_point + 1},

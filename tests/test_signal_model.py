@@ -16,7 +16,7 @@ def _unit(bits):
     return InterfererParams(1.0, 0.0, 0.0, bits)
 
 
-def test_multiplex_even_odd_split():
+def test_branches_read_even_and_odd_positions():
     # at zero offsets a unit interferer's branches read back its even
     # (in-phase) and odd (quadrature) transmit positions
     u = _unit([+1, +1, +1, -1])
@@ -24,18 +24,18 @@ def test_multiplex_even_odd_split():
     assert [interference_contribution(u, k, "Q") for k in range(2)] == [1, -1]
 
 
-def test_multiplex_single_bit():
+def test_one_bit_payload_has_no_quadrature_bit():
     u = _unit([+1])
     assert interference_contribution(u, 0, "I") == 1.0
     assert interference_contribution(u, 0, "Q") == 0.0
 
 
-def test_multiplex_empty_payload_rejected():
+def test_empty_payload_rejected():
     with pytest.raises(ValueError, match="non-empty"):
         _unit([])
 
 
-def test_multiplex_demultiplex_round_trip():
+def test_zero_offsets_read_payload_back():
     # a unit interferer at zero offsets contributes exactly its bits, so the
     # one-row closed form reads the payload back in transmit order
     rng = np.random.default_rng(42)
@@ -57,7 +57,7 @@ def test_two_dimensional_bits_rejected():
         _unit([[1, -1], [1, 1]])
 
 
-def test_stream_silence_outside_span():
+def test_silence_outside_payload():
     u = _unit([1, -1, 1, -1])
     assert interference_contribution(u, -1, "I") == 0.0
     assert interference_contribution(u, 2, "I") == 0.0
@@ -66,7 +66,7 @@ def test_stream_silence_outside_span():
     assert interference_contribution(u, 1, "Q") == -1.0
 
 
-def test_stream_is_immutable():
+def test_interferer_bits_are_a_read_only_copy():
     bits = np.array([1, -1, 1, -1])
     u = _unit(bits)
     assert u.bits.dtype == np.int8 and not u.bits.flags.writeable
@@ -86,9 +86,12 @@ def test_interferer_params_normalize_phase():
 
 @pytest.mark.parametrize("field, value", [
     ("amplitude", math.inf), ("tau", math.nan), ("tau", math.inf), ("tau", -math.inf),
-    ("phi_c", math.inf), ("phi_c", -math.inf), ("phi_c", math.nan)])
+    ("phi_c", math.inf), ("phi_c", -math.inf), ("phi_c", math.nan),
+    *(pytest.param(field, 10**400, id=f"{field}-int-overflow")
+      for field in ("amplitude", "tau", "phi_c"))])
 def test_interferer_params_reject_non_finite(field, value):
-    # each would otherwise give NaN soft values or fail later inside math.floor
+    # each would otherwise give NaN soft values or fail later inside math.floor;
+    # an integer too large for a float is not finite either
     fields = {"amplitude": 1.0, "tau": 0.0, "phi_c": 0.0, field: value}
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         InterfererParams(bits=[1, -1], **fields)
@@ -106,7 +109,7 @@ def test_scenario_sir():
     assert _point_amplitudes(ExperimentConfig(n_interferers=0), 0.0) == ()
 
 
-def test_make_payload_identical_uncoded():
+def test_draw_payloads_identical_uncoded():
     rng = np.random.default_rng(1)
     soi, interferer = draw_payloads(rng, "identical", False, 64, 1, 3)
     assert soi is interferer
@@ -115,7 +118,7 @@ def test_make_payload_identical_uncoded():
     assert set(np.unique(chips)) == {-1, 1}
 
 
-def test_make_payload_coded_chip_counts():
+def test_draw_payloads_coded_chip_counts():
     rng = np.random.default_rng(2)
     (symbols, chips), (_, interferer) = draw_payloads(rng, "independent", True, 64, 1, 3)
     # 16 symbols of 32 chips: 512 chips per packet
@@ -125,14 +128,14 @@ def test_make_payload_coded_chip_counts():
     assert not np.array_equal(chips, interferer)
 
 
-def test_make_payload_seeded_reproducibility():
+def test_draw_payloads_seeded_reproducibility():
     a = draw_payloads(np.random.default_rng(7), "independent", False, 64, 1, 2)
     b = draw_payloads(np.random.default_rng(7), "independent", False, 64, 1, 2)
     assert np.array_equal(a[0][1], b[0][1])
     assert np.array_equal(a[1][1], b[1][1])
 
 
-def test_make_payload_validation():
+def test_config_rejects_bad_payload_fields():
     valid = ExperimentConfig(tau_grid=(0.0,), sir_db_grid=(0.0,))
     for fields in ({"coding": "hdd", "payload_bits": 66}, {"payload_bits": 0},
                    {"payload_mode": "both"}):
