@@ -231,7 +231,7 @@ class NInterfererPoint:
 def grid(start: float, stop: float, step: float) -> tuple:
     """Inclusive numeric grid with round-off-stable values; at most
     MAX_GRID_POINTS of them, checked before any is built."""
-    if not all(map(math.isfinite, (start, stop, step))):
+    if not all(map(_is_finite, (start, stop, step))):
         raise ConfigError("grid start, stop and step must be finite")
     if step <= 0:
         raise ConfigError("grid step must be positive")

@@ -83,6 +83,8 @@ class TestConfig:
         assert grid(0.0, 0.3, 0.1) == (0.0, 0.1, 0.2, 0.3)
         with pytest.raises(ConfigError):
             grid(0.0, 1.0, 0.0)
+        with pytest.raises(ConfigError):
+            grid(0.0, 10**400, 1.0)
         assert len(grid(0.0, MAX_GRID_POINTS - 1.0, 1.0)) == MAX_GRID_POINTS
         with pytest.raises(ConfigError):
             grid(0.0, float(MAX_GRID_POINTS), 1.0)
