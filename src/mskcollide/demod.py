@@ -158,7 +158,8 @@ class _PatternGather:
         self.offset = np.arange(0, 81 * rows, 81)[:, None]
 
     def __call__(self, chips, amplitude, phi_c):
-        """Contribution of chips (packets, n_chips) at phases (packets,)."""
+        """Contribution of chips (packets, n_chips) at one amplitude and
+        per-packet phases phi_c (packets,)."""
         table = _pattern_table(amplitude, self.weights, phi_c)
         rows, pad, n_chips = len(chips), self.pad, self.n_chips
         inner = (slice(None, rows), slice(pad, pad + n_chips))

@@ -43,7 +43,7 @@ import numpy as np
 from .chipseq import BITS_PER_SYMBOL, CHIPS_PER_SYMBOL
 from .demod import _PatternGather
 from .receiver import decide
-from .signal_model import draw_payloads
+from .signal_model import _is_finite, draw_payloads
 
 TWO_PI = 2.0 * math.pi
 
@@ -89,14 +89,6 @@ _keep_freed_heap()
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
-
-
-def _is_finite(value) -> bool:
-    """math.isfinite, reading an integer too large for a float as infinite."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,14 @@ from .chipseq import BIPOLAR_CHIP_TABLE, BITS_PER_SYMBOL
 TWO_PI = 2.0 * math.pi
 
 
+def _is_finite(value) -> bool:
+    """math.isfinite, reading an integer too large for a float as infinite."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class InterfererParams:
     """One interfering sender: linear amplitude, time offset tau (in units
@@ -40,11 +48,7 @@ class InterfererParams:
         if not self.amplitude > 0:
             raise ValueError("amplitude must be positive")
         for name in ("amplitude", "tau", "phi_c"):
-            try:
-                finite = math.isfinite(getattr(self, name))
-            except OverflowError:  # an integer too large for a float
-                finite = False
-            if not finite:
+            if not _is_finite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         bits = np.asarray(self.bits)
         if bits.ndim != 1 or bits.size == 0:
