@@ -9,11 +9,11 @@ the point, so sweeps are parametrized by (tau, SIR) alone.
 Every point draws from its own RNG stream seeded by the master seed and
 the point's physical parameters (offsets, amplitudes, modes). Results are
 therefore bit-identical no matter how points are ordered or distributed
-across workers. Within a point the per-packet values are rows of batched
-draws made for the whole point in one fixed order: payloads, phase offsets,
-noise. Soft values, decisions and error counts are then evaluated in slabs
-of packets holding about SLAB_VALUES soft values, so a point's working set
-is its draws plus one slab; MAX_POINT_VALUES bounds the draws.
+across workers. One function, _draw_point, makes all of a point's draws in
+one fixed order (payloads, phase offsets, noise); a replay reruns it. One
+evaluator, _evaluate, decides them in slabs of about SLAB_VALUES soft values
+and _point_stats counts each slab's errors, so a point's working set is its
+draws plus one slab; MAX_POINT_VALUES bounds the draws.
 
 Importing the module raises glibc's heap trim and mmap thresholds
 (_keep_freed_heap), so each point reuses the heap the last one freed.
@@ -223,6 +223,9 @@ class NInterfererPoint:
 def grid(start: float, stop: float, step: float) -> tuple:
     """Inclusive numeric grid with round-off-stable values; at most
     MAX_GRID_POINTS of them, checked before any is built."""
+    for value in (start, stop, step):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigError(f"grid start, stop and step must be numbers, not {value!r}")
     if not all(map(_is_finite, (start, stop, step))):
         raise ConfigError("grid start, stop and step must be finite")
     if step <= 0:
@@ -234,6 +237,13 @@ def grid(start: float, stop: float, step: float) -> tuple:
         raise ConfigError(f"grid would hold more than {MAX_GRID_POINTS} values")
     n = int(math.floor(span)) + 1
     return tuple(round(start + i * step, 10) for i in range(n))
+
+
+def _check_count(name: str, value, most: int):
+    """Raise ConfigError unless value is an integer, not a bool, in 1..most."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or not 1 <= value <= most):
+        raise ConfigError(f"{name} must be an integer in 1..{most}, not {value!r}")
 
 
 def _interference_level(sir_db: float) -> float:
@@ -285,15 +295,6 @@ def _point_rng(master_seed: int, *parts) -> np.random.Generator:
     return np.random.default_rng(seq)
 
 
-@dataclass(frozen=True)
-class _BatchStats:
-    ok: np.ndarray
-    bit_errors: int
-    total_bits: int
-    symbol_errors: int
-    total_symbols: int
-
-
 def _compute_soft(soi_chips, interferer_chips, amplitudes, tau, phi,
                   noise=None, out=None, gather=None):
     """Transmit-order soft values of a batch of packets (pure given the draws).
@@ -322,24 +323,17 @@ def _compute_soft(soi_chips, interferer_chips, amplitudes, tau, phi,
     return soft
 
 
-def _simulate_batch(cfg: ExperimentConfig, tau: float, amplitudes: tuple) -> _BatchStats:
-    """Simulate one grid point's packets and count errors against the target."""
-    packets = cfg.packets_per_point
+def _draw_point(cfg: ExperimentConfig, tau: float, amplitudes: tuple):
+    """One grid point's draws from its own RNG stream, in the canonical
+    order: payloads (draw_payloads), phase offsets (random mode only), then
+    noise. Returns (senders, phi, noise); replaying a point reruns this."""
+    packets, n_int = cfg.packets_per_point, len(amplitudes)
     coded = cfg.coding != "uncoded"
     n_chips = 8 * cfg.payload_bits if coded else cfg.payload_bits
-    n_int = len(amplitudes)
     fixed = cfg.phi_mode == "fixed"
-
-    rng = _point_rng(
-        cfg.master_seed,
-        float(tau), tuple(float(a) for a in amplitudes),
-        cfg.phi_mode, float(cfg.phi_c) if fixed else -1.0,
-        cfg.payload_mode, cfg.coding, cfg.target,
-        packets, cfg.payload_bits, float(cfg.noise_std),
-    )
-
-    # Canonical draw order: payloads (draw_payloads), phase offsets (random
-    # mode only), then noise.
+    rng = _point_rng(cfg.master_seed, float(tau), tuple(float(a) for a in amplitudes),
+                     cfg.phi_mode, float(cfg.phi_c) if fixed else -1.0, cfg.payload_mode,
+                     cfg.coding, cfg.target, packets, cfg.payload_bits, float(cfg.noise_std))
     senders = draw_payloads(rng, cfg.payload_mode, coded, cfg.payload_bits, n_int, packets)
     if fixed:
         phi = np.full((packets, n_int), float(cfg.phi_c))
@@ -349,36 +343,53 @@ def _simulate_batch(cfg: ExperimentConfig, tau: float, amplitudes: tuple) -> _Ba
     if cfg.noise_std > 0:
         noise = (rng.normal(0.0, cfg.noise_std, size=(packets, n_chips - n_chips // 2)),
                  rng.normal(0.0, cfg.noise_std, size=(packets, n_chips // 2)))
+    return senders, phi, noise
 
-    ref_symbols, ref_chips = senders[0 if cfg.target == "soi" else 1]
-    bit_err = np.empty(packets, dtype=np.int64)
-    sym_err = np.zeros(packets, dtype=np.int64)
+
+def _evaluate(coding: str, tau: float, amplitudes: tuple, draws):
+    """Decide a point's draws in slabs of max(1, SLAB_VALUES // chips) packets.
+
+    Yields (rows, sliced, symbols, corr) per slab: rows is the slice of the
+    slab's packets, the rest is decide()'s return for their soft values.
+    All slabs share one soft buffer and one _PatternGather."""
+    senders, phi, noise = draws
+    soi_chips = senders[0][1]
+    packets, n_chips = soi_chips.shape
     slab = max(1, SLAB_VALUES // n_chips)
     soft_buf = np.empty((min(slab, packets), n_chips))
-    gather = _PatternGather(len(soft_buf), n_chips, tau) if n_int else None
+    gather = _PatternGather(len(soft_buf), n_chips, tau) if amplitudes else None
     for start in range(0, packets, slab):
-        rows = slice(start, start + slab)
-        soi_chips = senders[0][1][rows]
-        soft = _compute_soft(soi_chips, [chips[rows] for _, chips in senders[1:]],
+        rows = slice(start, min(start + slab, packets))
+        soft = _compute_soft(soi_chips[rows], [chips[rows] for _, chips in senders[1:]],
                              amplitudes, tau, phi[rows],
                              None if noise is None else (noise[0][rows], noise[1][rows]),
-                             out=soft_buf[:len(soi_chips)], gather=gather)
-        sliced, decided, _ = decide(soft, cfg.coding)
+                             out=soft_buf[:rows.stop - start], gather=gather)
+        yield (rows, *decide(soft, coding))
+
+
+def _point_stats(cfg: ExperimentConfig, tau: float, amplitudes: tuple) -> tuple:
+    """(prr_mean, prr_std, ber, ser) of one grid point, counted against the
+    target's payload; ser is 0.0 for uncoded points."""
+    draws = _draw_point(cfg, tau, amplitudes)
+    ref_symbols, ref_chips = draws[0][0 if cfg.target == "soi" else 1]
+    packets, n_chips = ref_chips.shape
+    coded = cfg.coding != "uncoded"
+    bit_err = np.empty(packets, dtype=np.int64)
+    sym_err = np.zeros(packets, dtype=np.int64)
+    for rows, sliced, symbols, _ in _evaluate(cfg.coding, tau, amplitudes, draws):
         bit_err[rows] = (sliced != ref_chips[rows]).sum(axis=1)
         if coded:
-            sym_err[rows] = (decided != ref_symbols[rows]).sum(axis=1)
-
-    return _BatchStats(ok=(sym_err if coded else bit_err) == 0,
-                       bit_errors=int(bit_err.sum()), total_bits=packets * n_chips,
-                       symbol_errors=int(sym_err.sum()),
-                       total_symbols=packets * n_chips // CHIPS_PER_SYMBOL if coded else 0)
+            sym_err[rows] = (symbols != ref_symbols[rows]).sum(axis=1)
+    ser = int(sym_err.sum()) / (packets * n_chips // CHIPS_PER_SYMBOL) if coded else 0.0
+    return (*_prr_stats((sym_err if coded else bit_err) == 0),
+            int(bit_err.sum()) / (packets * n_chips), ser)
 
 
-def _prr_stats(ok: np.ndarray, n_batches: int = 10) -> tuple[float, float]:
-    """Mean PRR plus its spread across equal batches of the packet set."""
+def _prr_stats(ok: np.ndarray) -> tuple[float, float]:
+    """Mean PRR plus its spread across 10 equal batches of the packet set."""
     packets = len(ok)
     mean = float(np.mean(ok))
-    n_batches = min(n_batches, packets)
+    n_batches = min(10, packets)
     if n_batches < 2:
         return mean, 0.0
     # np.array_split's sections: the first packets % n_batches hold one more
@@ -397,10 +408,7 @@ def _point_amplitudes(cfg: ExperimentConfig, sir_db: float) -> tuple:
 def run_point(cfg: ExperimentConfig, tau: float, sir_db: float) -> MetricPoint:
     """Simulate one (tau, SIR) grid point."""
     amplitudes = _point_amplitudes(cfg, sir_db)
-    stats = _simulate_batch(cfg, tau, amplitudes)
-    prr_mean, prr_std = _prr_stats(stats.ok)
-    ber = stats.bit_errors / stats.total_bits
-    ser = stats.symbol_errors / stats.total_symbols if stats.total_symbols else 0.0
+    prr_mean, prr_std, ber, ser = _point_stats(cfg, tau, amplitudes)
     return MetricPoint(tau=float(tau), sir_db=float(sir_db), prr_mean=prr_mean,
                        prr_std=prr_std, ber=ber, ser=ser,
                        packets=cfg.packets_per_point, n=len(amplitudes),
@@ -431,8 +439,7 @@ def _map_tasks(task_fn, tasks: list, threads: int) -> list:
     call that needs another worker count replaces it, and a call that
     raises (a dead worker included) drops it, so the next starts afresh."""
     global _pool
-    if not 1 <= threads <= MAX_THREADS:
-        raise ConfigError(f"threads must lie in 1..{MAX_THREADS}")
+    _check_count("threads", threads, MAX_THREADS)
     threads = min(threads, len(tasks))
     if threads <= 1:
         return [task_fn(t) for t in tasks]
@@ -479,8 +486,7 @@ def capture_zone(cfg: ExperimentConfig, phi_points: int,
     if len(cfg.sir_db_grid) != 1:
         raise ConfigError(f"a capture zone needs exactly one SIR, not "
                           f"{len(cfg.sir_db_grid)}")
-    if not 1 <= phi_points <= MAX_GRID_POINTS:
-        raise ConfigError(f"phi_points must lie in 1..{MAX_GRID_POINTS}")
+    _check_count("phi_points", phi_points, MAX_GRID_POINTS)
     phi_grid = [i * 2.0 * math.pi / phi_points for i in range(phi_points)]
     tasks = [(cfg, tau, phi) for tau in cfg.tau_grid for phi in phi_grid]
     return _map_tasks(_zone_task, tasks, threads)
@@ -491,8 +497,7 @@ def _ninterf_task(args):
     point_cfg = replace(cfg, payload_mode=payload_mode, n_interferers=n,
                         interferer_power_split=layout, phi_mode="random_uniform")
     amplitudes = split_amplitudes(n * 0.5, n, layout)
-    stats = _simulate_batch(point_cfg, 0.0, amplitudes)
-    prr_mean, prr_std = _prr_stats(stats.ok)
+    prr_mean, prr_std, _, _ = _point_stats(point_cfg, 0.0, amplitudes)
     return NInterfererPoint(n=n, layout=layout, payload_mode=payload_mode,
                             prr_mean=prr_mean, prr_std=prr_std,
                             packets=cfg.packets_per_point)
@@ -507,8 +512,7 @@ def n_interferer_experiment(cfg: ExperimentConfig, max_n: int = 8,
     sender's power, the single strong one carries n times that. Runs both
     payload modes and both layouts for n = 1..max_n.
     """
-    if not 1 <= max_n <= MAX_GRID_POINTS:
-        raise ConfigError(f"max_n must lie in 1..{MAX_GRID_POINTS}")
+    _check_count("max_n", max_n, MAX_GRID_POINTS)
     replace(cfg, n_interferers=max_n)  # the largest point must fit MAX_POINT_VALUES
     tasks = [(cfg, n, layout, mode)
              for mode in PAYLOAD_MODES

@@ -13,15 +13,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mskcollide import (BIPOLAR_CHIP_TABLE, ConfigError, ExperimentConfig,
-                        InterfererParams, MetricPoint, capture_zone, decide,
-                        grid, interference_contribution, montecarlo,
-                        n_interferer_experiment, run_point, sweep)
+from mskcollide import (ConfigError, ExperimentConfig, InterfererParams, MetricPoint,
+                        capture_zone, decide, grid, interference_contribution,
+                        montecarlo, n_interferer_experiment, run_point, sweep)
 from mskcollide.montecarlo import (MAX_GRID_POINTS, MAX_POINT_VALUES, _compute_soft,
-                                   _point_amplitudes, _point_rng, _prr_stats,
-                                   _simulate_batch, split_amplitudes)
+                                   _draw_point, _evaluate, _point_amplitudes,
+                                   _point_stats, _prr_stats, split_amplitudes)
 from mskcollide.presets import PRESETS
-from mskcollide.signal_model import draw_payloads
 from test_receiver import brute_force_decision
 from thresholds import threshold_extract
 
@@ -85,6 +83,10 @@ class TestConfig:
             grid(0.0, 1.0, 0.0)
         with pytest.raises(ConfigError):
             grid(0.0, 10**400, 1.0)
+        # bounds are numbers, as grid values in a config are
+        for bounds in (("0", 1, 1), (False, True, True)):
+            with pytest.raises(ConfigError):
+                grid(*bounds)
         assert len(grid(0.0, MAX_GRID_POINTS - 1.0, 1.0)) == MAX_GRID_POINTS
         with pytest.raises(ConfigError):
             grid(0.0, float(MAX_GRID_POINTS), 1.0)
@@ -187,39 +189,33 @@ class TestEngineMatchesLibraryPath:
         packets, tau, amp, phi = 40, 0.37, 5.0, 1.234
         cfg = small_cfg(coding=coding, packets_per_point=packets, payload_bits=32,
                         phi_mode="fixed", phi_c=phi)
-        stats = _simulate_batch(cfg, tau, (amp,))
-        # replay the point's draws and decide every packet by hand
-        rng = _point_rng(cfg.master_seed, tau, (amp,), cfg.phi_mode, phi,
-                         cfg.payload_mode, cfg.coding, cfg.target, packets,
-                         cfg.payload_bits, float(cfg.noise_std))
-        if coding == "uncoded":
-            soi_chips = rng.integers(0, 2, size=(packets, 32), dtype=np.int8) * 2 - 1
-            beta_chips = rng.integers(0, 2, size=(packets, 32), dtype=np.int8) * 2 - 1
-        else:
-            soi_symbols = rng.integers(0, 16, size=(packets, 8))
-            soi_chips = BIPOLAR_CHIP_TABLE[soi_symbols].reshape(packets, 256)
-            beta_chips = BIPOLAR_CHIP_TABLE[rng.integers(0, 16, size=(packets, 8))]
-            beta_chips = beta_chips.reshape(packets, 256)
-        soft = _compute_soft(soi_chips, [beta_chips], (amp,), tau,
-                             np.full((packets, 1), phi))
+        prr, _, ber, ser = _point_stats(cfg, tau, (amp,))
+        # the point's draws, every packet decided and counted by hand
+        ((soi_symbols, soi_chips), (_, beta_chips)), phis, noise = _draw_point(
+            cfg, tau, (amp,))
+        assert noise is None and np.all(phis == phi)
+        soft = _compute_soft(soi_chips, [beta_chips], (amp,), tau, phis)
         sliced = np.where(soft >= 0, 1, -1)
         _, batch_symbols, _ = decide(soft, coding)
-        bit_errors = symbol_errors = 0
+        received = bit_errors = symbol_errors = 0
         for p in range(packets):
             packet_bit_errors = int(np.count_nonzero(sliced[p] != soi_chips[p]))
             bit_errors += packet_bit_errors
             if coding == "uncoded":
-                assert (packet_bit_errors == 0) == bool(stats.ok[p])
+                received += packet_bit_errors == 0
                 continue
             values = sliced[p] if coding == "hdd" else soft[p]
             symbols = [brute_force_decision(block)[0]
                        for block in values.reshape(-1, 32)]
             assert symbols == batch_symbols[p].tolist()
             packet_symbol_errors = int(np.count_nonzero(symbols != soi_symbols[p]))
-            assert (packet_symbol_errors == 0) == bool(stats.ok[p])
+            received += packet_symbol_errors == 0
             symbol_errors += packet_symbol_errors
-        assert (stats.bit_errors, stats.symbol_errors) == (bit_errors, symbol_errors)
-        assert 0 < stats.bit_errors < stats.total_bits
+        n_chips = soi_chips.shape[1]
+        assert prr == received / packets
+        assert ber == bit_errors / (packets * n_chips)
+        assert ser == (0.0 if coding == "uncoded" else symbol_errors / (packets * n_chips // 32))
+        assert 0 < bit_errors < packets * n_chips
 
 
 class TestSlabs:
@@ -248,29 +244,23 @@ class TestSlabs:
         assert 0.0 < points[0].ber < 1.0
 
     @pytest.mark.parametrize("coding", ["hdd", "sdd"])
-    def test_counts_match_whole_batch_reference(self, coding):
+    def test_slabs_match_whole_batch_reference(self, coding):
         # 300 packets of 512 chips: two full slabs and a partial one
-        packets, n_bits, tau, amps, noise_std = 300, 64, 0.37, (1.3,), 0.5
-        assert packets % (montecarlo.SLAB_VALUES // (8 * n_bits))
+        packets, n_bits, tau, amps = 300, 64, 0.37, (1.3,)
         cfg = small_cfg(coding=coding, packets_per_point=packets, payload_bits=n_bits,
-                        noise_std=noise_std)
-        stats = _simulate_batch(cfg, tau, amps)
+                        noise_std=0.5)
+        draws = _draw_point(cfg, tau, amps)
+        slabs = list(_evaluate(coding, tau, amps, draws))
+        assert [(rows.start, rows.stop) for rows, *_ in slabs] == [
+            (0, 128), (128, 256), (256, 300)]
         # the same draws evaluated whole: one _compute_soft and one decide
-        rng = _point_rng(cfg.master_seed, tau, amps, cfg.phi_mode, -1.0, cfg.payload_mode,
-                         coding, cfg.target, packets, n_bits, noise_std)
-        (soi_symbols, soi_chips), (_, beta_chips) = draw_payloads(
-            rng, "independent", True, n_bits, 1, packets)
-        phi = rng.uniform(0.0, 2 * math.pi, size=(packets, 1))
-        noise = tuple(rng.normal(0.0, noise_std, size=(packets, 4 * n_bits))
-                      for _ in range(2))
-        soft = _compute_soft(soi_chips, [beta_chips], amps, tau, phi, noise)
-        sliced, symbols, _ = decide(soft, coding)
-        symbol_errors = (symbols != soi_symbols).sum(axis=1)
-        np.testing.assert_array_equal(stats.ok, symbol_errors == 0)
-        assert stats.bit_errors == int((sliced != soi_chips).sum())
-        assert stats.symbol_errors == int(symbol_errors.sum())
-        assert (stats.total_bits, stats.total_symbols) == (packets * 512, packets * 16)
-        assert 0 < stats.ok.sum() < packets
+        ((soi_symbols, soi_chips), (_, beta_chips)), phi, noise = draws
+        whole = decide(_compute_soft(soi_chips, [beta_chips], amps, tau, phi, noise), coding)
+        for parts, want in zip(zip(*(slab[1:] for slab in slabs)), whole):
+            got = np.concatenate(parts)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()  # sliced, symbols, correlations
+        assert 0 < (whole[1] == soi_symbols).all(axis=1).sum() < packets
 
 
 class TestFreedHeap:
@@ -325,6 +315,13 @@ class TestKeptPool:
             assert len(pids) == threads
             assert all(map(_gone, replaced))
             replaced = pids
+
+    @pytest.mark.parametrize("threads", [2.5, 1.5, True])
+    def test_bad_thread_count_starts_no_pool(self, monkeypatch, threads):
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor",
+                            lambda **kw: pytest.fail("a pool started"))
+        with pytest.raises(ConfigError):
+            sweep(small_cfg(tau_grid=(0.0, 0.5, 1.0)), threads=threads)
 
     def test_workers_end_with_their_parent(self):
         script = ("import multiprocessing\n"
@@ -400,8 +397,10 @@ class TestZoneAndNInterferer:
             capture_zone(small_cfg(tau_grid=()), 4)
 
     @pytest.mark.parametrize("fields, phi_points", [
-        ({"sir_db_grid": (-40.0, -30.0)}, 4), ({}, 0), ({}, MAX_GRID_POINTS + 1)],
-        ids=["two-sirs", "phi-points-zero", "phi-points-oversize"])
+        ({"sir_db_grid": (-40.0, -30.0)}, 4), ({}, 0), ({}, MAX_GRID_POINTS + 1),
+        ({}, 2.5), ({}, True)],
+        ids=["two-sirs", "phi-points-zero", "phi-points-oversize", "phi-points-float",
+             "phi-points-bool"])
     def test_zone_rejects_bad_sir_or_phase_count(self, fields, phi_points):
         with pytest.raises(ConfigError):
             capture_zone(small_cfg(**fields), phi_points)
