@@ -380,9 +380,10 @@ def _point_stats(cfg: ExperimentConfig, tau: float, amplitudes: tuple) -> tuple:
         bit_err[rows] = (sliced != ref_chips[rows]).sum(axis=1)
         if coded:
             sym_err[rows] = (symbols != ref_symbols[rows]).sum(axis=1)
+    prr_mean, prr_std = _prr_stats((sym_err if coded else bit_err) == 0)
+    ber = int(bit_err.sum()) / (packets * n_chips)
     ser = int(sym_err.sum()) / (packets * n_chips // CHIPS_PER_SYMBOL) if coded else 0.0
-    return (*_prr_stats((sym_err if coded else bit_err) == 0),
-            int(bit_err.sum()) / (packets * n_chips), ser)
+    return prr_mean, prr_std, ber, ser
 
 
 def _prr_stats(ok: np.ndarray) -> tuple[float, float]:
