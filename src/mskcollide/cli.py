@@ -26,9 +26,10 @@ import numpy as np
 
 from . import __version__
 from .demod import interference_contribution
-from .montecarlo import (ConfigError, ExperimentConfig, capture_zone, grid,
+from .montecarlo import (CODINGS, PAYLOAD_MODES, PHI_MODES, POWER_SPLITS, TARGETS,
+                         ConfigError, ExperimentConfig, capture_zone, grid,
                          n_interferer_experiment, sweep)
-from .oracle import (oracle_lambda_baseband, oracle_lambda_passband,
+from .oracle import (RECT_KINDS, oracle_lambda_baseband, oracle_lambda_passband,
                      rect_integral, rect_integral_quadrature)
 from .output import (write_chip_table, write_manifest, write_ninterf,
                      write_sweep, write_zone)
@@ -36,8 +37,6 @@ from .presets import NINTERF_DEFAULTS, PRESETS, ZONE_PRESETS
 from .signal_model import InterfererParams
 
 T_NANOSECONDS = 500.0  # half a 1 us bit duration
-
-RECT_KINDS = ("one", "cos2wp", "sin2wp")
 
 
 def _tau_scale(unit: str) -> float:
@@ -71,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--threads", type=int, default=1)
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--out", required=True, help="output table path")
-    common.add_argument("--coding", choices=("uncoded", "hdd", "sdd"))
+    common.add_argument("--coding", choices=CODINGS)
     common.add_argument("--payload-bits", type=int)
 
     tau = argparse.ArgumentParser(add_help=False)
@@ -83,16 +82,16 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="PRR/BER/SER grid over tau x SIR")
     swp.add_argument("--preset", choices=sorted(PRESETS))
     swp.add_argument("--config", help="JSON config file mirroring ExperimentConfig")
-    swp.add_argument("--payload-mode", choices=("independent", "identical"))
-    swp.add_argument("--target", choices=("soi", "interferer"))
+    swp.add_argument("--payload-mode", choices=PAYLOAD_MODES)
+    swp.add_argument("--target", choices=TARGETS)
     swp.add_argument("--sir-start", type=float)
     swp.add_argument("--sir-stop", type=float)
     swp.add_argument("--sir-step", type=float)
-    swp.add_argument("--phi-mode", choices=("random_uniform", "fixed"))
+    swp.add_argument("--phi-mode", choices=PHI_MODES)
     swp.add_argument("--phi-c", type=float)
     swp.add_argument("--n-interferers", type=int)
     swp.add_argument("--power-split", dest="interferer_power_split",
-                     choices=("single", "equal_split"))
+                     choices=POWER_SPLITS)
     swp.add_argument("--noise-std", type=float)
 
     zone = sub.add_parser("zone", parents=[common, tau],

@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .signal_model import InterfererParams
+from .signal_model import InterfererParams, transmit_position
 
 
 def decompose_offset(shifted: float) -> tuple[int, float]:
@@ -120,9 +120,7 @@ def interference_contribution(params: InterfererParams, k: int,
     """Closed-form contribution of one interferer to soft bit k of a branch:
     the entry of its pattern table (_pattern_table) at the pattern of the
     bit's transmit position, as the Monte Carlo engine reads it."""
-    if branch not in ("I", "Q"):
-        raise ValueError("branch must be 'I' or 'Q'")
-    n = 2 * k + (0 if branch == "I" else 1)
+    n = transmit_position(k, branch)
     bits = params.bits
     lags, weights = _offset_terms(params.tau)
     code = 0

@@ -194,7 +194,6 @@ class MetricPoint:
     ber: float
     ser: float
     packets: int
-    phi_c: float | None = None
     n: int = 1
 
 
@@ -412,8 +411,7 @@ def run_point(cfg: ExperimentConfig, tau: float, sir_db: float) -> MetricPoint:
     prr_mean, prr_std, ber, ser = _point_stats(cfg, tau, amplitudes)
     return MetricPoint(tau=float(tau), sir_db=float(sir_db), prr_mean=prr_mean,
                        prr_std=prr_std, ber=ber, ser=ser,
-                       packets=cfg.packets_per_point, n=len(amplitudes),
-                       phi_c=cfg.phi_c if cfg.phi_mode == "fixed" else None)
+                       packets=cfg.packets_per_point, n=len(amplitudes))
 
 
 def _sweep_task(args):

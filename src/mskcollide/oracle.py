@@ -7,12 +7,14 @@ the unfiltered double-carrier terms leave a residue of order
 1/carrier_multiple). Also evaluates the pulse-train primitive integrals
 both in closed form and by quadrature.
 
-Pulse trains are piecewise constant, so every integration interval is split
-exactly at pulse edges; within a piece the bit values are constants and a
-16-node Gauss-Legendre rule integrates only the smooth trigonometric factor,
-one panel per piece in baseband and one per double-carrier period in
-passband. As in the closed forms, times are in units of T = 1, so a bit
-lasts 2.
+Pulse trains are piecewise constant between edges at tau + mT, and a
+decision of transmit position n integrates over [n - T, n + T], so every
+integration splits into exactly three pieces at the two edges inside it
+(the first has zero width when tau is a whole multiple of T). Within a
+piece the bit values are constants and a 16-node Gauss-Legendre rule
+integrates only the smooth trigonometric factor, one panel per piece in
+baseband and one per double-carrier period in passband. As in the closed
+forms, times are in units of T = 1, so a bit lasts 2.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ import math
 import numpy as np
 
 from .demod import decompose_offset
-from .signal_model import InterfererParams
+from .signal_model import InterfererParams, transmit_position
 
-_EDGE_EPS = 1e-12
+#: The smooth factors of the pulse-train primitive integrals.
+RECT_KINDS = ("one", "cos2wp", "sin2wp")
 
 #: Most carrier multiples a passband run takes: its node arrays stay near
 #: 8 MB each.
@@ -43,41 +46,30 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 _NODES, _WEIGHTS = _gauss_legendre(16)
 
 
-def _pulse_edges(a: float, b: float, tau: float) -> list[float]:
-    """Interior points of (a, b) where either pulse train may jump.
+def _integrate_pieces(coeff, bits: np.ndarray, n: int, tau: float,
+                      trains=(0, 1), panels_per_bit: int = 1) -> float:
+    """Integrate sum_j train_j(t) * coeff(t)[j] over the decision interval
+    [n - 1, n + 1] of transmit position n, for the pulse trains of the given
+    parities (0 in-phase, 1 quadrature) of bits delayed by tau.
 
-    In-phase edges sit at tau + (odd)T, quadrature edges at tau + (even)T;
-    together every multiple of T offset by tau.
+    The edges tau + m and tau + (m + 1) split the interval into three
+    pieces; each gets max(1, ceil(panels_per_bit * its share of the
+    interval)) equal Gauss-Legendre panels, so a zero-width piece adds
+    exactly 0. A table row per piece holds its first panel's midpoint, the
+    half-width and the trains' values at the piece midpoint, repeated per
+    panel where a piece has more than one; coeff is evaluated once on the
+    nodes of every panel, an array of shape (panels, nodes).
     """
-    m0 = math.ceil(a - tau)
-    edges = []
-    m = m0
-    while True:
-        t = tau + m
-        if t >= b - _EDGE_EPS:
-            break
-        if t > a + _EDGE_EPS:
-            edges.append(t)
-        m += 1
-    return edges
-
-
-def _integrate_pieces(coeff, bits_at, a: float, b: float, tau: float,
-                      panels_per_bit: int = 1) -> float:
-    """Integrate sum_j bits_at(mid)[j] * coeff(t)[j] with bits constant per piece.
-
-    Each piece between pulse edges gets ceil(panels_per_bit * its share of
-    [a, b]) equal Gauss-Legendre panels. A table row per piece holds its
-    first panel's midpoint, the half-width and the piece's bits, repeated
-    per panel where a piece has more than one; coeff is evaluated once on
-    the nodes of every panel, an array of shape (panels, nodes).
-    """
-    points = [a, *_pulse_edges(a, b, tau), b]
+    m = math.ceil(n - 1 - tau)
+    points = (n - 1.0, tau + m, tau + (m + 1), n + 1.0)
     counts, rows = [], []
     for lo, hi in zip(points[:-1], points[1:]):
-        counts.append(math.ceil(panels_per_bit * (hi - lo) / (b - a)))
+        counts.append(max(1, math.ceil(panels_per_bit * (hi - lo) / 2.0)))
         half = 0.5 * (hi - lo) / counts[-1]
-        rows.append((lo + half, half, *bits_at(0.5 * (lo + hi))))
+        row = [lo + half, half]
+        for parity in trains:
+            row.append(_train(bits, 0.5 * (lo + hi), tau, parity))
+        rows.append(row)
     table = np.array(rows)
     if len(rows) < sum(counts):
         table = np.repeat(table, counts, axis=0)
@@ -93,20 +85,11 @@ def _bit(bits: np.ndarray, n: int) -> int:
     return int(bits[n]) if 0 <= n < len(bits) else 0
 
 
-def _bit_i_at(bits: np.ndarray, t: float, tau: float) -> int:
-    """In-phase pulse-train value at time t for a signal delayed by tau."""
-    return _bit(bits, 2 * math.floor((t - tau + 1.0) / 2.0))
-
-
-def _bit_q_at(bits: np.ndarray, t: float, tau: float) -> int:
-    """Quadrature pulse-train value at time t for a signal delayed by tau."""
-    return _bit(bits, 2 * math.floor((t - tau) / 2.0) + 1)
-
-
-def _interval(k: int, branch: str) -> tuple[float, float]:
-    if branch == "I":
-        return (float(2 * k - 1), float(2 * k + 1))
-    return (float(2 * k), float(2 * k + 2))
+def _train(bits: np.ndarray, t: float, tau: float, parity: int) -> int:
+    """Value at time t of the pulse train of parity 0 (in-phase) or 1
+    (quadrature) of bits delayed by tau: the bit at the train's transmit
+    position whose pulse, centred on tau + that position, covers t."""
+    return _bit(bits, 2 * math.floor((t - tau + (1 - parity)) / 2.0) + parity)
 
 
 def oracle_lambda_baseband(params: InterfererParams, k: int, branch: str = "I") -> float:
@@ -118,9 +101,7 @@ def oracle_lambda_baseband(params: InterfererParams, k: int, branch: str = "I") 
     round-off. The integrand is taken at unit amplitude and the result
     scaled, so no finite amplitude overflows inside the sum.
     """
-    if branch not in ("I", "Q"):
-        raise ValueError("branch must be 'I' or 'Q'")
-    a, b = _interval(k, branch)
+    n = transmit_position(k, branch)
     w_p = math.pi / 2.0
     phi_p = w_p * params.tau
     phi_c = params.phi_c
@@ -136,11 +117,7 @@ def oracle_lambda_baseband(params: InterfererParams, k: int, branch: str = "I") 
             return (-amp * sin_c * (np.sin(2 * w_p * t - phi_p) + math.sin(phi_p)),
                     amp * cos_c * (math.cos(phi_p) - np.cos(2 * w_p * t - phi_p)))
 
-    def bits_at(t):
-        return (_bit_i_at(params.bits, t, params.tau),
-                _bit_q_at(params.bits, t, params.tau))
-
-    return params.amplitude * _integrate_pieces(coeff, bits_at, a, b, params.tau)
+    return params.amplitude * _integrate_pieces(coeff, params.bits, n, params.tau)
 
 
 def oracle_lambda_passband(params: InterfererParams, k: int, branch: str = "I",
@@ -153,11 +130,12 @@ def oracle_lambda_passband(params: InterfererParams, k: int, branch: str = "I",
     double-carrier periods, and each gets one Gauss-Legendre panel. As in
     baseband, the integral is taken at unit amplitude and then scaled.
     """
-    if branch not in ("I", "Q"):
-        raise ValueError("branch must be 'I' or 'Q'")
-    if not 8 <= carrier_multiple <= MAX_CARRIER_MULTIPLE:
-        raise ValueError(f"carrier_multiple must lie in 8..{MAX_CARRIER_MULTIPLE}")
-    a, b = _interval(k, branch)
+    n = transmit_position(k, branch)
+    if (isinstance(carrier_multiple, bool)
+            or not isinstance(carrier_multiple, (int, np.integer))
+            or not 8 <= carrier_multiple <= MAX_CARRIER_MULTIPLE):
+        raise ValueError(f"carrier_multiple must be an integer in "
+                         f"8..{MAX_CARRIER_MULTIPLE}, not {carrier_multiple!r}")
     w_p = math.pi / 2.0
     w_c = carrier_multiple * w_p
     tau, phi_c = params.tau, params.phi_c
@@ -174,11 +152,7 @@ def oracle_lambda_passband(params: InterfererParams, k: int, branch: str = "I",
         return (ph * np.cos(w_p * (t - tau)) * np.cos(w_c * t + phi_c),
                 ph * np.sin(w_p * (t - tau)) * np.sin(w_c * t + phi_c))
 
-    def bits_at(t):
-        return (_bit_i_at(params.bits, t, tau),
-                _bit_q_at(params.bits, t, tau))
-
-    return params.amplitude * _integrate_pieces(coeff, bits_at, a, b, tau,
+    return params.amplitude * _integrate_pieces(coeff, params.bits, n, tau,
                                                 panels_per_bit=carrier_multiple)
 
 
@@ -192,14 +166,13 @@ def rect_integral(f_kind: str, branch: str, tau: float, bits: np.ndarray,
     "Q" the quadrature train leaking into the same interval. bits is the
     payload in transmit order.
     """
-    if f_kind not in ("one", "cos2wp", "sin2wp"):
+    if f_kind not in RECT_KINDS:
         raise ValueError(f"unknown f_kind {f_kind!r}")
-    if branch not in ("I", "Q"):
-        raise ValueError("branch must be 'I' or 'Q'")
+    n = transmit_position(k, branch)
     two_t = 2.0
     w_p = math.pi / two_t
     k_shift, tau_rel = decompose_offset(tau if branch == "I" else tau + 1.0)
-    n = 2 * (k - k_shift) + (0 if branch == "I" else 1)
+    n -= 2 * k_shift
     prev, cur = _bit(bits, n - 2), _bit(bits, n)
     phi_p = math.pi * tau / two_t
     if f_kind == "one":
@@ -217,19 +190,14 @@ def rect_integral_quadrature(f_kind: str, branch: str, tau: float,
                              bits: np.ndarray, k: int) -> float:
     """Direct quadrature of the primitive integrals; numeric twin of
     rect_integral."""
-    if f_kind not in ("one", "cos2wp", "sin2wp"):
+    if f_kind not in RECT_KINDS:
         raise ValueError(f"unknown f_kind {f_kind!r}")
-    if branch not in ("I", "Q"):
-        raise ValueError("branch must be 'I' or 'Q'")
-    a, b = _interval(k, "I")
+    n = transmit_position(k, branch)
     w_p = math.pi / 2.0
     smooth = {"one": np.ones_like, "cos2wp": np.cos, "sin2wp": np.sin}[f_kind]
-    bit_at = _bit_i_at if branch == "I" else _bit_q_at
 
     def coeff(t):
         return (smooth(2.0 * w_p * t),)
 
-    def bits_at(t):
-        return (bit_at(bits, t, tau),)
-
-    return _integrate_pieces(coeff, bits_at, a, b, tau)
+    # the in-phase decision interval of bit k, centred on 2k, either train
+    return _integrate_pieces(coeff, bits, n - n % 2, tau, trains=(n % 2,))

@@ -3,7 +3,8 @@
 Bits are antipodal: +-1 inside a packet, 0 encodes silence outside it. A
 payload is one array in transmit order, which alternates branches:
 position 2m carries in-phase bit m, position 2m+1 carries quadrature bit m
-(the quadrature pulse train is staggered by half a bit duration).
+(the quadrature pulse train is staggered by half a bit duration), so
+`transmit_position` gives bit k of a branch its place in that array.
 `draw_payloads` draws whole batches of such payloads for the Monte Carlo
 engine; `InterfererParams` describes one interferer, with its own time
 offset and phase, for the one-row closed form and the numerical oracle.
@@ -30,6 +31,16 @@ def _is_finite(value) -> bool:
         return math.isfinite(value)
     except OverflowError:
         return False
+
+
+def transmit_position(k: int, branch: str) -> int:
+    """Transmit position of bit k of a branch: 2k in-phase ("I"), 2k + 1
+    quadrature ("Q"). A bool or non-integer k is a ValueError."""
+    if branch not in ("I", "Q"):
+        raise ValueError("branch must be 'I' or 'Q'")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"bit index must be an integer, not {k!r}")
+    return 2 * int(k) + (branch == "Q")
 
 
 @dataclass(frozen=True)

@@ -87,6 +87,13 @@ class TestSynchronizedContribution:
             _interferer([+1, 2])
         with pytest.raises(ValueError):
             interference_contribution(_interferer([+1, -1]), 0, "X")
+        # a bit index must be an integer; True would read bit 1
+        for k in (1.5, True):
+            with pytest.raises(ValueError):
+                interference_contribution(_interferer([+1, -1, -1, +1]), k, "I")
+        u = _interferer([+1, -1, -1, +1])
+        assert interference_contribution(u, np.int64(1), "Q") == interference_contribution(
+            u, 1, "Q")
 
 
 class TestSpecialCases:

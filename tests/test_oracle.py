@@ -144,11 +144,13 @@ class TestPassbandOracle:
 
     def test_carrier_multiple_bounds(self):
         u = InterfererParams(1.0, 0.3, 0.2, [+1, -1, +1, +1])
-        for mult in (7, oracle.MAX_CARRIER_MULTIPLE + 1):
+        for mult in (7, oracle.MAX_CARRIER_MULTIPLE + 1, 8.5, True):
             with pytest.raises(ValueError):
                 oracle_lambda_passband(u, 0, "I", mult)
         assert oracle_lambda_passband(u, 0, "I", 8) == pytest.approx(
             oracle_lambda_baseband(u, 0, "I"), abs=0.1)
+        assert oracle_lambda_passband(u, 0, "I", np.int64(8)) == oracle_lambda_passband(
+            u, 0, "I", 8)
 
 
 def test_shipped_panels_have_converged(monkeypatch):
@@ -171,8 +173,8 @@ def test_shipped_panels_have_converged(monkeypatch):
     shipped = values()
     integrate = oracle._integrate_pieces
     monkeypatch.setattr(oracle, "_integrate_pieces",
-                        lambda *args, panels_per_bit=1:
-                        integrate(*args, panels_per_bit=4 * panels_per_bit))
+                        lambda *args, panels_per_bit=1, **kwargs:
+                        integrate(*args, panels_per_bit=4 * panels_per_bit, **kwargs))
     finer = values()
     assert shipped != finer
     for name, bound in (("baseband", 1e-13), ("rect", 1e-13), ("passband", 1e-11)):
@@ -180,22 +182,49 @@ def test_shipped_panels_have_converged(monkeypatch):
         assert np.all(np.abs(got - ref) <= bound * (1 + np.abs(ref))), name
 
 
-def _brute_force_integrate(coeff, bits_at, a, b, tau, panels_per_bit=1):
+@pytest.mark.parametrize("tau", [m + d for m in range(-2, 4)
+                                 for d in (0.0, 1e-13, -1e-13, 1e-12, -1e-12)])
+def test_near_aligned_offsets_match_closed_forms(tau):
+    """At and within 1e-12 of a whole-T offset, where one piece of the
+    decision interval is empty or thin, the oracle and the closed forms
+    still agree to round-off on both branches."""
+    bits = np.random.default_rng(70).integers(0, 2, size=12) * 2 - 1
+    u = InterfererParams(1.7, tau, 0.9, bits)
+    for branch in ("I", "Q"):
+        for k in range(6):
+            pairs = [(interference_contribution(u, k, branch),
+                      oracle_lambda_baseband(u, k, branch))]
+            pairs += [(rect_integral(kind, branch, tau, u.bits, k),
+                       rect_integral_quadrature(kind, branch, tau, u.bits, k))
+                      for kind in RECT_KINDS]
+            for closed, ref in pairs:
+                assert abs(closed - ref) <= 1e-13 * (1 + abs(ref)), (branch, k)
+
+
+def _brute_force_integrate(coeff, bits, n, tau, trains=(0, 1), panels_per_bit=1):
     """_integrate_pieces one node at a time: piece, then panel, then node,
-    every product summed exactly by math.fsum."""
-    points = [a, *oracle._pulse_edges(a, b, tau), b]
+    every product summed exactly by math.fsum. Returns the value and the
+    number of pieces: the interval [n - 1, n + 1] is split at every edge
+    tau + m strictly inside it, and a train of parity p reads the bit at
+    the transmit position j = p (mod 2) whose pulse, centred on tau + j,
+    covers the piece midpoint."""
+    a, b = n - 1.0, n + 1.0
+    edges = [tau + m for m in range(math.floor(a - tau), math.ceil(b - tau) + 1)
+             if a < tau + m < b]
+    points = [a, *edges, b]
     terms = []
     for lo, hi in zip(points[:-1], points[1:]):
         panels = math.ceil(panels_per_bit * (hi - lo) / (b - a))
         half = 0.5 * (hi - lo) / panels
-        bits = bits_at(0.5 * (lo + hi))
+        positions = [p + 2 * round((0.5 * (lo + hi) - tau - p) / 2) for p in trains]
+        values = [int(bits[j]) if 0 <= j < len(bits) else 0 for j in positions]
         for panel in range(panels):
             mid = lo + half + 2.0 * half * panel
             for node, weight in zip(oracle._NODES, oracle._WEIGHTS):
-                values = coeff(np.array([mid + half * node]))
-                terms += [bit * float(value[0]) * half * weight
-                          for bit, value in zip(bits, values)]
-    return math.fsum(terms)
+                coeffs = coeff(np.array([mid + half * node]))
+                terms += [bit * float(c[0]) * half * weight
+                          for bit, c in zip(values, coeffs)]
+    return math.fsum(terms), len(points) - 1
 
 
 def _oracle_calls(draws):
@@ -210,12 +239,16 @@ def _oracle_calls(draws):
                 yield partial(oracle_lambda_passband, u, k, branch, mult)
 
 
-def _draws_with_two_and_three_pieces():
+#: The offset of the last of _draws_with_an_aligned_offset, a whole T.
+_ALIGNED_TAU = 1.0
+
+
+def _draws_with_an_aligned_offset():
     rng = np.random.default_rng(60)
     draws = [(_random_interferer(rng, n_bits=12), int(rng.integers(0, 6)))
              for _ in range(12)]
     u = _random_interferer(rng, n_bits=12)
-    aligned = InterfererParams(u.amplitude, 1.0, u.phi_c, u.bits)
+    aligned = InterfererParams(u.amplitude, _ALIGNED_TAU, u.phi_c, u.bits)
     return draws + [(aligned, 2)]
 
 
@@ -223,43 +256,49 @@ def test_panel_table_matches_brute_force(monkeypatch):
     integrate = oracle._integrate_pieces
     seen = []
 
-    def both(coeff, bits_at, a, b, tau, panels_per_bit=1):
-        got = integrate(coeff, bits_at, a, b, tau, panels_per_bit=panels_per_bit)
-        ref = _brute_force_integrate(coeff, bits_at, a, b, tau, panels_per_bit)
-        seen.append((len(oracle._pulse_edges(a, b, tau)) + 1, panels_per_bit))
-        assert abs(got - ref) <= 1e-14 * (1 + abs(ref)), (a, b, tau, panels_per_bit)
+    def both(coeff, bits, n, tau, trains=(0, 1), panels_per_bit=1):
+        got = integrate(coeff, bits, n, tau, trains, panels_per_bit=panels_per_bit)
+        ref, pieces = _brute_force_integrate(coeff, bits, n, tau, trains, panels_per_bit)
+        seen.append((pieces, panels_per_bit))
+        assert abs(got - ref) <= 1e-14 * (1 + abs(ref)), (n, tau, trains, panels_per_bit)
         return got
 
     monkeypatch.setattr(oracle, "_integrate_pieces", both)
-    for call in _oracle_calls(_draws_with_two_and_three_pieces()):
+    for call in _oracle_calls(_draws_with_an_aligned_offset()):
         call()
+    # the aligned draw has only two pieces with positive width
     for panels_per_bit in (1, 8, 64):
         assert {p for p, ppb in seen if ppb == panels_per_bit} == {2, 3}
 
 
 def test_one_coeff_call_per_integration(monkeypatch):
+    """Every integration evaluates coeff once on all its panels' nodes: three
+    panels in baseband, one per piece, and at a whole-T offset a first
+    piece of zero width."""
     integrate = oracle._integrate_pieces
     shapes = []
 
-    def recording(coeff, bits_at, a, b, tau, panels_per_bit=1):
+    def recording(coeff, bits, n, tau, trains=(0, 1), panels_per_bit=1):
         calls = []
 
         def counted(t):
-            calls.append(t.shape)
+            calls.append(t)
             return coeff(t)
 
-        value = integrate(counted, bits_at, a, b, tau, panels_per_bit=panels_per_bit)
-        points = [a, *oracle._pulse_edges(a, b, tau), b]
-        panels = sum(math.ceil(panels_per_bit * (hi - lo) / (b - a))
-                     for lo, hi in zip(points[:-1], points[1:]))
-        assert calls == [(panels, 16)]
-        shapes.append((panels_per_bit, len(points) - 1, panels))
+        value = integrate(counted, bits, n, tau, trains, panels_per_bit=panels_per_bit)
+        [t] = calls
+        assert t.shape[1] == 16 and t.shape[0] >= 3
+        if panels_per_bit == 1:
+            assert t.shape == (3, 16)
+        if tau == _ALIGNED_TAU:
+            assert np.all(t[0] == n - 1.0)
+        shapes.append((panels_per_bit, tau, t.shape[0]))
         return value
 
     monkeypatch.setattr(oracle, "_integrate_pieces", recording)
-    for call in _oracle_calls(_draws_with_two_and_three_pieces()):
+    for call in _oracle_calls(_draws_with_an_aligned_offset()):
         call()
-    assert all(panels == pieces for ppb, pieces, panels in shapes if ppb == 1)
+    assert {ppb for ppb, tau, _ in shapes if tau == _ALIGNED_TAU} == {1, 8, 64}
     # (1, 3) at tau = 0.3 has pieces of 0.15, 0.5 and 0.35 of the bit.
     u = InterfererParams(1.0, 0.3, 0.2, [1, -1, 1, 1, -1, 1])
     shapes.clear()
