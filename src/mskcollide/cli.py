@@ -136,8 +136,8 @@ def _checks(params: InterfererParams, k: int, oracle, passband: bool):
         for kind in RECT_KINDS:
             for branch in ("I", "Q"):
                 yield (f"rect/{kind}/{branch}",
-                       rect_integral(kind, branch, params.tau, params.bits, k),
-                       rect_integral_quadrature(kind, branch, params.tau, params.bits, k))
+                       rect_integral(kind, params, k, branch),
+                       rect_integral_quadrature(kind, params, k, branch))
 
 
 def cmd_validate(args) -> int:

@@ -75,22 +75,6 @@ def _offset_terms(tau: float):
     return lags, weights
 
 
-def _combine(weights, main_prev, main_cur, leak_prev, leak_cur, phi_c):
-    """cos(phi_c) direct - sin(phi_c) leak of the selected bits, in the one
-    operation order every soft value is computed in: the pinned table
-    digests depend on every rounding. The weights broadcast against the
-    bit arrays, and phi_c against both."""
-    w_main_prev, w_main_cur, w_leak_prev, w_leak_cur = weights
-    direct = w_main_prev * main_prev
-    leak = w_main_cur * main_cur
-    direct += leak
-    np.multiply(w_leak_prev, leak_prev, out=leak)
-    leak += w_leak_cur * leak_cur
-    table = direct * np.cos(phi_c)
-    table -= leak * np.sin(phi_c)
-    return table
-
-
 #: Every ternary (main prev, main cur, leak prev, leak cur) bit pattern, as
 #: four 9 x 9 arrays: the main pair varies along the rows and the leak pair
 #: along the columns, each pair (prev, cur) = divmod(j, 3) - 1 at index j.
@@ -110,8 +94,19 @@ def _pattern_table(amplitude: float, weights, phi_c) -> np.ndarray:
     entry and the Monte Carlo engine gathers whole packets from it.
     """
     gain = amplitude / 2.0
+    w_main_prev, w_main_cur, w_leak_prev, w_leak_cur = (gain * weight for weight in weights)
+    main_prev, main_cur, leak_prev, leak_cur = _PATTERNS
     phi_c = np.asarray(phi_c, dtype=np.float64)[..., None, None]
-    table = _combine([gain * weight for weight in weights], *_PATTERNS, phi_c)
+    # cos(phi_c) direct - sin(phi_c) leak in the one operation order every
+    # soft value is computed in: the pinned table digests depend on every
+    # rounding
+    direct = w_main_prev * main_prev
+    leak = w_main_cur * main_cur
+    direct += leak
+    np.multiply(w_leak_prev, leak_prev, out=leak)
+    leak += w_leak_cur * leak_cur
+    table = direct * np.cos(phi_c)
+    table -= leak * np.sin(phi_c)
     return table.reshape(phi_c.shape[:-2] + (81,))
 
 

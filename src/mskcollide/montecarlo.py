@@ -43,9 +43,7 @@ import numpy as np
 from .chipseq import BITS_PER_SYMBOL, CHIPS_PER_SYMBOL
 from .demod import _PatternGather
 from .receiver import decide
-from .signal_model import _is_finite, draw_payloads
-
-TWO_PI = 2.0 * math.pi
+from .signal_model import TWO_PI, _is_finite, draw_payloads
 
 PAYLOAD_MODES = ("independent", "identical")
 CODINGS = ("uncoded", "hdd", "sdd")

@@ -156,19 +156,20 @@ def oracle_lambda_passband(params: InterfererParams, k: int, branch: str = "I",
                                                 panels_per_bit=carrier_multiple)
 
 
-def rect_integral(f_kind: str, branch: str, tau: float, bits: np.ndarray,
-                  k: int) -> float:
+def rect_integral(f_kind: str, params: InterfererParams, k: int,
+                  branch: str = "I") -> float:
     """Closed form of the pulse-train primitive integrals over the in-phase
-    decision interval of bit k.
+    decision interval of bit k, for the offset and payload of params (its
+    amplitude and phase do not enter).
 
     f_kind selects the smooth factor: "one", "cos2wp" (cos 2*w_p*t) or
     "sin2wp" (sin 2*w_p*t). branch "I" integrates the in-phase pulse train,
-    "Q" the quadrature train leaking into the same interval. bits is the
-    payload in transmit order.
+    "Q" the quadrature train leaking into the same interval.
     """
     if f_kind not in RECT_KINDS:
         raise ValueError(f"unknown f_kind {f_kind!r}")
     n = transmit_position(k, branch)
+    tau, bits = params.tau, params.bits
     two_t = 2.0
     w_p = math.pi / two_t
     k_shift, tau_rel = decompose_offset(tau if branch == "I" else tau + 1.0)
@@ -186,8 +187,8 @@ def rect_integral(f_kind: str, branch: str, tau: float, bits: np.ndarray,
     return -1.0 / (2.0 * w_p) * (1.0 + math.cos(2.0 * phi_p)) * diff
 
 
-def rect_integral_quadrature(f_kind: str, branch: str, tau: float,
-                             bits: np.ndarray, k: int) -> float:
+def rect_integral_quadrature(f_kind: str, params: InterfererParams, k: int,
+                             branch: str = "I") -> float:
     """Direct quadrature of the primitive integrals; numeric twin of
     rect_integral."""
     if f_kind not in RECT_KINDS:
@@ -200,4 +201,4 @@ def rect_integral_quadrature(f_kind: str, branch: str, tau: float,
         return (smooth(2.0 * w_p * t),)
 
     # the in-phase decision interval of bit k, centred on 2k, either train
-    return _integrate_pieces(coeff, bits, n - n % 2, tau, trains=(n % 2,))
+    return _integrate_pieces(coeff, params.bits, n - n % 2, params.tau, trains=(n % 2,))

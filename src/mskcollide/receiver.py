@@ -10,18 +10,14 @@ correlations give each block's margin to the runner-up. Ties: a soft value
 of exactly 0 slices to +1, and correlation ties resolve to the lowest
 symbol index.
 
-The correlation is one matrix product of every block against the 16
-codewords, run in pieces of at most PIECE_BLOCKS blocks. OpenBLAS splits a
-larger product over several threads, and in a pool of worker processes the
-helper threads then spin on cores the other workers need; a piece this size
-stays on the calling thread. Every product has at least PIECE_BLOCKS // 2
-rows: OpenBLAS's small-matrix kernel, taken for 75 rows or fewer, sums in
-another order than the large kernel and so differs in the last bit. So the
-pieces are of equal size rather than a short last one, and an input of
-fewer blocks is padded with zero rows. A block's correlations are thus bit
-for bit the same however many blocks share the call: a packet decoded
-alone, or a point's short last slab, matches the same rows of one whole
-product.
+The correlation runs in pieces of exactly PIECE_BLOCKS blocks, each one
+matrix product against the 16 codewords; only the last piece is padded with
+zero rows. OpenBLAS splits a larger product over several threads, and in a
+pool of worker processes the helper threads then spin on cores the other
+workers need; a piece this size stays on the calling thread. With one
+product shape, a row's summation order does not depend on how many blocks
+share the call, so a block's correlations are bit for bit the same as when
+it is decoded alone: a packet, a point's short last slab or a whole batch.
 """
 
 from __future__ import annotations
@@ -32,8 +28,8 @@ from .chipseq import BIPOLAR_CHIP_TABLE, CHIPS_PER_SYMBOL
 
 _BIPOLAR_T_F64 = BIPOLAR_CHIP_TABLE.T.astype(np.float64)
 
-#: Most blocks one correlation product takes: OpenBLAS 0.3.31 (SkylakeX
-#: kernels) ran a 1,024-block product on two threads and a 512-block one on one.
+#: Blocks in every correlation product: OpenBLAS 0.3.31 (SkylakeX kernels)
+#: ran a 1,024-block product on two threads and a 512-block one on one.
 PIECE_BLOCKS = 512
 
 
@@ -61,18 +57,13 @@ def decide(soft, coding: str):
     values = sliced if coding == "hdd" else soft
     blocks = values.reshape(-1, CHIPS_PER_SYMBOL)
     n_blocks = len(blocks)
-    if n_blocks < PIECE_BLOCKS // 2:
-        padded = np.zeros((PIECE_BLOCKS // 2, CHIPS_PER_SYMBOL), dtype=blocks.dtype)
-        padded[:n_blocks] = blocks
-        blocks = padded
-    corr = np.empty((len(blocks), 16))
-    pieces = max(1, -(-len(blocks) // PIECE_BLOCKS))
-    # np.array_split's bounds: the first len % pieces pieces hold one more
-    size, longer = divmod(len(blocks), pieces)
-    stop = 0
-    for piece in range(pieces):
-        start, stop = stop, stop + size + (piece < longer)
-        np.matmul(blocks[start:stop], _BIPOLAR_T_F64, out=corr[start:stop])
+    corr = np.empty((-(-n_blocks // PIECE_BLOCKS) * PIECE_BLOCKS, 16))
+    for start in range(0, n_blocks, PIECE_BLOCKS):
+        piece = blocks[start:start + PIECE_BLOCKS]
+        if len(piece) < PIECE_BLOCKS:
+            piece = np.zeros((PIECE_BLOCKS, CHIPS_PER_SYMBOL), dtype=blocks.dtype)
+            piece[:n_blocks - start] = blocks[start:]
+        np.matmul(piece, _BIPOLAR_T_F64, out=corr[start:start + PIECE_BLOCKS])
     corr = corr[:n_blocks]
     np.abs(corr, out=corr)
     lead = soft.shape[:-1] + (soft.shape[-1] // CHIPS_PER_SYMBOL,)

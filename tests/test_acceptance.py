@@ -71,8 +71,8 @@ def test_criterion_01_oracle_equivalence():
                                abs(closed - ref) / (1.0 + abs(ref)))
         for kind in RECT_KINDS:
             for branch in ("I", "Q"):
-                closed = rect_integral(kind, branch, u.tau, u.bits, k)
-                ref = rect_integral_quadrature(kind, branch, u.tau, u.bits, k)
+                closed = rect_integral(kind, u, k, branch)
+                ref = rect_integral_quadrature(kind, u, k, branch)
                 worst_rect = max(worst_rect,
                                  abs(closed - ref) / (1.0 + abs(ref)))
     elapsed = time.perf_counter() - started

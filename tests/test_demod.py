@@ -243,8 +243,8 @@ class TestProperties:
                 assert row[2 * k + (branch == "Q")] == closed
                 ref = oracle_lambda_baseband(u, k, branch)
                 assert closed == pytest.approx(ref, abs=1e-12 * (1 + abs(ref)))
-                rect = rect_integral("one", branch, u.tau, u.bits, k)
-                quad = rect_integral_quadrature("one", branch, u.tau, u.bits, k)
+                rect = rect_integral("one", u, k, branch)
+                quad = rect_integral_quadrature("one", u, k, branch)
                 assert rect == pytest.approx(quad, abs=1e-12)
                 if k >= last + 2:
                     assert closed == ref == rect == 0.0

@@ -19,7 +19,7 @@ from mskcollide import (ConfigError, ExperimentConfig, InterfererParams, MetricP
 from mskcollide.montecarlo import (MAX_GRID_POINTS, MAX_POINT_VALUES, _compute_soft,
                                    _draw_point, _evaluate, _point_amplitudes,
                                    _point_stats, _prr_stats, split_amplitudes)
-from mskcollide.presets import PRESETS
+from mskcollide.presets import PRESETS, ZONE_PRESETS
 from test_receiver import brute_force_decision
 from thresholds import threshold_extract
 
@@ -261,6 +261,29 @@ class TestSlabs:
             assert (got.dtype, got.shape) == (want.dtype, want.shape)
             assert got.tobytes() == want.tobytes()  # sliced, symbols, correlations
         assert 0 < (whole[1] == soi_symbols).all(axis=1).sum() < packets
+
+    def test_near_ties_match_each_packet_alone(self):
+        # the fig11c cell (tau = 1.0T, phi = 3pi/2 of 64 phases) holds
+        # thousands of blocks whose top two correlations differ by at most
+        # 1e-15 relative, so a block's correlation bits must not depend on
+        # the slab it is decided in
+        cfg = replace(ZONE_PRESETS["fig11c"], phi_mode="fixed",
+                      phi_c=48 * 2.0 * math.pi / 64)
+        tau, amps = 1.0, _point_amplitudes(cfg, cfg.sir_db_grid[0])
+        draws = _draw_point(cfg, tau, amps)
+        ((_, soi_chips), (_, beta_chips)), phi, _ = draws
+        ties = 0
+        for rows, _, symbols, corr in _evaluate(cfg.coding, tau, amps, draws):
+            top_two = np.sort(corr, axis=-1)[..., -2:]
+            ties += np.count_nonzero(top_two[..., 1] - top_two[..., 0]
+                                     <= 1e-15 * top_two[..., 1])
+            for p in range(rows.start, rows.stop):
+                soft = _compute_soft(soi_chips[p:p + 1], [beta_chips[p:p + 1]], amps,
+                                     tau, phi[p:p + 1])
+                _, alone_symbols, alone_corr = decide(soft[0], cfg.coding)
+                assert alone_symbols.tobytes() == symbols[p - rows.start].tobytes()
+                assert alone_corr.tobytes() == corr[p - rows.start].tobytes()
+        assert ties > 4000
 
 
 class TestFreedHeap:

@@ -24,19 +24,25 @@ def _random_interferer(rng, n_bits=16):
     )
 
 
+def _rect_params(tau, bits):
+    """An interferer with the given offset and payload; the rect integrals
+    read only these two."""
+    return InterfererParams(1.0, tau, 0.0, np.array(bits))
+
+
 class TestRectClosedForms:
     def test_one_synchronized(self):
-        bits = np.array([+1, +1, +1, +1])
-        assert rect_integral("one", "I", 0.0, bits, 0) == pytest.approx(2.0)
+        u = _rect_params(0.0, [+1, +1, +1, +1])
+        assert rect_integral("one", u, 0) == pytest.approx(2.0)
 
     def test_cos_term_vanishes_at_zero_offset(self):
-        bits = np.array([+1, -1, -1, +1])
-        assert rect_integral("cos2wp", "I", 0.0, bits, 0) == pytest.approx(0.0, abs=1e-15)
+        u = _rect_params(0.0, [+1, -1, -1, +1])
+        assert rect_integral("cos2wp", u, 0) == pytest.approx(0.0, abs=1e-15)
 
     def test_sin_term_half_bit(self):
         # i bits (k-1, k) = (+1, -1); tau = T/2 makes 2*phi_p = pi/2
-        bits = np.array([+1, +1, -1, -1])
-        got = rect_integral("sin2wp", "I", 0.5, bits, 1)
+        u = _rect_params(0.5, [+1, +1, -1, -1])
+        got = rect_integral("sin2wp", u, 1, "I")
         assert got == pytest.approx(-2.0 / math.pi, abs=1e-12)
 
     @pytest.mark.parametrize("kind", RECT_KINDS)
@@ -46,14 +52,26 @@ class TestRectClosedForms:
         for _ in range(150):
             u = _random_interferer(rng)
             k = int(rng.integers(0, 8))
-            closed = rect_integral(kind, branch, u.tau, u.bits, k)
-            quad = rect_integral_quadrature(kind, branch, u.tau, u.bits, k)
+            closed = rect_integral(kind, u, k, branch)
+            quad = rect_integral_quadrature(kind, u, k, branch)
             assert closed == pytest.approx(quad, abs=1e-9 * (1 + abs(quad)))
 
     def test_rejects_unknown_kind(self):
-        bits = np.array([1, -1])
-        with pytest.raises(ValueError):
-            rect_integral("tan2wp", "I", 0.0, bits, 0)
+        u = _rect_params(0.0, [1, -1])
+        for fn in (rect_integral, rect_integral_quadrature):
+            with pytest.raises(ValueError):
+                fn("tan2wp", u, 0)
+
+    @pytest.mark.parametrize("tau, bits", [(math.inf, [1, -1]), (-math.inf, [1, -1]),
+                                           (math.nan, [1, -1]), (0.3, [2, 5]),
+                                           (0.3, [1, 0, -1])],
+                             ids=["inf", "-inf", "nan", "bits-2-5", "bits-0"])
+    def test_bad_offset_or_bits_is_a_value_error(self, tau, bits):
+        # the offset and payload reach both forms only through
+        # InterfererParams, which rejects them before any integral
+        for fn in (rect_integral, rect_integral_quadrature):
+            with pytest.raises(ValueError):
+                fn("one", _rect_params(tau, bits), 0)
 
 
 class TestReassembly:
@@ -65,12 +83,12 @@ class TestReassembly:
             u = _random_interferer(rng)
             k = int(rng.integers(0, 8))
             phi_p = math.pi * u.tau / 2.0
-            x1 = (math.cos(phi_p) * rect_integral("one", "I", u.tau, u.bits, k)
-                  + math.cos(phi_p) * rect_integral("cos2wp", "I", u.tau, u.bits, k)
-                  + math.sin(phi_p) * rect_integral("sin2wp", "I", u.tau, u.bits, k))
-            x2 = -(math.sin(phi_p) * rect_integral("one", "Q", u.tau, u.bits, k)
-                   + math.sin(phi_p) * rect_integral("cos2wp", "Q", u.tau, u.bits, k)
-                   - math.cos(phi_p) * rect_integral("sin2wp", "Q", u.tau, u.bits, k))
+            x1 = (math.cos(phi_p) * rect_integral("one", u, k, "I")
+                  + math.cos(phi_p) * rect_integral("cos2wp", u, k, "I")
+                  + math.sin(phi_p) * rect_integral("sin2wp", u, k, "I"))
+            x2 = -(math.sin(phi_p) * rect_integral("one", u, k, "Q")
+                   + math.sin(phi_p) * rect_integral("cos2wp", u, k, "Q")
+                   - math.cos(phi_p) * rect_integral("sin2wp", u, k, "Q"))
             rebuilt = u.amplitude / 2.0 * (math.cos(u.phi_c) * x1 + math.sin(u.phi_c) * x2)
             direct = interference_contribution(u, k, "I")
             assert rebuilt == pytest.approx(direct, abs=1e-12 * (1 + abs(direct)))
@@ -164,7 +182,7 @@ def test_shipped_panels_have_converged(monkeypatch):
         for u, k in draws:
             for branch in ("I", "Q"):
                 out["baseband"].append(oracle_lambda_baseband(u, k, branch))
-                out["rect"] += [rect_integral_quadrature(kind, branch, u.tau, u.bits, k)
+                out["rect"] += [rect_integral_quadrature(kind, u, k, branch)
                                 for kind in RECT_KINDS]
             for mult in (8, 256, 1024):
                 out["passband"].append(oracle_lambda_passband(u, k, "I", mult))
@@ -194,8 +212,8 @@ def test_near_aligned_offsets_match_closed_forms(tau):
         for k in range(6):
             pairs = [(interference_contribution(u, k, branch),
                       oracle_lambda_baseband(u, k, branch))]
-            pairs += [(rect_integral(kind, branch, tau, u.bits, k),
-                       rect_integral_quadrature(kind, branch, tau, u.bits, k))
+            pairs += [(rect_integral(kind, u, k, branch),
+                       rect_integral_quadrature(kind, u, k, branch))
                       for kind in RECT_KINDS]
             for closed, ref in pairs:
                 assert abs(closed - ref) <= 1e-13 * (1 + abs(ref)), (branch, k)
@@ -234,7 +252,7 @@ def _oracle_calls(draws):
         for branch in ("I", "Q"):
             yield partial(oracle_lambda_baseband, u, k, branch)
             for kind in RECT_KINDS:
-                yield partial(rect_integral_quadrature, kind, branch, u.tau, u.bits, k)
+                yield partial(rect_integral_quadrature, kind, u, k, branch)
             for mult in (8, 64):
                 yield partial(oracle_lambda_passband, u, k, branch, mult)
 

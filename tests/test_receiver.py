@@ -2,11 +2,16 @@
 decoding through the Monte Carlo engine."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mskcollide
 from mskcollide import (BIPOLAR_CHIP_TABLE, ConfigError, ExperimentConfig,
                         decide, run_point)
 from mskcollide.chipseq import CHIP_TABLE
@@ -24,6 +29,36 @@ def brute_force_decision(values):
         if corr > best_corr:
             best_symbol, best_corr = xi, corr
     return best_symbol, best_corr
+
+
+def _alone(blocks):
+    """|correlation| of each 32-value block decoded alone: row 0 of a
+    zero-padded PIECE_BLOCKS-row product, the one shape decide runs."""
+    piece = np.zeros((PIECE_BLOCKS, 32))
+    corr = np.empty((len(blocks), 16))
+    for i, block in enumerate(blocks):
+        piece[0] = block
+        corr[i] = np.abs(piece @ _BIPOLAR_T_F64)[0]
+    return corr
+
+
+def assert_matches_each_block_alone(soft, coding, result):
+    """result, decide(soft, coding), equals every block decoded alone bit for
+    bit, and its correlations equal exactly rounded sums (math.fsum) within
+    1e-14 relative."""
+    sliced, symbols, corr = result
+    sliced_ref = np.where(soft >= 0, 1, -1).astype(np.int8)
+    blocks = (sliced_ref if coding == "hdd" else soft).reshape(-1, 32)
+    corr_ref = _alone(blocks)
+    lead = soft.shape[:-1] + (-1,)
+    np.testing.assert_array_equal(sliced, sliced_ref)
+    np.testing.assert_array_equal(corr.view(np.int64),
+                                  corr_ref.reshape(lead + (16,)).view(np.int64))
+    np.testing.assert_array_equal(symbols, corr_ref.argmax(axis=1).reshape(lead))
+    # +-1 codeword chips make every product exact
+    products = blocks[:, None, :] * BIPOLAR_CHIP_TABLE.astype(np.float64)
+    exact = np.abs([[math.fsum(terms) for terms in block] for block in products])
+    assert np.all(np.abs(corr.reshape(-1, 16) - exact) <= 1e-14 * (1 + exact))
 
 
 class TestSlice:
@@ -163,35 +198,49 @@ class TestDecide:
 
     def test_short_last_slab_equals_whole_batch(self):
         # 130 SDD packets of 16 blocks: a point's 128-packet slab leaves a
-        # 2-packet (32-block) last slab, below OpenBLAS's small-matrix bound
+        # 2-packet (32-block) last slab, mostly zero padding in its product
         soft = np.random.default_rng(64).normal(size=(130, 16 * 32))
         _, symbols, corr = decide(soft, "sdd")
         _, tail_symbols, tail_corr = decide(soft[128:], "sdd")
         assert np.array_equal(tail_symbols, symbols[128:])
         assert np.array_equal(tail_corr.view(np.int64), corr[128:].view(np.int64))
 
-    @pytest.mark.parametrize("shape", [(513 * 32,), (1300 * 32,), (7, 150 * 32)],
-                             ids=["513-blocks", "1300-blocks", "7x150-blocks"])
+    @pytest.mark.parametrize("shape", [(257 * 32,), (511 * 32,), (513 * 32,),
+                                       (1300 * 32,), (7, 150 * 32)],
+                             ids=["257-blocks", "511-blocks", "513-blocks",
+                                  "1300-blocks", "7x150-blocks"])
     @pytest.mark.parametrize("coding", ["hdd", "sdd"])
     def test_pieces_match_one_whole_product(self, monkeypatch, coding, shape):
+        # every product is one full piece, and each block's correlations are
+        # those of the block decoded alone
         soft = np.random.default_rng(63).normal(size=shape)
-        sliced_ref = np.where(soft >= 0, 1, -1).astype(np.int8)
-        blocks = (sliced_ref if coding == "hdd" else soft).reshape(-1, 32)
-        corr_ref = np.abs(blocks @ _BIPOLAR_T_F64)
         pieces = []
         matmul = np.matmul
         monkeypatch.setattr(np, "matmul",
                             lambda a, b, **kw: pieces.append(len(a)) or matmul(a, b, **kw))
-        sliced, symbols, corr = decide(soft, coding)
+        result = decide(soft, coding)
         monkeypatch.undo()
-        # more than one piece, none above the cap, none a short tail
-        assert sum(pieces) == len(blocks) and len(pieces) > 1
-        assert PIECE_BLOCKS // 2 <= min(pieces) <= max(pieces) <= PIECE_BLOCKS
-        lead = shape[:-1] + (-1,)
-        np.testing.assert_array_equal(sliced, sliced_ref)
-        np.testing.assert_array_equal(corr.view(np.int64),
-                                      corr_ref.reshape(lead + (16,)).view(np.int64))
-        np.testing.assert_array_equal(symbols, corr_ref.argmax(axis=1).reshape(lead))
+        assert pieces == [PIECE_BLOCKS] * -(-soft.size // (32 * PIECE_BLOCKS))
+        assert_matches_each_block_alone(soft, coding, result)
+
+    @pytest.mark.parametrize("core", ["Haswell", "Prescott"])
+    def test_other_openblas_kernels_match_each_block_alone(self, core):
+        # OPENBLAS_CORETYPE picks OpenBLAS's kernels at load time, so each
+        # core runs in its own process; another BLAS ignores the variable
+        script = ("import numpy as np\n"
+                  "from mskcollide import decide\n"
+                  "from test_receiver import assert_matches_each_block_alone\n"
+                  "for blocks in (257, 511, 513, 1300):\n"
+                  "    soft = np.random.default_rng(63).normal(size=blocks * 32)\n"
+                  "    for coding in ('hdd', 'sdd'):\n"
+                  "        assert_matches_each_block_alone(soft, coding, decide(soft, coding))\n")
+        path = [str(Path(mskcollide.__file__).parents[1]), str(Path(__file__).parent),
+                os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "OPENBLAS_CORETYPE": core,
+               "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("coding", ["hdd", "sdd"])
     def test_zero_blocks(self, coding):
