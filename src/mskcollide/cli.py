@@ -27,8 +27,8 @@ import numpy as np
 from . import __version__
 from .demod import interference_contribution
 from .montecarlo import (CODINGS, PAYLOAD_MODES, PHI_MODES, POWER_SPLITS, TARGETS,
-                         ConfigError, ExperimentConfig, capture_zone, grid,
-                         n_interferer_experiment, sweep)
+                         ConfigError, ExperimentConfig, _check_integer, _check_number,
+                         capture_zone, grid, n_interferer_experiment, sweep)
 from .oracle import (RECT_KINDS, oracle_lambda_baseband, oracle_lambda_passband,
                      rect_integral, rect_integral_quadrature)
 from .output import (write_chip_table, write_manifest, write_ninterf,
@@ -141,12 +141,9 @@ def _checks(params: InterfererParams, k: int, oracle, passband: bool):
 
 
 def cmd_validate(args) -> int:
-    if args.draws < 1:
-        raise ConfigError("--draws must be at least 1")
-    if not args.tolerance >= 0 or math.isinf(args.tolerance):
-        raise ConfigError("--tolerance must be finite and non-negative")
-    if args.seed < 0:
-        raise ConfigError("--seed must be non-negative")
+    _check_integer("--draws", args.draws, 1)
+    _check_integer("--seed", args.seed, 0)
+    _check_number("--tolerance", args.tolerance, 0)
     if args.carrier_multiple is not None and not args.passband:
         raise ConfigError("--carrier-multiple needs --passband")
     oracle = oracle_lambda_passband if args.passband else oracle_lambda_baseband

@@ -33,7 +33,6 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import math
-import numbers
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -43,7 +42,7 @@ import numpy as np
 from .chipseq import BITS_PER_SYMBOL, CHIPS_PER_SYMBOL
 from .demod import _PatternGather
 from .receiver import decide
-from .signal_model import TWO_PI, _is_finite, draw_payloads
+from .signal_model import TWO_PI, _is_integer, _is_number, draw_payloads
 
 PAYLOAD_MODES = ("independent", "identical")
 CODINGS = ("uncoded", "hdd", "sdd")
@@ -89,6 +88,22 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
+def _check_integer(name: str, value, least: int, most: int | None = None):
+    """Raise ConfigError unless value is an integer, not a bool, in
+    least..most (unbounded above when most is None)."""
+    if not _is_integer(value) or value < least or (most is not None and value > most):
+        bounds = f"at least {least}" if most is None else f"in {least}..{most}"
+        raise ConfigError(f"{name} must be an integer {bounds}, not {value!r}")
+
+
+def _check_number(name: str, value, least: float | None = None):
+    """Raise ConfigError unless value is a finite number, not a bool, and
+    not below least when that is given."""
+    if not _is_number(value) or (least is not None and value < least):
+        bounds = "" if least is None else f" of at least {least}"
+        raise ConfigError(f"{name} must be a finite number{bounds}, not {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Experiment description; grids and per-point simulation parameters."""
@@ -112,51 +127,35 @@ class ExperimentConfig:
         field, so that every config, replace()d ones too, is valid. Grids
         may be empty; sweep and capture_zone check their own."""
         for name in ("tau_grid", "sir_db_grid"):
-            values = tuple(getattr(self, name))
+            try:
+                values = tuple(getattr(self, name))
+            except TypeError:
+                raise ConfigError(f"{name} must be a sequence of numbers, "
+                                  f"not {getattr(self, name)!r}") from None
             if len(values) > MAX_GRID_POINTS:
                 raise ConfigError(f"{name} holds {len(values)} values, more than "
                                   f"{MAX_GRID_POINTS}")
             for value in values:
-                if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                    raise ConfigError(f"{name} values must be numbers, not {value!r}")
-            if not all(map(_is_finite, values)):
-                raise ConfigError(f"{name} values must be finite")
+                _check_number(f"{name} value", value)
             object.__setattr__(self, name, tuple(map(float, values)))
-        for name in ("packets_per_point", "payload_bits", "n_interferers", "master_seed"):
+        _check_integer("packets_per_point", self.packets_per_point, 1)
+        _check_integer("payload_bits", self.payload_bits, 1)
+        _check_integer("n_interferers", self.n_interferers, 0)
+        _check_integer("master_seed", self.master_seed, 0, 2**64 - 1)
+        _check_number("phi_c", self.phi_c)
+        _check_number("noise_std", self.noise_std, 0)
+        for name, choices in (("payload_mode", PAYLOAD_MODES), ("coding", CODINGS),
+                              ("target", TARGETS), ("phi_mode", PHI_MODES),
+                              ("interferer_power_split", POWER_SPLITS)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, not {value!r}")
-        if not 0 <= self.master_seed < 2**64:
-            raise ConfigError(f"master_seed must lie in 0..2**64 - 1, not {self.master_seed}")
-        for name in ("phi_c", "noise_std"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not _is_finite(value)):
-                raise ConfigError(f"{name} must be a finite number, not {value!r}")
+            if not isinstance(value, str) or value not in choices:
+                raise ConfigError(f"{name} must be one of {choices}, not {value!r}")
         for sir_db in self.sir_db_grid:
             _interference_level(sir_db)
-        if self.packets_per_point < 1:
-            raise ConfigError("packets_per_point must be at least 1")
-        if self.payload_bits < 1:
-            raise ConfigError("payload_bits must be positive")
-        if self.payload_mode not in PAYLOAD_MODES:
-            raise ConfigError(f"payload_mode must be one of {PAYLOAD_MODES}")
-        if self.coding not in CODINGS:
-            raise ConfigError(f"coding must be one of {CODINGS}")
         if self.coding != "uncoded" and self.payload_bits % BITS_PER_SYMBOL:
             raise ConfigError("coded payload_bits must be a multiple of 4")
-        if self.target not in TARGETS:
-            raise ConfigError(f"target must be one of {TARGETS}")
-        if self.phi_mode not in PHI_MODES:
-            raise ConfigError(f"phi_mode must be one of {PHI_MODES}")
-        if self.interferer_power_split not in POWER_SPLITS:
-            raise ConfigError(f"interferer_power_split must be one of {POWER_SPLITS}")
-        if self.n_interferers < 0:
-            raise ConfigError("n_interferers must be non-negative")
         if self.target == "interferer" and self.n_interferers < 1:
             raise ConfigError("target 'interferer' needs at least one interferer")
-        if self.noise_std < 0:
-            raise ConfigError("noise_std must be non-negative")
         chips = self.payload_bits * (1 if self.coding == "uncoded" else 8)
         values = self.packets_per_point * chips * (1 + self.n_interferers)
         if values > MAX_POINT_VALUES:
@@ -175,10 +174,7 @@ class ExperimentConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        try:
-            return cls(**data)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -220,11 +216,8 @@ class NInterfererPoint:
 def grid(start: float, stop: float, step: float) -> tuple:
     """Inclusive numeric grid with round-off-stable values; at most
     MAX_GRID_POINTS of them, checked before any is built."""
-    for value in (start, stop, step):
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ConfigError(f"grid start, stop and step must be numbers, not {value!r}")
-    if not all(map(_is_finite, (start, stop, step))):
-        raise ConfigError("grid start, stop and step must be finite")
+    for name, value in (("start", start), ("stop", stop), ("step", step)):
+        _check_number(f"grid {name}", value)
     if step <= 0:
         raise ConfigError("grid step must be positive")
     if stop < start:
@@ -234,13 +227,6 @@ def grid(start: float, stop: float, step: float) -> tuple:
         raise ConfigError(f"grid would hold more than {MAX_GRID_POINTS} values")
     n = int(math.floor(span)) + 1
     return tuple(round(start + i * step, 10) for i in range(n))
-
-
-def _check_count(name: str, value, most: int):
-    """Raise ConfigError unless value is an integer, not a bool, in 1..most."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or not 1 <= value <= most):
-        raise ConfigError(f"{name} must be an integer in 1..{most}, not {value!r}")
 
 
 def _interference_level(sir_db: float) -> float:
@@ -436,7 +422,7 @@ def _map_tasks(task_fn, tasks: list, threads: int) -> list:
     call that needs another worker count replaces it, and a call that
     raises (a dead worker included) drops it, so the next starts afresh."""
     global _pool
-    _check_count("threads", threads, MAX_THREADS)
+    _check_integer("threads", threads, 1, MAX_THREADS)
     threads = min(threads, len(tasks))
     if threads <= 1:
         return [task_fn(t) for t in tasks]
@@ -483,7 +469,7 @@ def capture_zone(cfg: ExperimentConfig, phi_points: int,
     if len(cfg.sir_db_grid) != 1:
         raise ConfigError(f"a capture zone needs exactly one SIR, not "
                           f"{len(cfg.sir_db_grid)}")
-    _check_count("phi_points", phi_points, MAX_GRID_POINTS)
+    _check_integer("phi_points", phi_points, 1, MAX_GRID_POINTS)
     phi_grid = [i * 2.0 * math.pi / phi_points for i in range(phi_points)]
     tasks = [(cfg, tau, phi) for tau in cfg.tau_grid for phi in phi_grid]
     return _map_tasks(_zone_task, tasks, threads)
@@ -509,7 +495,7 @@ def n_interferer_experiment(cfg: ExperimentConfig, max_n: int = 8,
     sender's power, the single strong one carries n times that. Runs both
     payload modes and both layouts for n = 1..max_n.
     """
-    _check_count("max_n", max_n, MAX_GRID_POINTS)
+    _check_integer("max_n", max_n, 1, MAX_GRID_POINTS)
     replace(cfg, n_interferers=max_n)  # the largest point must fit MAX_POINT_VALUES
     tasks = [(cfg, n, layout, mode)
              for mode in PAYLOAD_MODES

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .demod import decompose_offset
-from .signal_model import InterfererParams, transmit_position
+from .signal_model import InterfererParams, _is_integer, transmit_position
 
 #: The smooth factors of the pulse-train primitive integrals.
 RECT_KINDS = ("one", "cos2wp", "sin2wp")
@@ -131,9 +131,7 @@ def oracle_lambda_passband(params: InterfererParams, k: int, branch: str = "I",
     baseband, the integral is taken at unit amplitude and then scaled.
     """
     n = transmit_position(k, branch)
-    if (isinstance(carrier_multiple, bool)
-            or not isinstance(carrier_multiple, (int, np.integer))
-            or not 8 <= carrier_multiple <= MAX_CARRIER_MULTIPLE):
+    if not _is_integer(carrier_multiple) or not 8 <= carrier_multiple <= MAX_CARRIER_MULTIPLE:
         raise ValueError(f"carrier_multiple must be an integer in "
                          f"8..{MAX_CARRIER_MULTIPLE}, not {carrier_multiple!r}")
     w_p = math.pi / 2.0

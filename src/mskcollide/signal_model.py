@@ -16,6 +16,7 @@ explicit RNG.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +26,16 @@ from .chipseq import BIPOLAR_CHIP_TABLE, BITS_PER_SYMBOL
 TWO_PI = 2.0 * math.pi
 
 
-def _is_finite(value) -> bool:
-    """math.isfinite, reading an integer too large for a float as infinite."""
+def _is_integer(value) -> bool:
+    """An int or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A finite real number, not a bool; an integer too large for a float is
+    not finite."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
     try:
         return math.isfinite(value)
     except OverflowError:
@@ -38,7 +47,7 @@ def transmit_position(k: int, branch: str) -> int:
     quadrature ("Q"). A bool or non-integer k is a ValueError."""
     if branch not in ("I", "Q"):
         raise ValueError("branch must be 'I' or 'Q'")
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+    if not _is_integer(k):
         raise ValueError(f"bit index must be an integer, not {k!r}")
     return 2 * int(k) + (branch == "Q")
 
@@ -56,11 +65,12 @@ class InterfererParams:
     bits: np.ndarray
 
     def __post_init__(self):
+        for name in ("amplitude", "tau", "phi_c"):
+            value = getattr(self, name)
+            if not _is_number(value):
+                raise ValueError(f"{name} must be a finite number, not {value!r}")
         if not self.amplitude > 0:
             raise ValueError("amplitude must be positive")
-        for name in ("amplitude", "tau", "phi_c"):
-            if not _is_finite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
         bits = np.asarray(self.bits)
         if bits.ndim != 1 or bits.size == 0:
             raise ValueError("bits must be one-dimensional and non-empty")

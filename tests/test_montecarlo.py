@@ -48,6 +48,12 @@ class TestConfig:
             small_cfg(target="interferer", n_interferers=0)
         with pytest.raises(ConfigError):
             replace(small_cfg(), noise_std=-1.0)
+        # a grid that is not a sequence is a bad field like any other
+        for fields in ({"tau_grid": 5}, {"sir_db_grid": None}):
+            with pytest.raises(ConfigError):
+                small_cfg(**fields)
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict({"tau_grid": 5})
         # an integer too large for a float is a bad value, not an OverflowError
         for fields in ({"tau_grid": (0.0, 10**400)}, {"sir_db_grid": (10**400,)},
                        {"phi_c": 10**400}, {"noise_std": 10**400}):
@@ -284,6 +290,52 @@ class TestSlabs:
                 assert alone_symbols.tobytes() == symbols[p - rows.start].tobytes()
                 assert alone_corr.tobytes() == corr[p - rows.start].tobytes()
         assert ties > 4000
+
+
+class TestIndependentChecks:
+    """The engine against facts of the model that need no second copy of
+    its kernel: superposition of identical payloads, and the error rate of
+    noise alone."""
+
+    @pytest.mark.parametrize("tau", [0.0, 0.3, -1.7, 2.45])
+    def test_identical_interferers_equal_one_resultant(self, tau):
+        # the contribution is linear in a e^{j phi}, so n interferers that
+        # send one payload at one offset add up to a single interferer with
+        # amplitude |sum a_i e^{j phi_i}| and phase arg(sum a_i e^{j phi_i})
+        for n in range(2, 9):
+            cfg = small_cfg(coding="sdd", payload_bits=64, payload_mode="identical",
+                            n_interferers=n, interferer_power_split="equal_split")
+            amps = _point_amplitudes(cfg, -6.0)
+            senders, phi, _ = _draw_point(cfg, tau, amps)
+            soi_chips, beta_chips = senders[0][1], senders[1][1]
+            soft = _compute_soft(soi_chips, [chips for _, chips in senders[1:]], amps,
+                                 tau, phi)
+            # a pattern table takes one amplitude: one call per packet
+            resultant = (np.asarray(amps) * np.exp(1j * phi)).sum(axis=1)
+            one = np.concatenate([
+                _compute_soft(soi_chips[p:p + 1], [beta_chips[p:p + 1]], (abs(r),), tau,
+                              np.array([[np.angle(r) % (2 * math.pi)]]))
+                for p, r in enumerate(resultant)])
+            assert np.all(np.abs(soft - one) <= 1e-13 * (1 + np.abs(soft)))
+            _, symbols, corr = decide(soft, "sdd")
+            _, one_symbols, _ = decide(one, "sdd")
+            top_two = np.sort(corr, axis=-1)[..., -2:]
+            decided = top_two[..., 1] - top_two[..., 0] > 1e-12
+            assert np.array_equal(symbols[decided], one_symbols[decided])
+
+    @pytest.mark.parametrize("coding, payload_bits", [("uncoded", 63), ("sdd", 64)])
+    @pytest.mark.parametrize("sigma", [0.5, 0.8, 1.2])
+    def test_noise_alone_chip_errors_match_q_function(self, coding, payload_bits, sigma):
+        # with no interferer a chip is wrong when its Gaussian noise exceeds
+        # the unit bit: Q(1/sigma) per chip, independently (an odd uncoded
+        # payload also checks the in-phase/quadrature noise split)
+        packets = 5000
+        cfg = small_cfg(coding=coding, payload_bits=payload_bits, n_interferers=0,
+                        noise_std=sigma, packets_per_point=packets, master_seed=21)
+        _, _, ber, _ = _point_stats(cfg, 0.0, ())
+        chips = packets * payload_bits * (1 if coding == "uncoded" else 8)
+        p = math.erfc(1.0 / (sigma * math.sqrt(2.0))) / 2.0
+        assert abs(ber - p) <= 4 * math.sqrt(p * (1 - p) / chips)
 
 
 class TestFreedHeap:

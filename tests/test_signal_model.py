@@ -88,12 +88,14 @@ def test_interferer_params_normalize_phase():
     ("amplitude", math.inf), ("tau", math.nan), ("tau", math.inf), ("tau", -math.inf),
     ("phi_c", math.inf), ("phi_c", -math.inf), ("phi_c", math.nan),
     *(pytest.param(field, 10**400, id=f"{field}-int-overflow")
-      for field in ("amplitude", "tau", "phi_c"))])
+      for field in ("amplitude", "tau", "phi_c")),
+    ("amplitude", "1"), ("tau", "0"), ("phi_c", None), ("amplitude", True)])
 def test_interferer_params_reject_non_finite(field, value):
     # each would otherwise give NaN soft values or fail later inside math.floor;
-    # an integer too large for a float is not finite either
+    # an integer too large for a float is not finite either, and a bool or
+    # a non-number is no number at all
     fields = {"amplitude": 1.0, "tau": 0.0, "phi_c": 0.0, field: value}
-    with pytest.raises(ValueError, match=f"{field} must be finite"):
+    with pytest.raises(ValueError, match=f"{field} must be a finite number"):
         InterfererParams(bits=[1, -1], **fields)
 
 
