@@ -88,20 +88,22 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-def _check_integer(name: str, value, least: int, most: int | None = None):
-    """Raise ConfigError unless value is an integer, not a bool, in
+def _check_integer(name: str, value, least: int, most: int | None = None) -> int:
+    """value as an int; ConfigError unless it is an integer, not a bool, in
     least..most (unbounded above when most is None)."""
     if not _is_integer(value) or value < least or (most is not None and value > most):
         bounds = f"at least {least}" if most is None else f"in {least}..{most}"
         raise ConfigError(f"{name} must be an integer {bounds}, not {value!r}")
+    return int(value)
 
 
-def _check_number(name: str, value, least: float | None = None):
-    """Raise ConfigError unless value is a finite number, not a bool, and
-    not below least when that is given."""
+def _check_number(name: str, value, least: float | None = None) -> float:
+    """value as a float; ConfigError unless it is a finite number, not a
+    bool, and not below least when that is given."""
     if not _is_number(value) or (least is not None and value < least):
         bounds = "" if least is None else f" of at least {least}"
         raise ConfigError(f"{name} must be a finite number{bounds}, not {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -123,9 +125,11 @@ class ExperimentConfig:
     noise_std: float = 0.0
 
     def __post_init__(self):
-        """Store the grids as float tuples and raise ConfigError for a bad
-        field, so that every config, replace()d ones too, is valid. Grids
-        may be empty; sweep and capture_zone check their own."""
+        """Raise ConfigError for a bad field, so that every config,
+        replace()d ones too, is valid, and store numbers as Python ints and
+        floats (the grids as float tuples), numpy scalars included, which
+        the point keys and manifests take. Grids may be empty; sweep and
+        capture_zone check their own."""
         for name in ("tau_grid", "sir_db_grid"):
             try:
                 values = tuple(getattr(self, name))
@@ -135,15 +139,13 @@ class ExperimentConfig:
             if len(values) > MAX_GRID_POINTS:
                 raise ConfigError(f"{name} holds {len(values)} values, more than "
                                   f"{MAX_GRID_POINTS}")
-            for value in values:
-                _check_number(f"{name} value", value)
-            object.__setattr__(self, name, tuple(map(float, values)))
-        _check_integer("packets_per_point", self.packets_per_point, 1)
-        _check_integer("payload_bits", self.payload_bits, 1)
-        _check_integer("n_interferers", self.n_interferers, 0)
-        _check_integer("master_seed", self.master_seed, 0, 2**64 - 1)
-        _check_number("phi_c", self.phi_c)
-        _check_number("noise_std", self.noise_std, 0)
+            object.__setattr__(self, name, tuple(_check_number(f"{name} value", value)
+                                                 for value in values))
+        for name, least, most in (("packets_per_point", 1, None), ("payload_bits", 1, None),
+                                  ("n_interferers", 0, None), ("master_seed", 0, 2**64 - 1)):
+            object.__setattr__(self, name, _check_integer(name, getattr(self, name), least, most))
+        object.__setattr__(self, "phi_c", _check_number("phi_c", self.phi_c))
+        object.__setattr__(self, "noise_std", _check_number("noise_std", self.noise_std, 0))
         for name, choices in (("payload_mode", PAYLOAD_MODES), ("coding", CODINGS),
                               ("target", TARGETS), ("phi_mode", PHI_MODES),
                               ("interferer_power_split", POWER_SPLITS)):

@@ -9,6 +9,8 @@ position 2m carries in-phase bit m, position 2m+1 carries quadrature bit m
 engine; `InterfererParams` describes one interferer, with its own time
 offset and phase, for the one-row closed form and the numerical oracle.
 
+`_is_integer` and `_is_number` are the package's one rule for an integer
+and for a finite number: every check of an input value uses one of them.
 All types are immutable after construction; operations are pure given an
 explicit RNG.
 """

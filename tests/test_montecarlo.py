@@ -1,6 +1,7 @@
 """Experiment engine: determinism, statistics, and agreement with per-bit
 scalar and brute-force references."""
 
+import json
 import math
 import multiprocessing
 import os
@@ -77,6 +78,12 @@ class TestConfig:
         cfg = small_cfg(coding="sdd", payload_mode="identical")
         again = ExperimentConfig.from_dict(cfg.to_dict())
         assert again == cfg
+        # numpy scalars are stored as the Python numbers that the point key
+        # and the JSON manifest take
+        np_cfg = small_cfg(packets_per_point=np.int64(200), master_seed=np.uint64(99),
+                           phi_c=np.float32(0.5), tau_grid=np.zeros(1))
+        assert ExperimentConfig.from_dict(json.loads(json.dumps(np_cfg.to_dict()))) == np_cfg
+        assert run_point(np_cfg, 0.0, 0.0) == run_point(small_cfg(phi_c=0.5), 0.0, 0.0)
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
