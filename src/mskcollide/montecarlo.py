@@ -4,7 +4,11 @@ Per grid point the engine simulates a batch of independent packets with the
 closed-form demodulator, decodes them, and aggregates packet reception
 ratio, bit error rate, and symbol error rate. The synchronized sender's
 amplitude is fixed to 1 and interferer amplitudes derive from the SIR of
-the point, so sweeps are parametrized by (tau, SIR) alone.
+the point, so sweeps are parametrized by (tau, SIR) alone. Every
+experiment (sweep, capture zone, n-interferer) builds its points as
+(config, tau, amplitudes) triples and maps the one function _point_stats
+over them; run_point calls it directly, and a tau or SIR that is not a
+finite number is a ConfigError there.
 
 Every point draws from its own RNG stream seeded by the master seed and
 the point's physical parameters (offsets, amplitudes, modes). Results are
@@ -24,7 +28,7 @@ small grid: forking the workers, each importing numpy.random on its first
 point, and joining them again. It is replaced when a call needs another
 worker count and dropped when a call fails, and its workers end when the
 interpreter exits. The workers are forked at the first pooled call, so a
-module global patched in the parent after that does not reach them; tasks
+module global patched in the parent after that does not reach them; points
 carry their config, so results do not depend on which worker runs them.
 """
 
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import itertools
 import math
 import struct
 from concurrent.futures import ProcessPoolExecutor
@@ -132,13 +137,12 @@ class ExperimentConfig:
         capture_zone check their own."""
         for name in ("tau_grid", "sir_db_grid"):
             try:
-                values = tuple(getattr(self, name))
+                values = tuple(itertools.islice(getattr(self, name), MAX_GRID_POINTS + 1))
             except TypeError:
                 raise ConfigError(f"{name} must be a sequence of numbers, "
                                   f"not {getattr(self, name)!r}") from None
             if len(values) > MAX_GRID_POINTS:
-                raise ConfigError(f"{name} holds {len(values)} values, more than "
-                                  f"{MAX_GRID_POINTS}")
+                raise ConfigError(f"{name} holds more than {MAX_GRID_POINTS} values")
             object.__setattr__(self, name, tuple(_check_number(f"{name} value", value)
                                                  for value in values))
         for name, least, most in (("packets_per_point", 1, None), ("payload_bits", 1, None),
@@ -392,17 +396,12 @@ def _point_amplitudes(cfg: ExperimentConfig, sir_db: float) -> tuple:
 
 
 def run_point(cfg: ExperimentConfig, tau: float, sir_db: float) -> MetricPoint:
-    """Simulate one (tau, SIR) grid point."""
+    """Simulate one (tau, SIR) grid point; a tau or SIR that is not a finite
+    number is a ConfigError."""
+    tau, sir_db = _check_number("tau", tau), _check_number("sir_db", sir_db)
     amplitudes = _point_amplitudes(cfg, sir_db)
-    prr_mean, prr_std, ber, ser = _point_stats(cfg, tau, amplitudes)
-    return MetricPoint(tau=float(tau), sir_db=float(sir_db), prr_mean=prr_mean,
-                       prr_std=prr_std, ber=ber, ser=ser,
-                       packets=cfg.packets_per_point, n=len(amplitudes))
-
-
-def _sweep_task(args):
-    cfg, tau, sir_db = args
-    return run_point(cfg, tau, sir_db)
+    return MetricPoint(tau, sir_db, *_point_stats(cfg, tau, amplitudes),
+                       cfg.packets_per_point, len(amplitudes))
 
 
 #: The worker pool every pooled call reuses, as (workers, executor); None
@@ -417,24 +416,25 @@ def _drop_pool(**shutdown_kw):
     pool.shutdown(**shutdown_kw)
 
 
-def _map_tasks(task_fn, tasks: list, threads: int) -> list:
-    """Run the tasks in order, over at most threads worker processes.
+def _map_points(points: list, threads: int) -> list:
+    """_point_stats of each (config, tau, amplitudes) point, in order, over
+    at most threads worker processes.
 
-    Pooled calls reuse one kept pool of min(threads, len(tasks)) workers. A
+    Pooled calls reuse one kept pool of min(threads, len(points)) workers. A
     call that needs another worker count replaces it, and a call that
     raises (a dead worker included) drops it, so the next starts afresh."""
     global _pool
     _check_integer("threads", threads, 1, MAX_THREADS)
-    threads = min(threads, len(tasks))
+    threads = min(threads, len(points))
     if threads <= 1:
-        return [task_fn(t) for t in tasks]
+        return [_point_stats(*point) for point in points]
     if _pool is not None and _pool[0] != threads:
         _drop_pool()
     if _pool is None:
         _pool = (threads, ProcessPoolExecutor(max_workers=threads))
-    chunk = max(1, len(tasks) // (4 * threads))
+    chunk = max(1, len(points) // (4 * threads))
     try:
-        return list(_pool[1].map(task_fn, tasks, chunksize=chunk))
+        return list(_pool[1].map(_point_stats, *zip(*points), chunksize=chunk))
     except BaseException:
         _drop_pool(cancel_futures=True)
         raise
@@ -445,16 +445,11 @@ def sweep(cfg: ExperimentConfig, threads: int = 1) -> list[MetricPoint]:
     regardless of threads."""
     if not cfg.tau_grid or not cfg.sir_db_grid:
         raise ConfigError("tau_grid and sir_db_grid must not be empty")
-    tasks = [(cfg, tau, sir) for tau in cfg.tau_grid for sir in cfg.sir_db_grid]
-    return _map_tasks(_sweep_task, tasks, threads)
-
-
-def _zone_task(args):
-    cfg, tau, phi = args
-    point = run_point(replace(cfg, phi_mode="fixed", phi_c=phi), tau, cfg.sir_db_grid[0])
-    rate = point.ber if cfg.coding == "uncoded" else point.ser
-    return ZoneCell(tau=float(tau), phi_c=float(phi), error_rate=rate,
-                    packets=point.packets)
+    keys = [(tau, sir, _point_amplitudes(cfg, sir))
+            for tau in cfg.tau_grid for sir in cfg.sir_db_grid]
+    points = [(cfg, tau, amplitudes) for tau, _, amplitudes in keys]
+    return [MetricPoint(tau, sir, *stats, cfg.packets_per_point, len(amplitudes))
+            for (tau, sir, amplitudes), stats in zip(keys, _map_points(points, threads))]
 
 
 def capture_zone(cfg: ExperimentConfig, phi_points: int,
@@ -472,20 +467,14 @@ def capture_zone(cfg: ExperimentConfig, phi_points: int,
         raise ConfigError(f"a capture zone needs exactly one SIR, not "
                           f"{len(cfg.sir_db_grid)}")
     _check_integer("phi_points", phi_points, 1, MAX_GRID_POINTS)
-    phi_grid = [i * 2.0 * math.pi / phi_points for i in range(phi_points)]
-    tasks = [(cfg, tau, phi) for tau in cfg.tau_grid for phi in phi_grid]
-    return _map_tasks(_zone_task, tasks, threads)
-
-
-def _ninterf_task(args):
-    cfg, n, layout, payload_mode = args
-    point_cfg = replace(cfg, payload_mode=payload_mode, n_interferers=n,
-                        interferer_power_split=layout, phi_mode="random_uniform")
-    amplitudes = split_amplitudes(n * 0.5, n, layout)
-    prr_mean, prr_std, _, _ = _point_stats(point_cfg, 0.0, amplitudes)
-    return NInterfererPoint(n=n, layout=layout, payload_mode=payload_mode,
-                            prr_mean=prr_mean, prr_std=prr_std,
-                            packets=cfg.packets_per_point)
+    phase_cfgs = [replace(cfg, phi_mode="fixed", phi_c=i * 2.0 * math.pi / phi_points)
+                  for i in range(phi_points)]
+    amplitudes = _point_amplitudes(cfg, cfg.sir_db_grid[0])
+    points = [(phase_cfg, tau, amplitudes) for tau in cfg.tau_grid for phase_cfg in phase_cfgs]
+    uncoded = cfg.coding == "uncoded"
+    return [ZoneCell(tau, phase_cfg.phi_c, ber if uncoded else ser, cfg.packets_per_point)
+            for (phase_cfg, tau, _), (_, _, ber, ser)
+            in zip(points, _map_points(points, threads))]
 
 
 def n_interferer_experiment(cfg: ExperimentConfig, max_n: int = 8,
@@ -498,9 +487,13 @@ def n_interferer_experiment(cfg: ExperimentConfig, max_n: int = 8,
     payload modes and both layouts for n = 1..max_n.
     """
     _check_integer("max_n", max_n, 1, MAX_GRID_POINTS)
-    replace(cfg, n_interferers=max_n)  # the largest point must fit MAX_POINT_VALUES
-    tasks = [(cfg, n, layout, mode)
-             for mode in PAYLOAD_MODES
-             for layout in POWER_SPLITS
-             for n in range(1, max_n + 1)]
-    return _map_tasks(_ninterf_task, tasks, threads)
+    keys = [(n, layout, mode)
+            for mode in PAYLOAD_MODES
+            for layout in POWER_SPLITS
+            for n in range(1, max_n + 1)]
+    points = [(replace(cfg, payload_mode=mode, n_interferers=n,
+                       interferer_power_split=layout, phi_mode="random_uniform"),
+               0.0, split_amplitudes(n * 0.5, n, layout)) for n, layout, mode in keys]
+    return [NInterfererPoint(n, layout, mode, prr_mean, prr_std, cfg.packets_per_point)
+            for (n, layout, mode), (prr_mean, prr_std, _, _)
+            in zip(keys, _map_points(points, threads))]

@@ -264,21 +264,21 @@ def test_bad_input_is_config_error(tmp_path, capsys, config, argv):
     assert not (tmp_path / "x.csv").exists()
 
 
-def _die(args):
+def _die(*args):
     os._exit(7)
 
 
-@pytest.mark.parametrize("task, argv", [
-    ("_sweep_task", ["sweep", "--tau-start", "0", "--tau-stop", "1", "--tau-step", "1",
-                     *_ONE_SIR]),
-    ("_zone_task", ["zone", "--sir-db", "-40", "--tau-start", "0", "--tau-stop", "0",
-                    "--tau-step", "1", "--phi-points", "2", "--packets", "10"]),
-    ("_ninterf_task", ["ninterf", "--max-n", "1", "--packets", "10"]),
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--tau-start", "0", "--tau-stop", "1", "--tau-step", "1", *_ONE_SIR],
+    ["zone", "--sir-db", "-40", "--tau-start", "0", "--tau-stop", "0",
+     "--tau-step", "1", "--phi-points", "2", "--packets", "10"],
+    ["ninterf", "--max-n", "1", "--packets", "10"],
 ], ids=["sweep", "zone", "ninterf"])
-def test_worker_crash_is_one_line_and_exit_3(tmp_path, capfd, monkeypatch, task, argv):
-    # the task is pickled by reference, so the kept pool's workers resolve
-    # the patched name too and every pool task kills its worker
-    monkeypatch.setattr(montecarlo, task, _die)
+def test_worker_crash_is_one_line_and_exit_3(tmp_path, capfd, monkeypatch, argv):
+    # the pool is handed montecarlo._point_stats as the parent resolves it
+    # and pickles it by reference, so the kept pool's workers run the
+    # patched function too and every point kills its worker
+    monkeypatch.setattr(montecarlo, "_point_stats", _die)
     out = tmp_path / "x.csv"
     rc = main([*argv, "--threads", "2", "--out", str(out)])
     err = capfd.readouterr().err

@@ -45,6 +45,9 @@ class TestConfig:
             sweep(small_cfg(tau_grid=()))
         with pytest.raises(ConfigError):
             small_cfg(sir_db_grid=(0.0,) * (MAX_GRID_POINTS + 1))
+        # the length bound holds before a grid is read: at most one value past it
+        with pytest.raises(ConfigError):
+            small_cfg(tau_grid=range(10**18))
         with pytest.raises(ConfigError):
             small_cfg(target="interferer", n_interferers=0)
         with pytest.raises(ConfigError):
@@ -152,6 +155,13 @@ class TestRunPoint:
         for sir in (-40.0, -20.0, 0.0, 20.0):
             p = run_point(cfg, 0.0, sir)
             assert p.prr_mean == 1.0 and p.ber == 0.0
+
+    @pytest.mark.parametrize("tau, sir_db", [
+        (math.nan, 0.0), (math.inf, 0.0), ("0.5", 0.0), (0.0, "3"), (True, 0.0), (0.0, True)],
+        ids=["tau-nan", "tau-inf", "tau-str", "sir-str", "tau-bool", "sir-bool"])
+    def test_bad_tau_or_sir_is_config_error(self, tau, sir_db):
+        with pytest.raises(ConfigError):
+            run_point(small_cfg(), tau, sir_db)
 
     def test_rates_within_bounds(self):
         for coding in ("uncoded", "hdd", "sdd"):
@@ -489,8 +499,8 @@ class TestZoneAndNInterferer:
 
     def test_ninterf_checks_largest_point_before_any_task(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "MAX_POINT_VALUES", 200 * 32 * 2)
-        monkeypatch.setattr(montecarlo, "_map_tasks",
-                            lambda *args: pytest.fail("tasks ran"))
+        monkeypatch.setattr(montecarlo, "_map_points",
+                            lambda *args: pytest.fail("points ran"))
         with pytest.raises(ConfigError):
             n_interferer_experiment(small_cfg(), max_n=2)
 
