@@ -29,8 +29,8 @@ from .demod import interference_contribution
 from .montecarlo import (CODINGS, PAYLOAD_MODES, PHI_MODES, POWER_SPLITS, TARGETS,
                          ConfigError, ExperimentConfig, _check_integer, _check_number,
                          capture_zone, grid, n_interferer_experiment, sweep)
-from .oracle import (RECT_KINDS, oracle_lambda_baseband, oracle_lambda_passband,
-                     rect_integral, rect_integral_quadrature)
+from .oracle import (MAX_CARRIER_MULTIPLE, RECT_KINDS, oracle_lambda_baseband,
+                     oracle_lambda_passband, rect_integral, rect_integral_quadrature)
 from .output import (write_chip_table, write_manifest, write_ninterf,
                      write_sweep, write_zone)
 from .presets import NINTERF_DEFAULTS, PRESETS, ZONE_PRESETS
@@ -127,11 +127,7 @@ def _checks(params: InterfererParams, k: int, oracle, passband: bool):
     compares: lambda on both branches, then in baseband the primitive
     integrals."""
     for branch in ("I", "Q"):
-        try:
-            reference = oracle(params, k, branch)
-        except ValueError as exc:  # the carrier multiple is out of range
-            raise ConfigError(str(exc)) from exc
-        yield branch, interference_contribution(params, k, branch), reference
+        yield branch, interference_contribution(params, k, branch), oracle(params, k, branch)
     if not passband:
         for kind in RECT_KINDS:
             for branch in ("I", "Q"):
@@ -144,10 +140,11 @@ def cmd_validate(args) -> int:
     _check_integer("--draws", args.draws, 1)
     _check_integer("--seed", args.seed, 0)
     _check_number("--tolerance", args.tolerance, 0)
-    if args.carrier_multiple is not None and not args.passband:
-        raise ConfigError("--carrier-multiple needs --passband")
     oracle = oracle_lambda_passband if args.passband else oracle_lambda_baseband
     if args.carrier_multiple is not None:
+        _check_integer("--carrier-multiple", args.carrier_multiple, 8, MAX_CARRIER_MULTIPLE)
+        if not args.passband:
+            raise ConfigError("--carrier-multiple needs --passband")
         oracle = partial(oracle, carrier_multiple=args.carrier_multiple)
     rng = np.random.default_rng(args.seed)
     worst = 0.0
@@ -214,42 +211,38 @@ def _sweep_config(args) -> ExperimentConfig:
 
 def cmd_sweep(args) -> int:
     cfg = _sweep_config(args)
-    started = time.monotonic()
-    points = sweep(cfg, threads=args.threads)
-    _write_table(write_sweep, points, args, "sweep", cfg, started,
-                 {"preset": args.preset})
-    return 0
+    return _run_table(partial(sweep, cfg), write_sweep, args, cfg, {"preset": args.preset})
 
 
 def cmd_zone(args) -> int:
     cfg = _configure(ZONE_PRESETS[args.preset or "fig11a"], args,
                      tau_grid=_flag_grid(args, "tau", _tau_scale(args.tau_unit)),
                      sir_db_grid=None if args.sir_db is None else (args.sir_db,))
-    started = time.monotonic()
-    cells = capture_zone(cfg, args.phi_points, threads=args.threads)
-    _write_table(write_zone, cells, args, "zone", cfg, started,
-                 {"preset": args.preset, "sir_db": cfg.sir_db_grid[0]})
-    return 0
+    return _run_table(partial(capture_zone, cfg, args.phi_points), write_zone, args, cfg,
+                      {"preset": args.preset, "sir_db": cfg.sir_db_grid[0]})
 
 
 def cmd_ninterf(args) -> int:
     cfg = _configure(NINTERF_DEFAULTS, args)
     if args.max_n > 8:
         print("note: n above 8 is outside the validated range", file=sys.stderr)
+    return _run_table(partial(n_interferer_experiment, cfg, max_n=args.max_n), write_ninterf,
+                      args, cfg, {"max_n": args.max_n})
+
+
+def _run_table(experiment, writer, args, cfg: ExperimentConfig, extra: dict) -> int:
+    """Run experiment(threads=args.threads), write its rows to args.out with
+    writer, and beside them the manifest of args.command, timed from the
+    start of the run."""
     started = time.monotonic()
-    rows = n_interferer_experiment(cfg, max_n=args.max_n, threads=args.threads)
-    _write_table(write_ninterf, rows, args, "ninterf", cfg, started,
-                 {"max_n": args.max_n})
-    return 0
-
-
-def _write_table(writer, rows, args, command, cfg, started, extra):
+    rows = experiment(threads=args.threads)
     try:
         writer(rows, args.out, args.format)
-        write_manifest(args.out, command, cfg.to_dict(), cfg.master_seed,
-                       time.monotonic() - started, extra)
+        write_manifest(args.out, args.command, cfg.to_dict(), time.monotonic() - started,
+                       extra)
     except OSError as exc:
         raise ConfigError(f"cannot write output: {exc}") from exc
+    return 0
 
 
 def cmd_chiptable(args) -> int:

@@ -204,7 +204,6 @@ class ZoneCell:
     tau: float
     phi_c: float
     error_rate: float
-    packets: int
 
 
 @dataclass(frozen=True)
@@ -216,7 +215,6 @@ class NInterfererPoint:
     payload_mode: str
     prr_mean: float
     prr_std: float
-    packets: int
 
 
 def grid(start: float, stop: float, step: float) -> tuple:
@@ -409,11 +407,11 @@ def run_point(cfg: ExperimentConfig, tau: float, sir_db: float) -> MetricPoint:
 _pool = None
 
 
-def _drop_pool(**shutdown_kw):
-    """Forget the kept pool, then shut it down."""
+def _drop_pool():
+    """Forget the kept pool, then shut it down, cancelling any pending point."""
     global _pool
     pool, _pool = _pool[1], None
-    pool.shutdown(**shutdown_kw)
+    pool.shutdown(cancel_futures=True)
 
 
 def _map_points(points: list, threads: int) -> list:
@@ -436,7 +434,7 @@ def _map_points(points: list, threads: int) -> list:
     try:
         return list(_pool[1].map(_point_stats, *zip(*points), chunksize=chunk))
     except BaseException:
-        _drop_pool(cancel_futures=True)
+        _drop_pool()
         raise
 
 
@@ -472,7 +470,7 @@ def capture_zone(cfg: ExperimentConfig, phi_points: int,
     amplitudes = _point_amplitudes(cfg, cfg.sir_db_grid[0])
     points = [(phase_cfg, tau, amplitudes) for tau in cfg.tau_grid for phase_cfg in phase_cfgs]
     uncoded = cfg.coding == "uncoded"
-    return [ZoneCell(tau, phase_cfg.phi_c, ber if uncoded else ser, cfg.packets_per_point)
+    return [ZoneCell(tau, phase_cfg.phi_c, ber if uncoded else ser)
             for (phase_cfg, tau, _), (_, _, ber, ser)
             in zip(points, _map_points(points, threads))]
 
@@ -494,6 +492,6 @@ def n_interferer_experiment(cfg: ExperimentConfig, max_n: int = 8,
     points = [(replace(cfg, payload_mode=mode, n_interferers=n,
                        interferer_power_split=layout, phi_mode="random_uniform"),
                0.0, split_amplitudes(n * 0.5, n, layout)) for n, layout, mode in keys]
-    return [NInterfererPoint(n, layout, mode, prr_mean, prr_std, cfg.packets_per_point)
+    return [NInterfererPoint(n, layout, mode, prr_mean, prr_std)
             for (n, layout, mode), (prr_mean, prr_std, _, _)
             in zip(keys, _map_points(points, threads))]

@@ -1,11 +1,13 @@
 """Result tables and run manifests.
 
-Tables are written as CSV with a fixed header or as JSON mirroring the CSV
-fields one-to-one. Each table gets a manifest sidecar (<stem>.manifest.json)
-recording the configuration snapshot, the master seed, tool version,
-wall-clock duration, and a checksum of every data file, which ties outputs
-to the run that produced them. Data files are byte-stable for a given
-master seed; the manifest is not (it records the duration).
+Each table names its columns once, as the row attributes they hold, and
+one writer puts the rows out as CSV under a fixed header or as JSON objects
+keyed by the same header. Each table gets a manifest sidecar
+(<stem>.manifest.json) recording the configuration snapshot, the master
+seed, tool version, wall-clock duration, and a checksum of every data
+file, which ties outputs to the run that produced them. Data files are
+byte-stable for a given master seed; the manifest is not (it records the
+duration).
 """
 
 from __future__ import annotations
@@ -19,9 +21,13 @@ from . import __version__
 from .chipseq import chip_table_csv
 from .montecarlo import MetricPoint, NInterfererPoint, ZoneCell
 
-SWEEP_FIELDS = ("tau_over_T", "sir_db", "prr_mean", "prr_std", "ber", "ser", "packets")
-ZONE_FIELDS = ("tau_over_T", "phi_c", "ber_or_ser")
+#: Each table's columns, named by the row attribute they hold.
+SWEEP_FIELDS = ("tau", "sir_db", "prr_mean", "prr_std", "ber", "ser", "packets")
+ZONE_FIELDS = ("tau", "phi_c", "error_rate")
 NINTERF_FIELDS = ("n", "layout", "payload_mode", "prr_mean", "prr_std")
+
+#: Column headers that differ from their row attribute.
+_HEADERS = {"tau": "tau_over_T", "error_rate": "ber_or_ser"}
 
 
 def _fmt(value) -> str:
@@ -30,41 +36,31 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _sweep_row(p: MetricPoint) -> dict:
-    return {"tau_over_T": p.tau, "sir_db": p.sir_db, "prr_mean": p.prr_mean,
-            "prr_std": p.prr_std, "ber": p.ber, "ser": p.ser, "packets": p.packets}
-
-
-def _zone_row(c: ZoneCell) -> dict:
-    return {"tau_over_T": c.tau, "phi_c": c.phi_c, "ber_or_ser": c.error_rate}
-
-
-def _ninterf_row(r: NInterfererPoint) -> dict:
-    return {"n": r.n, "layout": r.layout, "payload_mode": r.payload_mode,
-            "prr_mean": r.prr_mean, "prr_std": r.prr_std}
-
-
-def _write_rows(rows: list[dict], fields: tuple, path: Path, fmt: str):
+def _write_rows(rows: list, fields: tuple, path, fmt: str):
+    """Each row's fields, read with getattr, as CSV lines under the header
+    or as JSON objects keyed by it."""
+    header = [_HEADERS.get(f, f) for f in fields]
+    table = [[getattr(row, f) for f in fields] for row in rows]
     if fmt == "csv":
-        lines = [",".join(fields)]
-        lines += [",".join(_fmt(row[f]) for f in fields) for row in rows]
-        path.write_text("\n".join(lines) + "\n")
+        lines = [",".join(header)] + [",".join(map(_fmt, values)) for values in table]
+        text = "\n".join(lines) + "\n"
     elif fmt == "json":
-        path.write_text(json.dumps(rows, indent=2) + "\n")
+        text = json.dumps([dict(zip(header, values)) for values in table], indent=2) + "\n"
     else:
         raise ValueError(f"unknown format {fmt!r}")
+    Path(path).write_text(text)
 
 
 def write_sweep(points: list[MetricPoint], path, fmt: str = "csv"):
-    _write_rows([_sweep_row(p) for p in points], SWEEP_FIELDS, Path(path), fmt)
+    _write_rows(points, SWEEP_FIELDS, path, fmt)
 
 
 def write_zone(cells: list[ZoneCell], path, fmt: str = "csv"):
-    _write_rows([_zone_row(c) for c in cells], ZONE_FIELDS, Path(path), fmt)
+    _write_rows(cells, ZONE_FIELDS, path, fmt)
 
 
 def write_ninterf(rows: list[NInterfererPoint], path, fmt: str = "csv"):
-    _write_rows([_ninterf_row(r) for r in rows], NINTERF_FIELDS, Path(path), fmt)
+    _write_rows(rows, NINTERF_FIELDS, path, fmt)
 
 
 def write_chip_table(path=None):
@@ -76,30 +72,22 @@ def write_chip_table(path=None):
         Path(path).write_text(text)
 
 
-def sha256_file(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def manifest_path(output_path) -> Path:
-    out = Path(output_path)
-    return out.with_name(out.stem + ".manifest.json")
-
-
-def write_manifest(output_path, command: str, config: dict, master_seed: int,
-                   duration_s: float, extra: dict | None = None) -> Path:
-    """Manifest sidecar for one output file; returns the sidecar path."""
+def write_manifest(output_path, command: str, config: dict, duration_s: float,
+                   extra: dict) -> Path:
+    """Manifest sidecar for one output file; returns the sidecar path. Its
+    keys come in the order tool, version, command, master_seed (read from
+    config), config, duration_s, outputs, then those of extra."""
     out = Path(output_path)
     doc = {
         "tool": "mskcollide",
         "version": __version__,
         "command": command,
-        "master_seed": master_seed,
+        "master_seed": config["master_seed"],
         "config": config,
         "duration_s": duration_s,
-        "outputs": [{"path": out.name, "sha256": sha256_file(out)}],
+        "outputs": [{"path": out.name, "sha256": hashlib.sha256(out.read_bytes()).hexdigest()}],
+        **extra,
     }
-    if extra:
-        doc.update(extra)
-    side = manifest_path(out)
+    side = out.with_name(out.stem + ".manifest.json")
     side.write_text(json.dumps(doc, indent=2) + "\n")
     return side

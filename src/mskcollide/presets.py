@@ -14,7 +14,6 @@ from .montecarlo import ExperimentConfig, grid
 
 _WIDE_TAU = grid(-3.0, 3.0, 0.1)
 _WIDE_SIR = grid(-50.0, 10.0, 1.0)
-_CENTER_TAU = grid(-0.75, 0.75, 0.25)
 _NEG_SIR = grid(-50.0, -10.0, 5.0)
 _INTERF_TAU = grid(-1.5, 1.5, 0.1)
 

@@ -1,5 +1,6 @@
 """Command-line interface: schemas, exit codes, determinism, manifests."""
 
+import hashlib
 import json
 import os
 
@@ -61,21 +62,30 @@ def test_sweep_flags_csv_schema(tmp_path):
     assert float(first[2]) == want.prr_mean
 
 
-def test_sweep_json_mirrors_csv(tmp_path):
-    args = ["sweep", "--coding", "uncoded", "--tau-start", "0", "--tau-stop",
-            "0", "--tau-step", "0.1", "--sir-start", "0", "--sir-stop", "1",
-            "--sir-step", "1", "--packets", "40", "--seed", "3"]
+_TABLES = {
+    "sweep": ["sweep", "--coding", "uncoded", "--tau-start", "0", "--tau-stop", "0",
+              "--tau-step", "0.1", "--sir-start", "0", "--sir-stop", "1",
+              "--sir-step", "1", "--packets", "40", "--seed", "3"],
+    "zone": ["zone", "--preset", "fig11b", "--sir-db", "-30", "--tau-start", "0",
+             "--tau-stop", "0.1", "--tau-step", "0.1", "--phi-points", "2",
+             "--packets", "10", "--seed", "3"],
+    "ninterf": ["ninterf", "--max-n", "2", "--packets", "20", "--seed", "3"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_TABLES))
+def test_table_json_mirrors_csv(tmp_path, command):
     csv_path = tmp_path / "a.csv"
     json_path = tmp_path / "a.json"
-    assert main(args + ["--out", str(csv_path), "--format", "csv"]) == 0
-    assert main(args + ["--out", str(json_path), "--format", "json"]) == 0
+    assert main(_TABLES[command] + ["--out", str(csv_path), "--format", "csv"]) == 0
+    assert main(_TABLES[command] + ["--out", str(json_path), "--format", "json"]) == 0
     header, *rows = csv_path.read_text().strip().split("\n")
     parsed = json.loads(json_path.read_text())
-    assert [list(r) == header.split(",") for r in map(dict.keys, parsed)]
+    assert len(parsed) == len(rows) > 0
+    assert all(list(obj) == header.split(",") for obj in parsed)
     for line, obj in zip(rows, parsed):
-        cells = line.split(",")
-        assert float(cells[0]) == obj["tau_over_T"]
-        assert float(cells[2]) == obj["prr_mean"]
+        assert line.split(",") == [repr(v) if isinstance(v, float) else str(v)
+                                   for v in obj.values()]
 
 
 def test_sweep_preset_runs_small(tmp_path):
@@ -87,19 +97,25 @@ def test_sweep_preset_runs_small(tmp_path):
     assert out.exists()
 
 
-def test_sweep_manifest_written(tmp_path):
+@pytest.mark.parametrize("command, extra", [
+    ("sweep", {"preset": None}),
+    ("zone", {"preset": "fig11b", "sir_db": -30.0}),
+    ("ninterf", {"max_n": 2}),
+], ids=["sweep", "zone", "ninterf"])
+def test_table_manifest_written(tmp_path, command, extra):
     out = tmp_path / "m.csv"
-    main(["sweep", "--out", str(out), "--tau-start", "0", "--tau-stop", "0",
-          "--tau-step", "1", "--sir-start", "0", "--sir-stop", "0",
-          "--sir-step", "1", "--packets", "30", "--seed", "11"])
+    assert main(_TABLES[command] + ["--out", str(out)]) == 0
     manifest = json.loads((tmp_path / "m.manifest.json").read_text())
+    assert list(manifest) == ["tool", "version", "command", "master_seed", "config",
+                              "duration_s", "outputs", *extra]
     assert manifest["tool"] == "mskcollide"
-    assert manifest["command"] == "sweep"
-    assert manifest["master_seed"] == 11
-    assert manifest["config"]["packets_per_point"] == 30
-    assert manifest["outputs"][0]["path"] == "m.csv"
-    import hashlib
-    assert manifest["outputs"][0]["sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
+    assert manifest["command"] == command
+    assert manifest["master_seed"] == manifest["config"]["master_seed"] == 3
+    argv = _TABLES[command]
+    assert manifest["config"]["packets_per_point"] == int(argv[argv.index("--packets") + 1])
+    assert {k: manifest[k] for k in extra} == extra
+    assert manifest["outputs"] == [{"path": "m.csv",
+                                    "sha256": hashlib.sha256(out.read_bytes()).hexdigest()}]
 
 
 def test_sweep_tau_in_nanoseconds(tmp_path):
