@@ -26,9 +26,9 @@ import numpy as np
 
 from . import __version__
 from .demod import interference_contribution
-from .montecarlo import (CODINGS, PAYLOAD_MODES, PHI_MODES, POWER_SPLITS, TARGETS,
-                         ConfigError, ExperimentConfig, _check_integer, _check_number,
-                         capture_zone, grid, n_interferer_experiment, sweep)
+from .montecarlo import (CODINGS, PAYLOAD_MODES, TARGETS, ConfigError, ExperimentConfig,
+                         _check_integer, _check_number, capture_zone, grid,
+                         n_interferer_experiment, sweep)
 from .oracle import (MAX_CARRIER_MULTIPLE, RECT_KINDS, oracle_lambda_baseband,
                      oracle_lambda_passband, rect_integral, rect_integral_quadrature)
 from .output import (write_chip_table, write_manifest, write_ninterf,
@@ -87,11 +87,11 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--sir-start", type=float)
     swp.add_argument("--sir-stop", type=float)
     swp.add_argument("--sir-step", type=float)
-    swp.add_argument("--phi-mode", choices=PHI_MODES)
-    swp.add_argument("--phi-c", type=float)
-    swp.add_argument("--n-interferers", type=int)
-    swp.add_argument("--power-split", dest="interferer_power_split",
-                     choices=POWER_SPLITS)
+    swp.add_argument("--phi-c", type=float,
+                     help="fix every packet's carrier phase offset to this (radians); "
+                          "without it each packet draws a uniform random phase")
+    swp.add_argument("--n-interferers", type=int,
+                     help="interferers, sharing the SIR's interference power equally")
     swp.add_argument("--noise-std", type=float)
 
     zone = sub.add_parser("zone", parents=[common, tau],
@@ -233,7 +233,12 @@ def cmd_ninterf(args) -> int:
 def _run_table(experiment, writer, args, cfg: ExperimentConfig, extra: dict) -> int:
     """Run experiment(threads=args.threads), write its rows to args.out with
     writer, and beside them the manifest of args.command, timed from the
-    start of the run."""
+    start of the run. An --out that is a directory or lies in none fails
+    before any point runs."""
+    out = Path(args.out)
+    if out.is_dir() or not out.parent.is_dir():
+        raise ConfigError(f"cannot write output: {out} is a directory or its directory "
+                          f"does not exist")
     started = time.monotonic()
     rows = experiment(threads=args.threads)
     try:

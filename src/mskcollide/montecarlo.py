@@ -52,8 +52,6 @@ from .signal_model import TWO_PI, _is_integer, _is_number, draw_payloads
 PAYLOAD_MODES = ("independent", "identical")
 CODINGS = ("uncoded", "hdd", "sdd")
 TARGETS = ("soi", "interferer")
-PHI_MODES = ("random_uniform", "fixed")
-POWER_SPLITS = ("single", "equal_split")
 
 
 #: Most values one grid axis may hold (the largest preset axis has 64).
@@ -113,7 +111,11 @@ def _check_number(name: str, value, least: float | None = None) -> float:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Experiment description; grids and per-point simulation parameters."""
+    """Experiment description; grids and per-point simulation parameters.
+
+    phi_c None draws each packet's carrier phase offsets uniformly from
+    [0, 2 pi); a number fixes them all to it. The n_interferers
+    interferers share the SIR's interference power equally."""
 
     packets_per_point: int = 1000
     payload_bits: int = 64
@@ -122,10 +124,8 @@ class ExperimentConfig:
     target: str = "soi"
     tau_grid: tuple = ()
     sir_db_grid: tuple = ()
-    phi_mode: str = "random_uniform"
-    phi_c: float = 0.0
+    phi_c: float | None = None
     n_interferers: int = 1
-    interferer_power_split: str = "single"
     master_seed: int = 1234
     noise_std: float = 0.0
 
@@ -148,11 +148,11 @@ class ExperimentConfig:
         for name, least, most in (("packets_per_point", 1, None), ("payload_bits", 1, None),
                                   ("n_interferers", 0, None), ("master_seed", 0, 2**64 - 1)):
             object.__setattr__(self, name, _check_integer(name, getattr(self, name), least, most))
-        object.__setattr__(self, "phi_c", _check_number("phi_c", self.phi_c))
+        if self.phi_c is not None:
+            object.__setattr__(self, "phi_c", _check_number("phi_c", self.phi_c))
         object.__setattr__(self, "noise_std", _check_number("noise_std", self.noise_std, 0))
         for name, choices in (("payload_mode", PAYLOAD_MODES), ("coding", CODINGS),
-                              ("target", TARGETS), ("phi_mode", PHI_MODES),
-                              ("interferer_power_split", POWER_SPLITS)):
+                              ("target", TARGETS)):
             value = getattr(self, name)
             if not isinstance(value, str) or value not in choices:
                 raise ConfigError(f"{name} must be one of {choices}, not {value!r}")
@@ -194,7 +194,6 @@ class MetricPoint:
     ber: float
     ser: float
     packets: int
-    n: int = 1
 
 
 @dataclass(frozen=True)
@@ -247,17 +246,8 @@ def _interference_level(sir_db: float) -> float:
     return level
 
 
-def split_amplitudes(total_power: float, n: int, layout: str) -> tuple:
-    """Distribute a total interference power across interferers.
-
-    "single" concentrates everything in one interferer, "equal_split"
-    divides it evenly over n. Callers pass a validated layout and a
-    positive power.
-    """
-    if n == 0:
-        return ()
-    if layout == "single":
-        return (math.sqrt(total_power),)
+def split_amplitudes(total_power: float, n: int) -> tuple:
+    """Amplitudes of n interferers sharing a positive total power equally."""
     return tuple(math.sqrt(total_power / n) for _ in range(n))
 
 
@@ -312,18 +302,20 @@ def _compute_soft(soi_chips, interferer_chips, amplitudes, tau, phi,
 
 def _draw_point(cfg: ExperimentConfig, tau: float, amplitudes: tuple):
     """One grid point's draws from its own RNG stream, in the canonical
-    order: payloads (draw_payloads), phase offsets (random mode only), then
+    order: payloads (draw_payloads), phase offsets (when phi_c is None), then
     noise. Returns (senders, phi, noise); replaying a point reruns this."""
     packets, n_int = cfg.packets_per_point, len(amplitudes)
     coded = cfg.coding != "uncoded"
     n_chips = 8 * cfg.payload_bits if coded else cfg.payload_bits
-    fixed = cfg.phi_mode == "fixed"
+    fixed = cfg.phi_c is not None
+    # the phase-mode names the point streams were keyed with
     rng = _point_rng(cfg.master_seed, float(tau), tuple(float(a) for a in amplitudes),
-                     cfg.phi_mode, float(cfg.phi_c) if fixed else -1.0, cfg.payload_mode,
-                     cfg.coding, cfg.target, packets, cfg.payload_bits, float(cfg.noise_std))
+                     "fixed" if fixed else "random_uniform", cfg.phi_c if fixed else -1.0,
+                     cfg.payload_mode, cfg.coding, cfg.target, packets, cfg.payload_bits,
+                     float(cfg.noise_std))
     senders = draw_payloads(rng, cfg.payload_mode, coded, cfg.payload_bits, n_int, packets)
     if fixed:
-        phi = np.full((packets, n_int), float(cfg.phi_c))
+        phi = np.full((packets, n_int), cfg.phi_c)
     else:
         phi = rng.uniform(0.0, TWO_PI, size=(packets, n_int))
     noise = None
@@ -389,8 +381,7 @@ def _prr_stats(ok: np.ndarray) -> tuple[float, float]:
 
 
 def _point_amplitudes(cfg: ExperimentConfig, sir_db: float) -> tuple:
-    return split_amplitudes(_interference_level(sir_db), cfg.n_interferers,
-                            cfg.interferer_power_split)
+    return split_amplitudes(_interference_level(sir_db), cfg.n_interferers)
 
 
 def run_point(cfg: ExperimentConfig, tau: float, sir_db: float) -> MetricPoint:
@@ -399,7 +390,7 @@ def run_point(cfg: ExperimentConfig, tau: float, sir_db: float) -> MetricPoint:
     tau, sir_db = _check_number("tau", tau), _check_number("sir_db", sir_db)
     amplitudes = _point_amplitudes(cfg, sir_db)
     return MetricPoint(tau, sir_db, *_point_stats(cfg, tau, amplitudes),
-                       cfg.packets_per_point, len(amplitudes))
+                       cfg.packets_per_point)
 
 
 #: The worker pool every pooled call reuses, as (workers, executor); None
@@ -443,11 +434,10 @@ def sweep(cfg: ExperimentConfig, threads: int = 1) -> list[MetricPoint]:
     regardless of threads."""
     if not cfg.tau_grid or not cfg.sir_db_grid:
         raise ConfigError("tau_grid and sir_db_grid must not be empty")
-    keys = [(tau, sir, _point_amplitudes(cfg, sir))
-            for tau in cfg.tau_grid for sir in cfg.sir_db_grid]
-    points = [(cfg, tau, amplitudes) for tau, _, amplitudes in keys]
-    return [MetricPoint(tau, sir, *stats, cfg.packets_per_point, len(amplitudes))
-            for (tau, sir, amplitudes), stats in zip(keys, _map_points(points, threads))]
+    keys = [(tau, sir) for tau in cfg.tau_grid for sir in cfg.sir_db_grid]
+    points = [(cfg, tau, _point_amplitudes(cfg, sir)) for tau, sir in keys]
+    return [MetricPoint(tau, sir, *stats, cfg.packets_per_point)
+            for (tau, sir), stats in zip(keys, _map_points(points, threads))]
 
 
 def capture_zone(cfg: ExperimentConfig, phi_points: int,
@@ -465,7 +455,7 @@ def capture_zone(cfg: ExperimentConfig, phi_points: int,
         raise ConfigError(f"a capture zone needs exactly one SIR, not "
                           f"{len(cfg.sir_db_grid)}")
     _check_integer("phi_points", phi_points, 1, MAX_GRID_POINTS)
-    phase_cfgs = [replace(cfg, phi_mode="fixed", phi_c=i * 2.0 * math.pi / phi_points)
+    phase_cfgs = [replace(cfg, phi_c=i * 2.0 * math.pi / phi_points)
                   for i in range(phi_points)]
     amplitudes = _point_amplitudes(cfg, cfg.sir_db_grid[0])
     points = [(phase_cfg, tau, amplitudes) for tau in cfg.tau_grid for phase_cfg in phase_cfgs]
@@ -482,16 +472,17 @@ def n_interferer_experiment(cfg: ExperimentConfig, max_n: int = 8,
     All interferers are time-synchronized (tau = 0) with i.i.d. uniform
     phase offsets; each weak interferer carries half the synchronized
     sender's power, the single strong one carries n times that. Runs both
-    payload modes and both layouts for n = 1..max_n.
+    payload modes and both layouts ("single": one interferer,
+    "equal_split": n of them) for n = 1..max_n.
     """
     _check_integer("max_n", max_n, 1, MAX_GRID_POINTS)
     keys = [(n, layout, mode)
             for mode in PAYLOAD_MODES
-            for layout in POWER_SPLITS
+            for layout in ("single", "equal_split")
             for n in range(1, max_n + 1)]
-    points = [(replace(cfg, payload_mode=mode, n_interferers=n,
-                       interferer_power_split=layout, phi_mode="random_uniform"),
-               0.0, split_amplitudes(n * 0.5, n, layout)) for n, layout, mode in keys]
+    counts = [1 if layout == "single" else n for n, layout, _ in keys]
+    points = [(replace(cfg, payload_mode=mode, n_interferers=count, phi_c=None), 0.0,
+               split_amplitudes(n * 0.5, count)) for (n, _, mode), count in zip(keys, counts)]
     return [NInterfererPoint(n, layout, mode, prr_mean, prr_std)
             for (n, layout, mode), (prr_mean, prr_std, _, _)
             in zip(keys, _map_points(points, threads))]

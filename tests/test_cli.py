@@ -230,7 +230,7 @@ _ONE_POINT = ["--tau-start", "0", "--tau-stop", "0", "--tau-step", "1", *_ONE_SI
     ({"sir_db_grid": [7000.0], "target": "interferer"}, []),
     ([5], []),
     (None, ["sweep", "--noise-std", "nan", *_ONE_POINT]),
-    (None, ["sweep", "--phi-mode", "fixed", "--phi-c", "inf", *_ONE_POINT]),
+    (None, ["sweep", "--phi-c", "inf", *_ONE_POINT]),
     (None, ["zone", "--sir-db", "nan", "--packets", "10"]),
     (None, ["zone", "--sir-db", "-7000", "--packets", "10"]),
     (None, ["validate", "--tolerance", "nan", "--draws", "1"]),
@@ -256,6 +256,10 @@ _ONE_POINT = ["--tau-start", "0", "--tau-stop", "0", "--tau-step", "1", *_ONE_SI
     (None, ["sweep", "--preset", "fig5c", *_ONE_POINT, "--packets", "1000000"]),
     # n = 1 fits the ceiling (1.0e8 values), n = 8 does not (4.6e8)
     (None, ["ninterf", "--max-n", "8", "--packets", "100000"]),
+    # removed switches: each config would run at one point, so only the
+    # unknown-field check stops it
+    ({"phi_mode": "fixed", "phi_c": 1.1, "packets_per_point": 10}, []),
+    ({"interferer_power_split": "single", "packets_per_point": 10}, []),
 ], ids=["packets-str", "packets-float", "tau-nan", "tau-bool", "sir-overflow", "sir-underflow",
         "config-not-object", "noise-nan", "phi-inf", "zone-sir-nan", "zone-sir-overflow",
         "validate-tolerance-nan", "tau-step-nan", "tau-stop-inf",
@@ -264,7 +268,8 @@ _ONE_POINT = ["--tau-start", "0", "--tau-stop", "0", "--tau-step", "1", *_ONE_SI
         "validate-carrier-baseband", "validate-seed-negative",
         "threads-zero", "threads-huge", "ninterf-max-n-huge", "config-int-overflow",
         "config-seed-huge", "sweep-seed-negative",
-        "sweep-packets-1e6", "ninterf-too-many-values"])
+        "sweep-packets-1e6", "ninterf-too-many-values", "config-phi-mode",
+        "config-power-split"])
 def test_bad_input_is_config_error(tmp_path, capsys, config, argv):
     out = ["--out", str(tmp_path / "x.csv")]
     if config is not None:
@@ -284,17 +289,45 @@ def _die(*args):
     os._exit(7)
 
 
-@pytest.mark.parametrize("argv", [
-    ["sweep", "--tau-start", "0", "--tau-stop", "1", "--tau-step", "1", *_ONE_SIR],
-    ["zone", "--sir-db", "-40", "--tau-start", "0", "--tau-stop", "0",
-     "--tau-step", "1", "--phi-points", "2", "--packets", "10"],
-    ["ninterf", "--max-n", "1", "--packets", "10"],
-], ids=["sweep", "zone", "ninterf"])
-def test_worker_crash_is_one_line_and_exit_3(tmp_path, capfd, monkeypatch, argv):
+@pytest.mark.parametrize("flag", [["--phi-mode", "fixed"], ["--power-split", "equal_split"]],
+                         ids=["phi-mode", "power-split"])
+def test_removed_sweep_flags_exit_2(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", *flag, *_ONE_POINT, "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+_SMALL_RUNS = {
+    "sweep": ["sweep", "--tau-start", "0", "--tau-stop", "1", "--tau-step", "1", *_ONE_SIR],
+    "zone": ["zone", "--sir-db", "-40", "--tau-start", "0", "--tau-stop", "0",
+             "--tau-step", "1", "--phi-points", "2", "--packets", "10"],
+    "ninterf": ["ninterf", "--max-n", "1", "--packets", "10"],
+}
+
+
+def _no_point(*args):
+    raise AssertionError("a point ran")
+
+
+@pytest.mark.parametrize("command", ["sweep", "zone", "ninterf"])
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+def test_unwritable_out_fails_before_any_point(tmp_path, capsys, monkeypatch, command, where):
+    monkeypatch.setattr(montecarlo, "_point_stats", _no_point)
+    out = tmp_path / "missing" / "x.csv" if where == "missing-dir" else tmp_path
+    assert main([*_SMALL_RUNS[command], "--out", str(out)]) == 2
+    assert "cannot write output" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["sweep", "zone", "ninterf"])
+def test_worker_crash_is_one_line_and_exit_3(tmp_path, capfd, monkeypatch, command):
     # the pool is handed montecarlo._point_stats as the parent resolves it
     # and pickles it by reference, so the kept pool's workers run the
     # patched function too and every point kills its worker
     monkeypatch.setattr(montecarlo, "_point_stats", _die)
+    argv = _SMALL_RUNS[command]
     out = tmp_path / "x.csv"
     rc = main([*argv, "--threads", "2", "--out", str(out)])
     err = capfd.readouterr().err

@@ -487,7 +487,7 @@ class TestPatternTables:
         # buffers and give the point the expression form gives it
         cfg = montecarlo.ExperimentConfig(
             coding="sdd", packets_per_point=130, payload_bits=32, n_interferers=2,
-            interferer_power_split="equal_split", noise_std=0.3, master_seed=5)
+            noise_std=0.3, master_seed=5)
         monkeypatch.setattr(montecarlo, "SLAB_VALUES", 40 * 256)
         tables = montecarlo.run_point(cfg, tau, -4.0)
 

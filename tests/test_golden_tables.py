@@ -1,8 +1,9 @@
 """Pinned sha256 digests of small CLI tables on paths the benchmark's own
 pins do not reach: identical payloads, the interferer as target, noise,
-capture zones with and without a preset, and the n-interferer experiment.
-A change to the closed form, the draws, or the decisions shows here as a
-changed digest."""
+capture zones with and without a preset, the n-interferer experiment, a
+fixed carrier phase and several interferers sharing the interference
+power. A change to the closed form, the draws, or the decisions shows
+here as a changed digest."""
 
 import hashlib
 
@@ -11,6 +12,7 @@ import pytest
 from mskcollide.cli import main
 
 _TAU = ["--tau-start", "-0.5", "--tau-stop", "0.5", "--tau-step", "0.25"]
+_SIR = ["--sir-start", "-20", "--sir-stop", "0", "--sir-step", "10"]
 
 GOLDEN = {
     "zone-fig11c": (["zone", "--preset", "fig11c", "--packets", "50", *_TAU,
@@ -27,6 +29,12 @@ GOLDEN = {
                            "--noise-std", "0.3", *_TAU,
                            "--sir-start", "-20", "--sir-stop", "0", "--sir-step", "5"],
                           "cf0ef0909a07ce446cecd8df492e31bb72bc866d7c144e8f74a9bfc556d486b7"),
+    "sweep-fixed-phase": (["sweep", "--preset", "fig5b", "--packets", "50", *_TAU, *_SIR,
+                           "--phi-c", "1.1"],
+                          "0511abd22563887cb1e30b76b4e4ac6039b22a7968e8fe2efff6b78f2a1bdb50"),
+    "sweep-three-interferers": (["sweep", "--preset", "fig5b", "--packets", "50", *_TAU,
+                                 *_SIR, "--n-interferers", "3"],
+                                "c7e02a87fc2a9fb5c7e6bcf808ea3b3859162756e78da7b52cf7836f3e5f61fd"),
 }
 
 

@@ -89,8 +89,22 @@ class TestConfig:
         assert run_point(np_cfg, 0.0, 0.0) == run_point(small_cfg(phi_c=0.5), 0.0, 0.0)
 
     def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict({"bogus": 1})
+        # phi_mode and interferer_power_split were switches that phi_c and
+        # n_interferers imply: a config naming them is refused, not dropped
+        for data in ({"bogus": 1}, {"phi_mode": "fixed"}, {"interferer_power_split": "single"}):
+            with pytest.raises(ConfigError, match="unknown config fields"):
+                ExperimentConfig.from_dict(data)
+
+    def test_phi_c_sets_the_phase(self):
+        # None draws each packet's phase uniformly; a number fixes every one
+        _, phi, _ = _draw_point(small_cfg(), 0.0, (1.0, 1.0))
+        assert small_cfg().phi_c is None and len(np.unique(phi)) == phi.size
+        assert ((0.0 <= phi) & (phi < 2 * math.pi)).all()
+        _, phi, _ = _draw_point(small_cfg(phi_c=1.1), 0.0, (1.0, 1.0))
+        assert (phi == 1.1).all()
+        for value in (True, "1.1", math.nan):
+            with pytest.raises(ConfigError, match="phi_c"):
+                small_cfg(phi_c=value)
 
     def test_grid_helper(self):
         assert grid(-1.0, 1.0, 0.5) == (-1.0, -0.5, 0.0, 0.5, 1.0)
@@ -110,10 +124,10 @@ class TestConfig:
     def test_amplitude_mappings(self):
         assert _point_amplitudes(small_cfg(), -40.0) == pytest.approx((100.0,))
         assert _point_amplitudes(small_cfg(), 20.0) == pytest.approx((0.1,))
-        assert split_amplitudes(2.0, 4, "equal_split") == pytest.approx(
-            tuple([math.sqrt(0.5)] * 4))
-        assert split_amplitudes(2.0, 4, "single") == pytest.approx((math.sqrt(2.0),))
-        assert split_amplitudes(1.0, 0, "single") == ()
+        assert split_amplitudes(2.0, 4) == pytest.approx(tuple([math.sqrt(0.5)] * 4))
+        # one interferer takes the whole power, bit for bit
+        assert split_amplitudes(2.0, 1) == (math.sqrt(2.0),)
+        assert split_amplitudes(1.0, 0) == ()
 
 
 class TestDeterminism:
@@ -146,11 +160,12 @@ class TestRunPoint:
         assert p.prr_mean == 1.0 and p.ber == 0.0
 
     def test_degenerate_no_interferers(self):
-        p = run_point(small_cfg(n_interferers=0), 0.0, 0.0)
-        assert p.prr_mean == 1.0 and p.n == 0
+        cfg = small_cfg(n_interferers=0)
+        p = run_point(cfg, 0.0, 0.0)
+        assert p.prr_mean == 1.0 and _point_amplitudes(cfg, 0.0) == ()
 
     def test_identical_fully_synchronized_is_error_free(self):
-        cfg = small_cfg(payload_mode="identical", phi_mode="fixed", phi_c=0.0,
+        cfg = small_cfg(payload_mode="identical", phi_c=0.0,
                         packets_per_point=500)
         for sir in (-40.0, -20.0, 0.0, 20.0):
             p = run_point(cfg, 0.0, sir)
@@ -179,7 +194,7 @@ class TestRunPoint:
             assert hi >= lo - 2 * sigma
 
     def test_phase_sign_symmetry_within_noise(self):
-        cfg = small_cfg(packets_per_point=2000, phi_mode="fixed")
+        cfg = small_cfg(packets_per_point=2000)
         for phi in (0.7, 2.0):
             a = run_point(ExperimentConfig(**{**cfg.to_dict(), "phi_c": phi}), 0.0, -15.0)
             b = run_point(ExperimentConfig(**{**cfg.to_dict(), "phi_c": 2 * math.pi - phi}), 0.0, -15.0)
@@ -211,7 +226,7 @@ class TestEngineMatchesLibraryPath:
     def test_batch_decisions_match_decode_packet(self, coding):
         packets, tau, amp, phi = 40, 0.37, 5.0, 1.234
         cfg = small_cfg(coding=coding, packets_per_point=packets, payload_bits=32,
-                        phi_mode="fixed", phi_c=phi)
+                        phi_c=phi)
         prr, _, ber, ser = _point_stats(cfg, tau, (amp,))
         # the point's draws, every packet decided and counted by hand
         ((soi_symbols, soi_chips), (_, beta_chips)), phis, noise = _draw_point(
@@ -247,12 +262,11 @@ class TestSlabs:
 
     @pytest.mark.parametrize("fields, sir_db", [
         ({"coding": "uncoded", "noise_std": 0.4}, -3.0),
-        ({"coding": "hdd", "phi_mode": "fixed", "phi_c": 1.1}, -6.0),
+        ({"coding": "hdd", "phi_c": 1.1}, -6.0),
         ({"coding": "sdd", "payload_mode": "identical"}, -9.0),
         ({"coding": "sdd", "target": "interferer"}, -2.0),
         ({"coding": "hdd", "n_interferers": 0, "noise_std": 0.9}, 0.0),
-        ({"coding": "sdd", "n_interferers": 2, "interferer_power_split": "equal_split",
-          "noise_std": 0.3}, -3.0),
+        ({"coding": "sdd", "n_interferers": 2, "noise_std": 0.3}, -3.0),
     ], ids=["uncoded-noise", "hdd-fixed-phi", "sdd-identical", "sdd-interferer",
             "hdd-no-interferer", "sdd-two-interferers"])
     def test_run_point_independent_of_slab_size(self, monkeypatch, fields, sir_db):
@@ -290,8 +304,7 @@ class TestSlabs:
         # thousands of blocks whose top two correlations differ by at most
         # 1e-15 relative, so a block's correlation bits must not depend on
         # the slab it is decided in
-        cfg = replace(ZONE_PRESETS["fig11c"], phi_mode="fixed",
-                      phi_c=48 * 2.0 * math.pi / 64)
+        cfg = replace(ZONE_PRESETS["fig11c"], phi_c=48 * 2.0 * math.pi / 64)
         tau, amps = 1.0, _point_amplitudes(cfg, cfg.sir_db_grid[0])
         draws = _draw_point(cfg, tau, amps)
         ((_, soi_chips), (_, beta_chips)), phi, _ = draws
@@ -321,7 +334,7 @@ class TestIndependentChecks:
         # amplitude |sum a_i e^{j phi_i}| and phase arg(sum a_i e^{j phi_i})
         for n in range(2, 9):
             cfg = small_cfg(coding="sdd", payload_bits=64, payload_mode="identical",
-                            n_interferers=n, interferer_power_split="equal_split")
+                            n_interferers=n)
             amps = _point_amplitudes(cfg, -6.0)
             senders, phi, _ = _draw_point(cfg, tau, amps)
             soi_chips, beta_chips = senders[0][1], senders[1][1]

@@ -15,7 +15,7 @@ import mskcollide
 from mskcollide import (BIPOLAR_CHIP_TABLE, ConfigError, ExperimentConfig,
                         decide, run_point)
 from mskcollide.chipseq import CHIP_TABLE
-from mskcollide.montecarlo import _compute_soft
+from mskcollide.montecarlo import _compute_soft, _point_amplitudes
 from mskcollide.receiver import _BIPOLAR_T_F64, PIECE_BLOCKS
 from mskcollide.signal_model import draw_payloads
 
@@ -257,8 +257,7 @@ class TestDecide:
 
 
 def _fixed_phase_cfg(**kw):
-    base = dict(packets_per_point=200, payload_bits=64, phi_mode="fixed",
-                phi_c=0.0, master_seed=99)
+    base = dict(packets_per_point=200, payload_bits=64, phi_c=0.0, master_seed=99)
     base.update(kw)
     return ExperimentConfig(**base)
 
@@ -269,8 +268,10 @@ class TestDecodePacket:
 
     def test_clean_channel_every_coding(self):
         for coding in ("uncoded", "hdd", "sdd"):
-            p = run_point(_fixed_phase_cfg(coding=coding, n_interferers=0), 0.0, 0.0)
-            assert (p.prr_mean, p.ber, p.ser, p.n) == (1.0, 0.0, 0.0, 0)
+            cfg = _fixed_phase_cfg(coding=coding, n_interferers=0)
+            p = run_point(cfg, 0.0, 0.0)
+            assert (p.prr_mean, p.ber, p.ser) == (1.0, 0.0, 0.0)
+            assert _point_amplitudes(cfg, 0.0) == ()
 
     def test_constructive_identical_collision(self):
         cfg = _fixed_phase_cfg(payload_mode="identical")

@@ -100,11 +100,11 @@ def test_interferer_params_reject_non_finite(field, value):
 
 
 def test_scenario_sir():
-    # the engine's interferer amplitudes realize the point's SIR, whatever
-    # the power split
+    # the engine's interferer amplitudes realize the point's SIR, however
+    # many interferers share it
     for sir_db in (-10.0, 3.0):
-        for layout in ("single", "equal_split"):
-            cfg = ExperimentConfig(n_interferers=2, interferer_power_split=layout)
+        for n in (1, 2, 5):
+            cfg = ExperimentConfig(n_interferers=n)
             amplitudes = _point_amplitudes(cfg, sir_db)
             sir = 1.0 / sum(a**2 for a in amplitudes)
             assert 10.0 * math.log10(sir) == pytest.approx(sir_db)
