@@ -29,14 +29,17 @@ from .demod import interference_contribution
 from .montecarlo import (CODINGS, PAYLOAD_MODES, TARGETS, ConfigError, ExperimentConfig,
                          _check_integer, _check_number, capture_zone, grid,
                          n_interferer_experiment, sweep)
-from .oracle import (MAX_CARRIER_MULTIPLE, RECT_KINDS, oracle_lambda_baseband,
-                     oracle_lambda_passband, rect_integral, rect_integral_quadrature)
+from .oracle import (MAX_CARRIER_MULTIPLE, RECT_KINDS, _lambda_baseband, _lambda_passband,
+                     _rect_quadrature, _stack, rect_integral)
 from .output import (write_chip_table, write_manifest, write_ninterf,
                      write_sweep, write_zone)
 from .presets import NINTERF_DEFAULTS, PRESETS, ZONE_PRESETS
 from .signal_model import InterfererParams
 
 T_NANOSECONDS = 500.0  # half a 1 us bit duration
+#: Draws validate holds at once; each value it compares is integrated once
+#: per chunk, on all of the chunk's draws.
+VALIDATE_CHUNK = 1024
 
 
 def _tau_scale(unit: str) -> float:
@@ -122,40 +125,45 @@ def _random_params(rng) -> tuple[InterfererParams, int]:
     return params, k
 
 
-def _checks(params: InterfererParams, k: int, oracle, passband: bool):
-    """(label, closed form, reference) for every value a validate draw
-    compares: lambda on both branches, then in baseband the primitive
-    integrals."""
-    for branch in ("I", "Q"):
-        yield branch, interference_contribution(params, k, branch), oracle(params, k, branch)
+def _checks(oracle, passband: bool):
+    """(label, closed form, oracle on a batch of draws) of every value a
+    validate draw compares: lambda on both branches, then in baseband the
+    primitive integrals."""
+    checks = [(branch, partial(interference_contribution, branch=branch),
+               partial(oracle, branch=branch)) for branch in ("I", "Q")]
     if not passband:
-        for kind in RECT_KINDS:
-            for branch in ("I", "Q"):
-                yield (f"rect/{kind}/{branch}",
-                       rect_integral(kind, params, k, branch),
-                       rect_integral_quadrature(kind, params, k, branch))
+        checks += [(f"rect/{kind}/{branch}", partial(rect_integral, kind, branch=branch),
+                    partial(_rect_quadrature, kind, branch=branch))
+                   for kind in RECT_KINDS for branch in ("I", "Q")]
+    return checks
 
 
 def cmd_validate(args) -> int:
     _check_integer("--draws", args.draws, 1)
     _check_integer("--seed", args.seed, 0)
     _check_number("--tolerance", args.tolerance, 0)
-    oracle = oracle_lambda_passband if args.passband else oracle_lambda_baseband
+    oracle = _lambda_passband if args.passband else _lambda_baseband
     if args.carrier_multiple is not None:
         _check_integer("--carrier-multiple", args.carrier_multiple, 8, MAX_CARRIER_MULTIPLE)
         if not args.passband:
             raise ConfigError("--carrier-multiple needs --passband")
         oracle = partial(oracle, carrier_multiple=args.carrier_multiple)
+    checks = _checks(oracle, args.passband)
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     worst_case = None
-    for _ in range(args.draws):
-        params, k = _random_params(rng)
-        for label, closed, reference in _checks(params, k, oracle, args.passband):
-            dev = abs(closed - reference) / (1.0 + abs(reference))
-            if dev > worst:
-                worst, worst_case = dev, (label, params.tau, params.phi_c,
-                                          params.amplitude, k)
+    for first in range(0, args.draws, VALIDATE_CHUNK):
+        draws = [_random_params(rng) for _ in range(min(VALIDATE_CHUNK, args.draws - first))]
+        closed = np.array([[form(params, k) for _, form, _ in checks] for params, k in draws])
+        batch = _stack(draws)
+        reference = np.array([integrate(batch) for *_, integrate in checks]).T
+        dev = np.abs(closed - reference) / (1.0 + np.abs(reference))
+        # the first maximum in (draw, label) order
+        row, col = divmod(int(np.argmax(dev)), len(checks))
+        if dev[row, col] > worst:
+            params, k = draws[row]
+            worst, worst_case = float(dev[row, col]), (checks[col][0], params.tau,
+                                                       params.phi_c, params.amplitude, k)
     mode = "passband" if args.passband else "baseband"
     print(f"validate ({mode}): {args.draws} draws, max scaled deviation {worst:.3e}")
     if worst > args.tolerance:

@@ -15,23 +15,40 @@ piece the bit values are constants and a 16-node Gauss-Legendre rule
 integrates only the smooth trigonometric factor, one panel per piece in
 baseband and one per double-carrier period in passband. As in the closed
 forms, times are in units of T = 1, so a bit lasts 2.
+
+Every integration runs on a batch of draws along a leading axis
+(`_Draws`): one table row per (draw, piece), one evaluation of the smooth
+factor on the nodes of all of them, one reduction per draw. `validate`
+integrates batches of many draws; the public functions are batches of
+one, and a draw's value does not depend on its batch. A batch is
+integrated in chunks of at most `_CHUNK_PANELS` panels' worth of draws
+(at least one), so node arrays stay near 0.5 MB, or one draw's 8 MB at
+the largest carrier multiple.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .demod import decompose_offset
 from .signal_model import InterfererParams, _is_integer, transmit_position
 
-#: The smooth factors of the pulse-train primitive integrals.
+#: The smooth factors of the pulse-train primitive integrals, and each as a
+#: function of 2 * w_p * t.
 RECT_KINDS = ("one", "cos2wp", "sin2wp")
+_SMOOTH = {"one": np.ones_like, "cos2wp": np.cos, "sin2wp": np.sin}
 
 #: Most carrier multiples a passband run takes: its node arrays stay near
 #: 8 MB each.
 MAX_CARRIER_MULTIPLE = 2**16
+
+#: Panels one evaluation of the smooth factor covers at most, unless one
+#: draw alone needs more (up to panels_per_bit + 3): 1,024 baseband draws,
+#: and node arrays of 0.5 MB that stay in cache.
+_CHUNK_PANELS = 2**12
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -46,37 +63,116 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 _NODES, _WEIGHTS = _gauss_legendre(16)
 
 
-def _integrate_pieces(coeff, bits: np.ndarray, n: int, tau: float,
-                      trains=(0, 1), panels_per_bit: int = 1) -> float:
-    """Integrate sum_j train_j(t) * coeff(t)[j] over the decision interval
-    [n - 1, n + 1] of transmit position n, for the pulse trains of the given
-    parities (0 in-phase, 1 quadrature) of bits delayed by tau.
+def _table_map(trains) -> tuple[np.ndarray, np.ndarray]:
+    """The affine map, a matrix and an offset, from a draw's (start, edge,
+    start - tau, m, tau, phi_c) to its three table rows, one per piece of
+    [start, start + 2] split at edge = tau + m and edge + 1. A row holds
+    the piece's midpoint and half-width, tau, phi_c, and for each train
+    parity p the value (midpoint - tau + 3 - p) / 2, whose floor is q + 1
+    when the pulse of the train's bit at transmit position 2q + p covers
+    the midpoint. No entry takes more than two terms of the draw, and
+    every coefficient is a multiple of 1/4, so every product is exact and
+    each entry is rounded the same way for any batch size."""
+    start, edge, start_tau, m, tau, phi_c, one = np.eye(7)
+    pieces = ((start, edge, start_tau, m),
+              (edge, edge + one, m, m + one),
+              (edge + one, start + 2 * one, m + one, start_tau + 2 * one))
+    columns = []
+    for lo, hi, lo_tau, hi_tau in pieces:
+        columns += [0.5 * (lo + hi), 0.5 * (hi - lo), tau, phi_c]
+        columns += [0.25 * (lo_tau + hi_tau) + 0.5 * (3 - p) * one for p in trains]
+    table_map = np.array(columns).T
+    return table_map[:-1], table_map[-1]
 
-    The edges tau + m and tau + (m + 1) split the interval into three
+
+#: The table maps of the train sets the oracles integrate, and their parities.
+_TABLE_MAPS = {trains: (*_table_map(trains), np.array(trains))
+               for trains in ((0,), (1,), (0, 1))}
+
+
+class _Draws(NamedTuple):
+    """(params, k) draws as arrays along a leading draw axis."""
+
+    #: transmit-order bits, as floats, at (draw, q + 1, p) for transmit
+    #: position 2q + p, so the first q and at least the last hold silence
+    bits: np.ndarray
+    #: 2k, the in-phase transmit position of each draw's bit k
+    position: np.ndarray
+    tau: np.ndarray
+    phi_c: np.ndarray
+    amplitude: np.ndarray
+
+
+def _stack(draws) -> _Draws:
+    """The batch of a sequence of (InterfererParams, k) pairs; a k that is a
+    bool or not an integer is a ValueError."""
+    width = 2 * ((max(len(params.bits) for params, _ in draws) + 1) // 2 + 2)
+    bits = np.zeros((len(draws), width))
+    for row, (params, _) in enumerate(draws):
+        bits[row, 2:2 + len(params.bits)] = params.bits
+    return _Draws(bits.reshape(len(draws), -1, 2),
+                  *np.array([(transmit_position(k, "I"), params.tau, params.phi_c,
+                              params.amplitude) for params, k in draws]).T)
+
+
+def _integrate_pieces(coeff, bits: np.ndarray, n: np.ndarray, tau: np.ndarray,
+                      phi_c: np.ndarray, trains=(0, 1), panels_per_bit: int = 1) -> np.ndarray:
+    """For each draw d, integrate sum_j train_j(t) * coeff(t)[j] over the
+    decision interval [n[d] - 1, n[d] + 1], for the pulse trains of the
+    given parities (0 in-phase, 1 quadrature) of bits[d] delayed by tau[d].
+    bits is laid out as in _Draws; n, tau and phi_c hold one value a draw.
+
+    The edges tau + m and tau + m + 1 split each interval into three
     pieces; each gets max(1, ceil(panels_per_bit * its share of the
     interval)) equal Gauss-Legendre panels, so a zero-width piece adds
-    exactly 0. A table row per piece holds its first panel's midpoint, the
-    half-width and the trains' values at the piece midpoint, repeated per
-    panel where a piece has more than one; coeff is evaluated once on the
-    nodes of every panel, an array of shape (panels, nodes).
+    exactly 0. A table row per (draw, piece) holds its midpoint, the
+    half-width and the draw's tau and phi_c (see _table_map), and the
+    trains' values at the midpoint are read from bits beside it (silence
+    outside the payload). Rows are repeated per panel where a piece has
+    more than one. coeff(t, tau, phi_c) is evaluated once a chunk on the
+    nodes of every panel, t of shape (panels, nodes) and tau and phi_c of
+    shape (panels, 1), and returns one array of that shape per train. Each
+    piece's panels are summed, then weighted by the trains' values and the
+    half-width. A chunk holds as many draws as fit in _CHUNK_PANELS panels,
+    at least one.
     """
-    m = math.ceil(n - 1 - tau)
-    points = (n - 1.0, tau + m, tau + (m + 1), n + 1.0)
-    counts, rows = [], []
-    for lo, hi in zip(points[:-1], points[1:]):
-        counts.append(max(1, math.ceil(panels_per_bit * (hi - lo) / 2.0)))
-        half = 0.5 * (hi - lo) / counts[-1]
-        row = [lo + half, half]
-        for parity in trains:
-            row.append(_train(bits, 0.5 * (lo + hi), tau, parity))
-        rows.append(row)
-    table = np.array(rows)
-    if len(rows) < sum(counts):
-        table = np.repeat(table, counts, axis=0)
-        panel = np.arange(len(table)) - np.repeat(np.cumsum(counts) - counts, counts)
-        table[:, 0] += 2.0 * table[:, 1] * panel
-    parts = np.asarray(coeff(table[:, :1] + table[:, 1:2] * _NODES)) @ _WEIGHTS
-    return float(np.vdot(parts, table[:, 2:].T * table[:, 1]))
+    per = max(1, _CHUNK_PANELS // (panels_per_bit + 3))
+    if len(n) <= per:
+        return _integrate_chunk(coeff, bits, n, tau, phi_c, trains, panels_per_bit)
+    return np.concatenate([
+        _integrate_chunk(coeff, bits[s:s + per], n[s:s + per], tau[s:s + per],
+                         phi_c[s:s + per], trains, panels_per_bit)
+        for s in range(0, len(n), per)])
+
+
+def _integrate_chunk(coeff, bits, n, tau, phi_c, trains, panels_per_bit):
+    """_integrate_pieces on draws that fit in one chunk."""
+    draws = len(n)
+    table_map, offset, parity = _TABLE_MAPS[trains]
+    start = n - 1.0
+    start_tau = start - tau
+    m = np.ceil(start_tau)
+    table = (np.array([start, tau + m, start_tau, m, tau, phi_c]).T @ table_map
+             + offset).reshape(draws, 3, -1)
+    # clipped to the bits, where the cast floors; a position outside the
+    # payload reads the silence of the first or last q
+    q = np.minimum(np.maximum(table[..., 4:], 0.0), bits.shape[1] - 1.0).astype(np.intp)
+    values = bits[np.arange(draws)[:, None, None], q, parity]
+    panels = table.reshape(3 * draws, -1)
+    if panels_per_bit > 1:  # with one, no piece is wider than a panel
+        counts = np.maximum(1, np.ceil(panels_per_bit * panels[:, 1])).astype(np.intp)
+        panels[:, 1] /= counts  # in table too, which then holds panel half-widths
+        firsts = np.cumsum(counts) - counts
+        panels = np.repeat(panels[:, :4], counts, axis=0)
+        panels[:, 0] += panels[:, 1] * (2 * (np.arange(len(panels)) - np.repeat(firsts, counts))
+                                        + 1 - np.repeat(counts, counts))
+    # vecdot sums each row on its own, so a draw's value does not depend on
+    # the rest of its batch
+    parts = np.vecdot(coeff(panels[:, :1] + panels[:, 1:2] * _NODES, panels[:, 2:3],
+                            panels[:, 3:4]), _WEIGHTS)
+    if panels_per_bit > 1:
+        parts = np.add.reduceat(parts, firsts, axis=1)
+    return np.vecdot(np.vecdot(parts.T.reshape(draws, 3, -1), values), table[..., 1])
 
 
 def _bit(bits: np.ndarray, n: int) -> int:
@@ -85,11 +181,27 @@ def _bit(bits: np.ndarray, n: int) -> int:
     return int(bits[n]) if 0 <= n < len(bits) else 0
 
 
-def _train(bits: np.ndarray, t: float, tau: float, parity: int) -> int:
-    """Value at time t of the pulse train of parity 0 (in-phase) or 1
-    (quadrature) of bits delayed by tau: the bit at the train's transmit
-    position whose pulse, centred on tau + that position, covers t."""
-    return _bit(bits, 2 * math.floor((t - tau + (1 - parity)) / 2.0) + parity)
+def _lambda_baseband(draws: _Draws, branch: str = "I") -> np.ndarray:
+    """oracle_lambda_baseband of every draw of a batch."""
+    w_p = math.pi / 2.0
+    if branch == "I":
+        def coeff(t, tau, phi_c):
+            phi_p = w_p * tau
+            wave = 2 * w_p * t - phi_p
+            return (np.cos(phi_c) * (np.cos(phi_p) + np.cos(wave)),
+                    np.sin(phi_c) * (np.sin(wave) - np.sin(phi_p)))
+    else:
+        def coeff(t, tau, phi_c):
+            phi_p = w_p * tau
+            wave = 2 * w_p * t - phi_p
+            return (-np.sin(phi_c) * (np.sin(wave) + np.sin(phi_p)),
+                    np.cos(phi_c) * (np.cos(phi_p) - np.cos(wave)))
+
+    n = draws.position + transmit_position(0, branch)
+    # the matched-filter gain 1/2 goes with the amplitude: a power of two
+    # changes no rounding
+    return 0.5 * draws.amplitude * _integrate_pieces(coeff, draws.bits, n, draws.tau,
+                                                     draws.phi_c)
 
 
 def oracle_lambda_baseband(params: InterfererParams, k: int, branch: str = "I") -> float:
@@ -101,23 +213,33 @@ def oracle_lambda_baseband(params: InterfererParams, k: int, branch: str = "I") 
     round-off. The integrand is taken at unit amplitude and the result
     scaled, so no finite amplitude overflows inside the sum.
     """
-    n = transmit_position(k, branch)
+    return float(_lambda_baseband(_stack([(params, k)]), branch)[0])
+
+
+def _lambda_passband(draws: _Draws, branch: str = "I",
+                     carrier_multiple: int = 256) -> np.ndarray:
+    """oracle_lambda_passband of every draw of a batch."""
+    if not _is_integer(carrier_multiple) or not 8 <= carrier_multiple <= MAX_CARRIER_MULTIPLE:
+        raise ValueError(f"carrier_multiple must be an integer in "
+                         f"8..{MAX_CARRIER_MULTIPLE}, not {carrier_multiple!r}")
+    n = draws.position + transmit_position(0, branch)
     w_p = math.pi / 2.0
-    phi_p = w_p * params.tau
-    phi_c = params.phi_c
-    amp = 0.5
-    cos_c, sin_c = math.cos(phi_c), math.sin(phi_c)
+    w_c = carrier_multiple * w_p
 
     if branch == "I":
-        def coeff(t):
-            return (amp * cos_c * (math.cos(phi_p) + np.cos(2 * w_p * t - phi_p)),
-                    amp * sin_c * (np.sin(2 * w_p * t - phi_p) - math.sin(phi_p)))
+        def basis(t):
+            return np.cos(w_p * t) * np.cos(w_c * t)
     else:
-        def coeff(t):
-            return (-amp * sin_c * (np.sin(2 * w_p * t - phi_p) + math.sin(phi_p)),
-                    amp * cos_c * (math.cos(phi_p) - np.cos(2 * w_p * t - phi_p)))
+        def basis(t):
+            return np.sin(w_p * t) * np.sin(w_c * t)
 
-    return params.amplitude * _integrate_pieces(coeff, params.bits, n, params.tau)
+    def coeff(t, tau, phi_c):
+        ph = basis(t) * 2.0
+        return (ph * np.cos(w_p * (t - tau)) * np.cos(w_c * t + phi_c),
+                ph * np.sin(w_p * (t - tau)) * np.sin(w_c * t + phi_c))
+
+    return draws.amplitude * _integrate_pieces(coeff, draws.bits, n, draws.tau, draws.phi_c,
+                                               panels_per_bit=carrier_multiple)
 
 
 def oracle_lambda_passband(params: InterfererParams, k: int, branch: str = "I",
@@ -130,28 +252,7 @@ def oracle_lambda_passband(params: InterfererParams, k: int, branch: str = "I",
     double-carrier periods, and each gets one Gauss-Legendre panel. As in
     baseband, the integral is taken at unit amplitude and then scaled.
     """
-    n = transmit_position(k, branch)
-    if not _is_integer(carrier_multiple) or not 8 <= carrier_multiple <= MAX_CARRIER_MULTIPLE:
-        raise ValueError(f"carrier_multiple must be an integer in "
-                         f"8..{MAX_CARRIER_MULTIPLE}, not {carrier_multiple!r}")
-    w_p = math.pi / 2.0
-    w_c = carrier_multiple * w_p
-    tau, phi_c = params.tau, params.phi_c
-
-    if branch == "I":
-        def basis(t):
-            return np.cos(w_p * t) * np.cos(w_c * t)
-    else:
-        def basis(t):
-            return np.sin(w_p * t) * np.sin(w_c * t)
-
-    def coeff(t):
-        ph = basis(t) * 2.0
-        return (ph * np.cos(w_p * (t - tau)) * np.cos(w_c * t + phi_c),
-                ph * np.sin(w_p * (t - tau)) * np.sin(w_c * t + phi_c))
-
-    return params.amplitude * _integrate_pieces(coeff, params.bits, n, tau,
-                                                panels_per_bit=carrier_multiple)
+    return float(_lambda_passband(_stack([(params, k)]), branch, carrier_multiple)[0])
 
 
 def rect_integral(f_kind: str, params: InterfererParams, k: int,
@@ -185,18 +286,22 @@ def rect_integral(f_kind: str, params: InterfererParams, k: int,
     return -1.0 / (2.0 * w_p) * (1.0 + math.cos(2.0 * phi_p)) * diff
 
 
+def _rect_quadrature(f_kind: str, draws: _Draws, branch: str = "I") -> np.ndarray:
+    """rect_integral_quadrature of every draw of a batch."""
+    if f_kind not in RECT_KINDS:
+        raise ValueError(f"unknown f_kind {f_kind!r}")
+    smooth = _SMOOTH[f_kind]
+
+    def coeff(t, tau, phi_c):
+        return smooth(math.pi * t)[None]
+
+    # the in-phase decision interval of bit k, centred on 2k, either train
+    return _integrate_pieces(coeff, draws.bits, draws.position, draws.tau, draws.phi_c,
+                             trains=(transmit_position(0, branch),))
+
+
 def rect_integral_quadrature(f_kind: str, params: InterfererParams, k: int,
                              branch: str = "I") -> float:
     """Direct quadrature of the primitive integrals; numeric twin of
     rect_integral."""
-    if f_kind not in RECT_KINDS:
-        raise ValueError(f"unknown f_kind {f_kind!r}")
-    n = transmit_position(k, branch)
-    w_p = math.pi / 2.0
-    smooth = {"one": np.ones_like, "cos2wp": np.cos, "sin2wp": np.sin}[f_kind]
-
-    def coeff(t):
-        return (smooth(2.0 * w_p * t),)
-
-    # the in-phase decision interval of bit k, centred on 2k, either train
-    return _integrate_pieces(coeff, params.bits, n - n % 2, params.tau, trains=(n % 2,))
+    return float(_rect_quadrature(f_kind, _stack([(params, k)]), branch)[0])

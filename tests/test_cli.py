@@ -7,7 +7,9 @@ import os
 import numpy as np
 import pytest
 
-from mskcollide import ExperimentConfig, montecarlo, run_point
+from mskcollide import (ExperimentConfig, cli, interference_contribution, montecarlo,
+                        oracle_lambda_baseband, rect_integral, rect_integral_quadrature,
+                        run_point)
 from mskcollide.cli import main
 
 
@@ -42,6 +44,53 @@ def test_validate_zero_tolerance_fails():
 def test_validate_passband():
     assert main(["validate", "--draws", "15", "--tolerance", "1e-2",
                  "--passband", "--seed", "5"]) == 0
+
+
+def test_validate_batches_the_draws_of_a_plain_loop(monkeypatch):
+    """A validate of one chunk and three draws integrates, in two batches,
+    exactly the draws a plain _random_params loop gives on its seed."""
+    batches = []
+
+    def recording(draws):
+        batches.append(list(draws))
+        return stack(draws)
+
+    stack = cli._stack
+    monkeypatch.setattr(cli, "_stack", recording)
+    draws = cli.VALIDATE_CHUNK + 3
+    assert main(["validate", "--draws", str(draws), "--seed", "11"]) == 0
+    assert [len(batch) for batch in batches] == [cli.VALIDATE_CHUNK, 3]
+    rng = np.random.default_rng(11)
+    for got, (params, k) in zip(batches[0] + batches[1],
+                                (cli._random_params(rng) for _ in range(draws)),
+                                strict=True):
+        assert (got[0].amplitude, got[0].tau, got[0].phi_c, got[1]) == (
+            params.amplitude, params.tau, params.phi_c, k)
+        assert np.array_equal(got[0].bits, params.bits)
+
+
+def test_validate_fail_names_the_first_worst_draw(capsys):
+    """With --tolerance 0 the FAIL line names the case a per-draw scalar loop
+    picks: the first maximum in (draw, label) order, across chunks."""
+    draws = cli.VALIDATE_CHUNK + 3
+    assert main(["validate", "--draws", str(draws), "--tolerance", "0",
+                 "--seed", "12"]) == 1
+    captured = capsys.readouterr()
+    rng = np.random.default_rng(12)
+    worst, case = 0.0, None
+    for _ in range(draws):
+        params, k = cli._random_params(rng)
+        pairs = [(branch, interference_contribution(params, k, branch),
+                  oracle_lambda_baseband(params, k, branch)) for branch in ("I", "Q")]
+        pairs += [(f"rect/{kind}/{branch}", rect_integral(kind, params, k, branch),
+                   rect_integral_quadrature(kind, params, k, branch))
+                  for kind in ("one", "cos2wp", "sin2wp") for branch in ("I", "Q")]
+        for label, closed, reference in pairs:
+            dev = abs(closed - reference) / (1.0 + abs(reference))
+            if dev > worst:
+                worst, case = dev, (label, params.tau, params.phi_c, params.amplitude, k)
+    assert f"max scaled deviation {worst:.3e}" in captured.out
+    assert captured.err.strip().endswith(f"at {case}")
 
 
 def test_sweep_flags_csv_schema(tmp_path):

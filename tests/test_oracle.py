@@ -176,17 +176,15 @@ def test_shipped_panels_have_converged(monkeypatch):
     rng = np.random.default_rng(50)
     draws = [(_random_interferer(rng, n_bits=12), int(rng.integers(0, 6)))
              for _ in range(20)]
+    batch = oracle._stack(draws)
 
     def values():
         out = {"baseband": [], "rect": [], "passband": []}
-        for u, k in draws:
-            for branch in ("I", "Q"):
-                out["baseband"].append(oracle_lambda_baseband(u, k, branch))
-                out["rect"] += [rect_integral_quadrature(kind, u, k, branch)
-                                for kind in RECT_KINDS]
-            for mult in (8, 256, 1024):
-                out["passband"].append(oracle_lambda_passband(u, k, "I", mult))
-        return out
+        for branch in ("I", "Q"):
+            out["baseband"].append(oracle._lambda_baseband(batch, branch))
+            out["rect"] += [oracle._rect_quadrature(kind, batch, branch) for kind in RECT_KINDS]
+        out["passband"] += [oracle._lambda_passband(batch, "I", mult) for mult in (8, 256, 1024)]
+        return {name: np.concatenate(arrays) for name, arrays in out.items()}
 
     shipped = values()
     integrate = oracle._integrate_pieces
@@ -194,9 +192,9 @@ def test_shipped_panels_have_converged(monkeypatch):
                         lambda *args, panels_per_bit=1, **kwargs:
                         integrate(*args, panels_per_bit=4 * panels_per_bit, **kwargs))
     finer = values()
-    assert shipped != finer
+    assert all(np.any(shipped[name] != finer[name]) for name in shipped)
     for name, bound in (("baseband", 1e-13), ("rect", 1e-13), ("passband", 1e-11)):
-        got, ref = np.array(shipped[name]), np.array(finer[name])
+        got, ref = shipped[name], finer[name]
         assert np.all(np.abs(got - ref) <= bound * (1 + np.abs(ref))), name
 
 
@@ -219,13 +217,14 @@ def test_near_aligned_offsets_match_closed_forms(tau):
                 assert abs(closed - ref) <= 1e-13 * (1 + abs(ref)), (branch, k)
 
 
-def _brute_force_integrate(coeff, bits, n, tau, trains=(0, 1), panels_per_bit=1):
-    """_integrate_pieces one node at a time: piece, then panel, then node,
-    every product summed exactly by math.fsum. Returns the value and the
-    number of pieces: the interval [n - 1, n + 1] is split at every edge
-    tau + m strictly inside it, and a train of parity p reads the bit at
-    the transmit position j = p (mod 2) whose pulse, centred on tau + j,
-    covers the piece midpoint."""
+def _brute_force_integrate(coeff, bits, n, tau, phi_c, trains=(0, 1), panels_per_bit=1):
+    """_integrate_pieces for one draw, one node at a time: piece, then
+    panel, then node, every product summed exactly by math.fsum. bits are
+    the draw's transmit-order bits. Returns the value and the number of
+    pieces: the interval [n - 1, n + 1] is split at every edge tau + m
+    strictly inside it, and a train of parity p reads the bit at the
+    transmit position j = p (mod 2) whose pulse, centred on tau + j, covers
+    the piece midpoint."""
     a, b = n - 1.0, n + 1.0
     edges = [tau + m for m in range(math.floor(a - tau), math.ceil(b - tau) + 1)
              if a < tau + m < b]
@@ -239,22 +238,21 @@ def _brute_force_integrate(coeff, bits, n, tau, trains=(0, 1), panels_per_bit=1)
         for panel in range(panels):
             mid = lo + half + 2.0 * half * panel
             for node, weight in zip(oracle._NODES, oracle._WEIGHTS):
-                coeffs = coeff(np.array([mid + half * node]))
-                terms += [bit * float(c[0]) * half * weight
-                          for bit, c in zip(values, coeffs)]
+                coeffs = np.ravel(coeff(np.array([[mid + half * node]]), np.array([[tau]]),
+                                        np.array([[phi_c]])))
+                terms += [bit * float(c) * half * weight for bit, c in zip(values, coeffs)]
     return math.fsum(terms), len(points) - 1
 
 
-def _oracle_calls(draws):
+def _oracle_calls(batch):
     """Every integration of the baseband, rect and passband (multiples 8 and
-    64) oracles on the given draws."""
-    for u, k in draws:
-        for branch in ("I", "Q"):
-            yield partial(oracle_lambda_baseband, u, k, branch)
-            for kind in RECT_KINDS:
-                yield partial(rect_integral_quadrature, kind, u, k, branch)
-            for mult in (8, 64):
-                yield partial(oracle_lambda_passband, u, k, branch, mult)
+    64) oracles on a batch of draws."""
+    for branch in ("I", "Q"):
+        yield partial(oracle._lambda_baseband, batch, branch)
+        for kind in RECT_KINDS:
+            yield partial(oracle._rect_quadrature, kind, batch, branch)
+        for mult in (8, 64):
+            yield partial(oracle._lambda_passband, batch, branch, mult)
 
 
 #: The offset of the last of _draws_with_an_aligned_offset, a whole T.
@@ -274,15 +272,19 @@ def test_panel_table_matches_brute_force(monkeypatch):
     integrate = oracle._integrate_pieces
     seen = []
 
-    def both(coeff, bits, n, tau, trains=(0, 1), panels_per_bit=1):
-        got = integrate(coeff, bits, n, tau, trains, panels_per_bit=panels_per_bit)
-        ref, pieces = _brute_force_integrate(coeff, bits, n, tau, trains, panels_per_bit)
-        seen.append((pieces, panels_per_bit))
-        assert abs(got - ref) <= 1e-14 * (1 + abs(ref)), (n, tau, trains, panels_per_bit)
+    def both(coeff, bits, n, tau, phi_c, trains=(0, 1), panels_per_bit=1):
+        got = integrate(coeff, bits, n, tau, phi_c, trains, panels_per_bit=panels_per_bit)
+        assert got.shape == n.shape
+        for d in range(len(n)):
+            ref, pieces = _brute_force_integrate(coeff, bits[d].ravel()[2:], n[d], tau[d],
+                                                 phi_c[d], trains, panels_per_bit)
+            seen.append((pieces, panels_per_bit))
+            assert abs(got[d] - ref) <= 1e-14 * (1 + abs(ref)), (n[d], tau[d], trains,
+                                                                 panels_per_bit)
         return got
 
     monkeypatch.setattr(oracle, "_integrate_pieces", both)
-    for call in _oracle_calls(_draws_with_an_aligned_offset()):
+    for call in _oracle_calls(oracle._stack(_draws_with_an_aligned_offset())):
         call()
     # the aligned draw has only two pieces with positive width
     for panels_per_bit in (1, 8, 64):
@@ -290,33 +292,48 @@ def test_panel_table_matches_brute_force(monkeypatch):
 
 
 def test_one_coeff_call_per_integration(monkeypatch):
-    """Every integration evaluates coeff once on all its panels' nodes: three
-    panels in baseband, one per piece, and at a whole-T offset a first
-    piece of zero width."""
+    """Every integration evaluates coeff once a chunk on all its panels'
+    nodes: three panels a draw in baseband, one per piece, and at a
+    whole-T offset a first piece of zero width."""
     integrate = oracle._integrate_pieces
     shapes = []
 
-    def recording(coeff, bits, n, tau, trains=(0, 1), panels_per_bit=1):
+    def recording(coeff, bits, n, tau, phi_c, trains=(0, 1), panels_per_bit=1):
         calls = []
 
-        def counted(t):
+        def counted(t, *rows):
             calls.append(t)
-            return coeff(t)
+            return coeff(t, *rows)
 
-        value = integrate(counted, bits, n, tau, trains, panels_per_bit=panels_per_bit)
-        [t] = calls
-        assert t.shape[1] == 16 and t.shape[0] >= 3
+        value = integrate(counted, bits, n, tau, phi_c, trains, panels_per_bit=panels_per_bit)
+        per = max(1, oracle._CHUNK_PANELS // (panels_per_bit + 3))
+        assert len(calls) == -(-len(n) // per)
+        assert all(t.shape[1] == 16 and t.shape[0] >= 3 for t in calls)
         if panels_per_bit == 1:
-            assert t.shape == (3, 16)
-        if tau == _ALIGNED_TAU:
-            assert np.all(t[0] == n - 1.0)
-        shapes.append((panels_per_bit, tau, t.shape[0]))
+            assert [t.shape[0] for t in calls] == [3 * len(chunk)
+                                                  for chunk in np.array_split(n, len(calls))]
+        if len(n) == 1 and tau[0] == _ALIGNED_TAU:
+            assert np.all(calls[0][0] == n[0] - 1.0)
+        shapes.append((panels_per_bit, len(n), tau[0], len(calls),
+                       sum(t.shape[0] for t in calls)))
         return value
 
     monkeypatch.setattr(oracle, "_integrate_pieces", recording)
-    for call in _oracle_calls(_draws_with_an_aligned_offset()):
+    draws = _draws_with_an_aligned_offset()
+    for call in _oracle_calls(oracle._stack(draws)):
         call()
-    assert {ppb for ppb, tau, _ in shapes if tau == _ALIGNED_TAU} == {1, 8, 64}
+    for call in _oracle_calls(oracle._stack(draws[-1:])):
+        call()
+    assert {ppb for ppb, size, tau, *_ in shapes if size == 1 and tau == _ALIGNED_TAU} == {
+        1, 8, 64}
+    # a chunk of 8 panels holds two baseband draws, so 13 draws take 7 calls
+    # and 3 x 13 panels
+    monkeypatch.setattr(oracle, "_CHUNK_PANELS", 8)
+    shapes.clear()
+    oracle._lambda_baseband(oracle._stack(draws), "I")
+    assert shapes == [(1, 13, draws[0][0].tau, 7, 39)]
+    monkeypatch.undo()
+    monkeypatch.setattr(oracle, "_integrate_pieces", recording)
     # (1, 3) at tau = 0.3 has pieces of 0.15, 0.5 and 0.35 of the bit.
     u = InterfererParams(1.0, 0.3, 0.2, [1, -1, 1, 1, -1, 1])
     shapes.clear()
@@ -324,3 +341,51 @@ def test_one_coeff_call_per_integration(monkeypatch):
     oracle_lambda_passband(u, 1, "I", 8)
     oracle_lambda_passband(u, 1, "I", 64)
     assert [panels for *_, panels in shapes] == [3, 2 + 4 + 3, 10 + 32 + 23]
+
+
+#: Payloads of 8 to 24 bits, whole-T offsets and offsets within 1e-12 of
+#: one (as in test_near_aligned_offsets_match_closed_forms), and random
+#: ones, with decisions inside and outside the payload.
+def _mixed_draws():
+    rng = np.random.default_rng(80)
+    taus = [m + d for m in range(-2, 4) for d in (0.0, 1e-13, -1e-13, 1e-12, -1e-12)]
+    taus += list(rng.uniform(-4.0, 4.0, size=30))
+    draws = []
+    for tau in taus:
+        u = _random_interferer(rng, n_bits=int(rng.integers(8, 25)))
+        draws.append((InterfererParams(u.amplitude, tau, u.phi_c, u.bits),
+                      int(rng.integers(-1, len(u.bits) // 2 + 2))))
+    return draws
+
+
+def _assert_batch_matches_batch_of_one(integrate, draws):
+    batch = integrate(oracle._stack(draws))
+    assert batch.shape == (len(draws),)
+    for value, draw in zip(batch, draws):
+        alone = integrate(oracle._stack([draw]))[0]
+        assert abs(value - alone) <= 1e-15 * (1 + abs(alone)), draw
+
+
+@pytest.mark.parametrize("branch", ("I", "Q"))
+def test_batch_matches_batch_of_one(branch):
+    draws = _mixed_draws()
+    _assert_batch_matches_batch_of_one(partial(oracle._lambda_baseband, branch=branch), draws)
+    for kind in RECT_KINDS:
+        _assert_batch_matches_batch_of_one(partial(oracle._rect_quadrature, kind,
+                                                   branch=branch), draws)
+    # the public calls are batches of one
+    u, k = draws[-1]
+    assert oracle_lambda_baseband(u, k, branch) == oracle._lambda_baseband(
+        oracle._stack([(u, k)]), branch)[0]
+
+
+@pytest.mark.parametrize("branch", ("I", "Q"))
+def test_passband_batch_spans_panel_chunks(branch):
+    """At 2^10 carrier periods a bit, a chunk holds three draws, so seven
+    draws take three chunks; each draw still gets its value alone."""
+    mult = 2**10
+    assert oracle._CHUNK_PANELS // (mult + 3) == 3
+    draws = _mixed_draws()[::9]
+    assert len(draws) == 7
+    _assert_batch_matches_batch_of_one(
+        partial(oracle._lambda_passband, branch=branch, carrier_multiple=mult), draws)
