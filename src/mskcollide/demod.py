@@ -76,10 +76,10 @@ def _offset_terms(tau: float):
 
 
 #: Every ternary (main prev, main cur, leak prev, leak cur) bit pattern, as
-#: four 9 x 9 arrays: the main pair varies along the rows and the leak pair
-#: along the columns, each pair (prev, cur) = divmod(j, 3) - 1 at index j.
+#: four flat (81,) arrays indexed by the pattern code: the main pair varies
+#: slowest, and each pair (prev, cur) = divmod(j, 3) - 1 at its digit pair j.
 #: Contiguous float64, so a one-row table spends no time on casts.
-_PATTERNS = tuple(np.broadcast_to(digits, (9, 9)).astype(np.float64) for digits in (
+_PATTERNS = tuple(np.broadcast_to(digits, (9, 9)).astype(np.float64).reshape(81) for digits in (
     (np.arange(9) // 3 - 1)[:, None], (np.arange(9) % 3 - 1)[:, None],
     np.arange(9) // 3 - 1, np.arange(9) % 3 - 1))
 
@@ -96,18 +96,22 @@ def _pattern_table(amplitude: float, weights, phi_c) -> np.ndarray:
     gain = amplitude / 2.0
     w_main_prev, w_main_cur, w_leak_prev, w_leak_cur = (gain * weight for weight in weights)
     main_prev, main_cur, leak_prev, leak_cur = _PATTERNS
-    phi_c = np.asarray(phi_c, dtype=np.float64)[..., None, None]
+    phi_c = np.asarray(phi_c, dtype=np.float64)
     # cos(phi_c) direct - sin(phi_c) leak in the one operation order every
     # soft value is computed in: the pinned table digests depend on every
-    # rounding
+    # rounding. Each outer product holds one rounded product an entry, as a
+    # broadcast multiply would, but einsum writes it faster. Its exact
+    # zeros are +0.0 where a broadcast may give -0.0; no soft value sees
+    # the sign, since a sum started from a chip (+0.0 for none) adds it,
+    # and x + (-x) rounds to +0.0.
     direct = w_main_prev * main_prev
     leak = w_main_cur * main_cur
     direct += leak
     np.multiply(w_leak_prev, leak_prev, out=leak)
     leak += w_leak_cur * leak_cur
-    table = direct * np.cos(phi_c)
-    table -= leak * np.sin(phi_c)
-    return table.reshape(phi_c.shape[:-2] + (81,))
+    table = np.einsum("...,j->...j", np.cos(phi_c), direct)
+    table -= np.einsum("...,j->...j", np.sin(phi_c), leak)
+    return table
 
 
 def interference_contribution(params: InterfererParams, k: int,
@@ -135,7 +139,9 @@ class _PatternGather:
     position's pattern are one flat slice of it apiece, and the base-3
     pattern code is built with whole-slab int8 operations. The code plus
     its packet row's table offset (81 per row) indexes one np.take from the
-    flattened per-packet pattern tables.
+    flattened per-packet pattern tables. Phases with a row stride of 0 (one
+    phase for every packet, as a fixed phi_c draws them) share one table,
+    whose row stride is 0 as well: the code alone indexes it.
     """
 
     def __init__(self, rows: int, n_chips: int, tau: float):
@@ -153,7 +159,9 @@ class _PatternGather:
     def __call__(self, chips, amplitude, phi_c):
         """Contribution of chips (packets, n_chips) at one amplitude and
         per-packet phases phi_c (packets,)."""
-        table = _pattern_table(amplitude, self.weights, phi_c)
+        phi_c = np.asarray(phi_c)
+        shared = phi_c.strides == (0,)
+        table = _pattern_table(amplitude, self.weights, phi_c[:1] if shared else phi_c)
         rows, pad, n_chips = len(chips), self.pad, self.n_chips
         inner = (slice(None, rows), slice(pad, pad + n_chips))
         np.add(chips, 1, out=self.digits[inner], casting="unsafe")
@@ -169,6 +177,8 @@ class _PatternGather:
         code += leak_prev
         code *= 3
         code += leak_cur
-        index = np.add(self.code[inner], self.offset[:rows], out=self.index[:rows])
+        index = self.code[inner]
+        if not shared:
+            index = np.add(index, self.offset[:rows], out=self.index[:rows])
         # every index is in range; "clip" only spares take a buffered out
         return np.take(table.reshape(-1), index, out=self.values[:rows], mode="clip")

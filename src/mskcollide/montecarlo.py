@@ -286,7 +286,8 @@ def _compute_soft(soi_chips, interferer_chips, amplitudes, tau, phi,
     prev/cur), and both branches weight those chips alike, so it takes at
     most 81 values: it is gathered from a per-packet table of all 81
     patterns (gather, a _PatternGather for at least these packets, or one
-    built here), the same table interference_contribution reads.
+    built here), the same table interference_contribution reads; phases
+    with a row stride of 0 (np.broadcast_to) share one table.
     """
     soft = np.empty(soi_chips.shape) if out is None else out
     np.copyto(soft, soi_chips)  # a copy: the input is never written
@@ -315,7 +316,8 @@ def _draw_point(cfg: ExperimentConfig, tau: float, amplitudes: tuple):
                      float(cfg.noise_std))
     senders = draw_payloads(rng, cfg.payload_mode, coded, cfg.payload_bits, n_int, packets)
     if fixed:
-        phi = np.full((packets, n_int), cfg.phi_c)
+        # a row stride of 0: the gather builds one table for every packet
+        phi = np.broadcast_to(cfg.phi_c, (packets, n_int))
     else:
         phi = rng.uniform(0.0, TWO_PI, size=(packets, n_int))
     noise = None
@@ -356,7 +358,8 @@ def _point_stats(cfg: ExperimentConfig, tau: float, amplitudes: tuple) -> tuple:
     bit_err = np.empty(packets, dtype=np.int64)
     sym_err = np.zeros(packets, dtype=np.int64)
     for rows, sliced, symbols, _ in _evaluate(cfg.coding, tau, amplitudes, draws):
-        bit_err[rows] = (sliced != ref_chips[rows]).sum(axis=1)
+        errors = np.packbits(sliced != ref_chips[rows], axis=1)
+        bit_err[rows] = np.bitwise_count(errors).sum(axis=1)
         if coded:
             sym_err[rows] = (symbols != ref_symbols[rows]).sum(axis=1)
     prr_mean, prr_std = _prr_stats((sym_err if coded else bit_err) == 0)

@@ -97,10 +97,24 @@ def draw_payloads(rng, mode: str, coded: bool, n_bits: int, n_interferers: int,
     Uncoded payloads are n_bits i.i.d. bits; coded ones n_bits / 4 uniform
     symbols spread to 8 * n_bits chips. In "identical" mode every
     interferer shares the synchronized sender's arrays and draws nothing.
+
+    Uncoded bits are the top bits of the bytes of one uint32 draw, read low
+    byte first. numpy's bounded uint8 draw (Lemire's method), which
+    rng.integers(0, 2, dtype=np.int8) makes, takes each value from the top
+    bit of the next byte of buffered uint32 values in that order, so these
+    are that draw's bits and the stream ends where it would leave it. A
+    numpy release that changes its integer algorithm fails the test that
+    pins this, rather than silently moving the bytes of every table.
     """
     def draw():
         if not coded:
-            return None, rng.integers(0, 2, size=(packets, n_bits), dtype=np.int8) * 2 - 1
+            n = packets * n_bits
+            words = rng.integers(0, 2**32, size=-(-n // 4), dtype=np.uint32)
+            chips = np.right_shift(words.astype("<u4", copy=False).view(np.uint8)[:n], 7)
+            chips = chips.view(np.int8).reshape(packets, n_bits)
+            chips *= 2
+            chips -= 1
+            return None, chips
         symbols = rng.integers(0, 16, size=(packets, n_bits // BITS_PER_SYMBOL))
         return symbols, BIPOLAR_CHIP_TABLE.take(symbols, axis=0).reshape(packets, -1)
 

@@ -3,6 +3,7 @@ agreement of the one-row lookup and the whole-packet gather with the
 closed form written as one expression."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ import pytest
 from mskcollide import (InterfererParams, interference_contribution,
                         oracle_lambda_baseband, rect_integral,
                         rect_integral_quadrature)
-from mskcollide import montecarlo
-from mskcollide.demod import decompose_offset
+from mskcollide import demod, montecarlo
+from mskcollide.demod import _offset_terms, _pattern_table, decompose_offset
 from mskcollide.montecarlo import _compute_soft
 
 TWO_OVER_PI = 2.0 / math.pi
@@ -387,6 +388,23 @@ def _reference_soft(soi, chips, amplitudes, tau, phi, noise=None):
     return want
 
 
+def _broadcast_table(amplitude, weights, phi_c):
+    """_pattern_table as a broadcast multiply of (9, 9) pattern arrays (main
+    pair along the rows, leak pair along the columns) by phi[..., None,
+    None], in its operation order: the reference its outer products must
+    equal entry for entry."""
+    gain = amplitude / 2.0
+    w_main_prev, w_main_cur, w_leak_prev, w_leak_cur = (gain * w for w in weights)
+    prev, cur = np.arange(9) // 3 - 1.0, np.arange(9) % 3 - 1.0
+    main_prev, main_cur = (np.broadcast_to(d[:, None], (9, 9)) for d in (prev, cur))
+    leak_prev, leak_cur = (np.broadcast_to(d, (9, 9)) for d in (prev, cur))
+    phi = np.asarray(phi_c, dtype=np.float64)[..., None, None]
+    direct = w_main_prev * main_prev + w_main_cur * main_cur
+    leak = w_leak_prev * leak_prev + w_leak_cur * leak_cur
+    table = direct * np.cos(phi) - leak * np.sin(phi)
+    return table.reshape(phi.shape[:-2] + (81,))
+
+
 def _assert_bit_identical(got, want):
     assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -457,13 +475,16 @@ class TestPatternTables:
         packets = 5
         for n_chips in (1, 7, 64, 80, 161, 162, 512):
             for n_interferers in (0, 1, 2):
-                for phase in ("fixed", "random"):
+                for phase in ("fixed", "shared", "random"):
                     for noisy in (False, True):
                         soi = _bits(rng, (packets, n_chips))
                         chips = [_bits(rng, (packets, n_chips)) for _ in range(n_interferers)]
                         amplitudes = tuple(10.0 ** rng.uniform(-2, 2, size=n_interferers))
                         if phase == "fixed":
                             phi = np.full((packets, n_interferers), 1.1)
+                        elif phase == "shared":
+                            # a row stride of 0, as a fixed phi_c draws it
+                            phi = np.broadcast_to(1.1, (packets, n_interferers))
                         else:
                             phi = rng.uniform(0.0, 2 * math.pi, size=(packets, n_interferers))
                         noise = None
@@ -472,6 +493,61 @@ class TestPatternTables:
                                           for size in (n_chips - n_chips // 2, n_chips // 2))
                         args = (soi, chips, amplitudes, tau, phi, noise)
                         _assert_bit_identical(_compute_soft(*args), _reference_soft(*args))
+
+    #: Offsets where some weights are exactly 0, and others.
+    TABLE_TAUS = (0.0, 1.0, -1.0, 3.0, -3.0, 0.3, -1.7, 2.9)
+
+    @pytest.mark.parametrize("tau", TABLE_TAUS)
+    def test_table_equals_broadcast_formula(self, tau):
+        # every entry is the broadcast formula's rounded products, equal
+        # under == (only the sign of an exact 0 may differ)
+        rng = np.random.default_rng(86)
+        _, weights = _offset_terms(tau)
+        special = np.array([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi])
+        for phi in (1.1, 0.0, np.array([0.0]), np.array([2.5]),
+                    np.concatenate([special, rng.uniform(0.0, 2 * math.pi, size=124)]),
+                    rng.uniform(0.0, 2 * math.pi, size=1000)):
+            for amplitude in (1.0, 0.37, 31.6):
+                got = _pattern_table(amplitude, weights, phi)
+                want = _broadcast_table(amplitude, weights, phi)
+                assert got.shape == want.shape == np.shape(phi) + (81,)
+                assert (got == want).all()
+
+    @pytest.mark.parametrize("tau", TABLE_TAUS)
+    def test_soft_values_equal_broadcast_tables(self, monkeypatch, tau):
+        # and no signed zero reaches a soft value: gathered from either
+        # table, with or without a synchronized sender, at per-packet and
+        # shared phases, the values are equal bit for bit
+        rng = np.random.default_rng(87)
+        for packets, n_chips in ((128, 512), (1000, 64), (3, 5)):
+            chips = [_bits(rng, (packets, n_chips)) for _ in range(2)]
+            amplitudes = (1.0, 0.37)
+            per_packet = rng.uniform(0.0, 2 * math.pi, size=(packets, 2))
+            per_packet[::7] = 0.0
+            for soi in (_bits(rng, (packets, n_chips)), np.zeros((packets, n_chips), np.int8)):
+                for phi in (per_packet, np.broadcast_to(0.0, (packets, 2)),
+                            np.broadcast_to(2.5, (packets, 2))):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(demod, "_pattern_table", _broadcast_table)
+                        want = _compute_soft(soi, chips, amplitudes, tau, phi)
+                    _assert_bit_identical(_compute_soft(soi, chips, amplitudes, tau, phi),
+                                          want)
+
+    def test_shared_phase_builds_one_table(self, monkeypatch):
+        # a fixed phi_c draws phases with a row stride of 0, and each slab
+        # then gathers from one 81-entry table; drawn phases take one a packet
+        shapes = []
+
+        def spy(amplitude, weights, phi_c):
+            shapes.append(np.shape(phi_c))
+            return _pattern_table(amplitude, weights, phi_c)
+
+        monkeypatch.setattr(demod, "_pattern_table", spy)
+        cfg = montecarlo.ExperimentConfig(packets_per_point=300, n_interferers=2)
+        for phi_c, want in ((1.1, (1,)), (None, (300,))):
+            shapes.clear()
+            montecarlo.run_point(replace(cfg, phi_c=phi_c), 0.4, -3.0)
+            assert shapes == [want, want]
 
     def test_one_packet_slab(self):
         rng = np.random.default_rng(84)

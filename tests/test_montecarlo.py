@@ -299,6 +299,26 @@ class TestSlabs:
             assert got.tobytes() == want.tobytes()  # sliced, symbols, correlations
         assert 0 < (whole[1] == soi_symbols).all(axis=1).sum() < packets
 
+    @pytest.mark.parametrize("coding, payload_bits", [
+        ("uncoded", 1), ("uncoded", 13), ("uncoded", 64), ("uncoded", 100),
+        ("hdd", 64), ("sdd", 64)])
+    def test_packed_error_counts_match_unpacked_sum(self, coding, payload_bits):
+        # a point counts each packet's chip errors from packed bytes, which
+        # packbits pads with zeros up to whole bytes; the counts are the
+        # unpacked sums, so the BER, and uncoded the PRR, are theirs too
+        cfg = small_cfg(coding=coding, payload_bits=payload_bits, packets_per_point=300,
+                        noise_std=0.3)
+        tau, amps = 0.37, (0.5,)
+        draws = _draw_point(cfg, tau, amps)
+        ref_chips = draws[0][0][1]
+        bit_err = np.concatenate([(sliced != ref_chips[rows]).sum(axis=1)
+                                  for rows, sliced, _, _ in _evaluate(coding, tau, amps, draws)])
+        prr_mean, prr_std, ber, _ = _point_stats(cfg, tau, amps)
+        assert ber == int(bit_err.sum()) / ref_chips.size and 0.0 < ber < 1.0
+        if coding == "uncoded":
+            assert (prr_mean, prr_std) == _prr_stats(bit_err == 0)
+            assert 0.0 < prr_mean < 1.0
+
     def test_near_ties_match_each_packet_alone(self):
         # the fig11c cell (tau = 1.0T, phi = 3pi/2 of 64 phases) holds
         # thousands of blocks whose top two correlations differ by at most

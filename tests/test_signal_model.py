@@ -137,6 +137,27 @@ def test_draw_payloads_seeded_reproducibility():
     assert np.array_equal(a[1][1], b[1][1])
 
 
+@pytest.mark.parametrize("mode", ["independent", "identical"])
+@pytest.mark.parametrize("shape", [(1, 1), (3, 7), (13, 5), (1000, 64)])
+def test_uncoded_draw_is_the_int8_draw(mode, shape):
+    # the bits of one uint32 draw are those of numpy's bounded int8 draw,
+    # and the stream goes on from the same place: a numpy that moves its
+    # integer algorithm fails here instead of moving every table's bytes
+    packets, n_bits = shape
+    for seed in (0, 1, 7, 2026, 2**63 + 5):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        senders = draw_payloads(got_rng, mode, False, n_bits, 2, packets)
+        want = [want_rng.integers(0, 2, size=shape, dtype=np.int8) * 2 - 1
+                for _ in range(1 if mode == "identical" else 3)]
+        if mode == "identical":
+            want *= 3
+        assert len(senders) == len(want)
+        for (symbols, chips), expected in zip(senders, want):
+            assert symbols is None and chips.dtype == np.int8 and chips.flags.c_contiguous
+            assert chips.shape == shape and np.array_equal(chips, expected)
+        assert got_rng.uniform() == want_rng.uniform()
+
+
 def test_config_rejects_bad_payload_fields():
     valid = ExperimentConfig(tau_grid=(0.0,), sir_db_grid=(0.0,))
     for fields in ({"coding": "hdd", "payload_bits": 66}, {"payload_bits": 0},
