@@ -25,19 +25,19 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .demod import interference_contribution
+from .demod import _contributions
 from .montecarlo import (CODINGS, PAYLOAD_MODES, TARGETS, ConfigError, ExperimentConfig,
                          _check_integer, _check_number, capture_zone, grid,
                          n_interferer_experiment, sweep)
 from .oracle import (MAX_CARRIER_MULTIPLE, RECT_KINDS, _lambda_baseband, _lambda_passband,
-                     _rect_quadrature, _stack, rect_integral)
+                     _rect_integrals, _rect_quadrature)
 from .output import (write_chip_table, write_manifest, write_ninterf,
                      write_sweep, write_zone)
 from .presets import NINTERF_DEFAULTS, PRESETS, ZONE_PRESETS
-from .signal_model import InterfererParams
+from .signal_model import InterfererParams, _batch, _Draws
 
 T_NANOSECONDS = 500.0  # half a 1 us bit duration
-#: Draws validate holds at once; each value it compares is integrated once
+#: Draws validate holds at once; each value it compares is evaluated once
 #: per chunk, on all of the chunk's draws.
 VALIDATE_CHUNK = 1024
 
@@ -112,30 +112,40 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _random_params(rng) -> tuple[InterfererParams, int]:
+def _random_draw(rng) -> tuple:
+    """One validate draw: its payload of 8 to 24 bits, amplitude, tau,
+    phi_c (uniform in [0, 2pi), so already normalized) and bit index k, in
+    the order the RNG draws them."""
     n_bits = int(rng.integers(4, 13)) * 2
     bits = rng.integers(0, 2, size=n_bits) * 2 - 1
-    params = InterfererParams(
-        amplitude=float(10.0 ** rng.uniform(-2, 2)),
-        tau=float(rng.uniform(-4.0, 4.0)),
-        phi_c=float(rng.uniform(0.0, 2.0 * math.pi)),
-        bits=bits,
-    )
-    k = int(rng.integers(0, n_bits // 2))
-    return params, k
+    amplitude = 10.0 ** rng.uniform(-2, 2)
+    tau = rng.uniform(-4.0, 4.0)
+    phi_c = rng.uniform(0.0, 2.0 * math.pi)
+    return bits, amplitude, tau, phi_c, int(rng.integers(0, n_bits // 2))
+
+
+def _random_draws(rng, count: int) -> _Draws:
+    """The batch of count validate draws, made one after another."""
+    return _batch([_random_draw(rng) for _ in range(count)])
+
+
+def _random_params(rng) -> tuple[InterfererParams, int]:
+    """One validate draw as (InterfererParams, k), to replay it on its own."""
+    bits, amplitude, tau, phi_c, k = _random_draw(rng)
+    return InterfererParams(amplitude, tau, phi_c, bits), k
 
 
 def _checks(oracle, passband: bool):
-    """(label, closed form, oracle on a batch of draws) of every value a
-    validate draw compares: lambda on both branches, then in baseband the
-    primitive integrals."""
-    checks = [(branch, partial(interference_contribution, branch=branch),
-               partial(oracle, branch=branch)) for branch in ("I", "Q")]
+    """(labels, oracles) of every value a validate draw compares: lambda on
+    both branches, then in baseband the primitive integrals. Each oracle
+    integrates one label's value on a batch of draws."""
+    labels = ["I", "Q"]
+    oracles = [partial(oracle, branch=branch) for branch in labels]
     if not passband:
-        checks += [(f"rect/{kind}/{branch}", partial(rect_integral, kind, branch=branch),
-                    partial(_rect_quadrature, kind, branch=branch))
-                   for kind in RECT_KINDS for branch in ("I", "Q")]
-    return checks
+        rects = [(kind, branch) for kind in RECT_KINDS for branch in ("I", "Q")]
+        labels += [f"rect/{kind}/{branch}" for kind, branch in rects]
+        oracles += [partial(_rect_quadrature, kind, branch=branch) for kind, branch in rects]
+    return labels, oracles
 
 
 def cmd_validate(args) -> int:
@@ -148,22 +158,25 @@ def cmd_validate(args) -> int:
         if not args.passband:
             raise ConfigError("--carrier-multiple needs --passband")
         oracle = partial(oracle, carrier_multiple=args.carrier_multiple)
-    checks = _checks(oracle, args.passband)
+    labels, oracles = _checks(oracle, args.passband)
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     worst_case = None
     for first in range(0, args.draws, VALIDATE_CHUNK):
-        draws = [_random_params(rng) for _ in range(min(VALIDATE_CHUNK, args.draws - first))]
-        closed = np.array([[form(params, k) for _, form, _ in checks] for params, k in draws])
-        batch = _stack(draws)
-        reference = np.array([integrate(batch) for *_, integrate in checks]).T
+        batch = _random_draws(rng, min(VALIDATE_CHUNK, args.draws - first))
+        # the closed forms in the labels' order: lambda, then the six
+        # primitive integrals (_rect_integrals' columns)
+        closed = _contributions(batch)
+        if not args.passband:
+            closed = np.hstack([closed, _rect_integrals(batch)])
+        reference = np.array([integrate(batch) for integrate in oracles]).T
         dev = np.abs(closed - reference) / (1.0 + np.abs(reference))
         # the first maximum in (draw, label) order
-        row, col = divmod(int(np.argmax(dev)), len(checks))
+        row, col = divmod(int(np.argmax(dev)), len(labels))
         if dev[row, col] > worst:
-            params, k = draws[row]
-            worst, worst_case = float(dev[row, col]), (checks[col][0], params.tau,
-                                                       params.phi_c, params.amplitude, k)
+            worst, worst_case = float(dev[row, col]), (
+                labels[col], float(batch.tau[row]), float(batch.phi_c[row]),
+                float(batch.amplitude[row]), int(batch.position[row]) // 2)
     mode = "passband" if args.passband else "baseband"
     print(f"validate ({mode}): {args.draws} draws, max scaled deviation {worst:.3e}")
     if worst > args.tolerance:

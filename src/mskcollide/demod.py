@@ -17,8 +17,10 @@ tau and one of tau + T (_offset_terms) give both branches the same four
 weights and, in transmit order, the same four chip lags. So an
 interferer's contribution to any decision is one of the 81 entries of its
 pattern table (_pattern_table), picked by four ternary chips (+-1, or 0
-for silence): interference_contribution reads one entry, and
-_PatternGather gathers whole packets for the Monte Carlo engine.
+for silence). _PatternGather gathers whole packets from that table for
+the Monte Carlo engine; _contributions evaluates the same arithmetic at
+just the two patterns of bit k of each draw of a batch (signal_model's
+_Draws), and interference_contribution is its batch of one.
 
 The sign conventions used here are pinned by the numerical oracle (see the
 oracle module and its tests). Times are in units of T, half a bit
@@ -32,29 +34,36 @@ import math
 
 import numpy as np
 
-from .signal_model import InterfererParams, transmit_position
+from .signal_model import InterfererParams, _Draws, _stack, transmit_position
 
 
-def decompose_offset(shifted: float) -> tuple[int, float]:
+def decompose_offset(shifted):
     """(k_shift, tau_rel) of an offset on one pulse grid (tau, or tau + T for
     the leaking bits): decision k reads bits k - k_shift - 1 and k - k_shift,
-    and tau_rel lies in [0, 2T). Total for all finite offsets."""
+    and tau_rel lies in [0, 2T). Total for all finite offsets. Elementwise
+    on an array of offsets, where k_shift is a float array of whole
+    numbers (exact at any offset); an int for one number."""
     two_t = 2.0
-    k_shift = math.floor(shifted / two_t)
+    # + 0.0 makes floor's -0.0 the 0 it stands for, so tau_rel keeps the
+    # sign of a -0.0 offset
+    k_shift = np.floor(shifted / two_t) + 0.0
     tau_rel = shifted - two_t * k_shift
-    # Guard against float rounding pushing the remainder onto 2T.
-    if tau_rel >= two_t:
-        k_shift += 1
-        tau_rel -= two_t
-    if tau_rel < 0.0:
-        tau_rel = 0.0
-    return k_shift, tau_rel
+    # Guard against float rounding pushing the remainder onto 2T (taking
+    # 0.0 from the rest leaves it as it is).
+    wrapped = tau_rel >= two_t
+    k_shift = k_shift + wrapped
+    tau_rel = tau_rel - two_t * wrapped
+    tau_rel = np.where(tau_rel < 0.0, 0.0, tau_rel)
+    if isinstance(shifted, np.ndarray):
+        return k_shift, tau_rel
+    return int(k_shift), float(tau_rel)
 
 
-def _offset_terms(tau: float):
+def _offset_terms(tau):
     """Lags and phase-free weights (without the gain A / 2T) of the (main
     prev, main cur, leak prev, leak cur) chips: both branches' bit at
-    transmit position n has pattern chips[n - lag] (0 outside the packet)."""
+    transmit position n has pattern chips[n - lag] (0 outside the packet).
+    Elementwise on an array of offsets, as decompose_offset."""
     k_main, rel_main = decompose_offset(tau)
     k_leak, rel_leak = decompose_offset(tau + 1.0)
     # With b the detected-branch bits and l the leaking bits selected by
@@ -66,7 +75,7 @@ def _offset_terms(tau: float):
     two_t = 2.0
     over_pi = two_t / math.pi
     phi_p = math.pi * tau / two_t
-    cos_p, sin_p = math.cos(phi_p), math.sin(phi_p)
+    cos_p, sin_p = np.cos(phi_p), np.sin(phi_p)
     weights = (cos_p * rel_main - over_pi * sin_p,
                cos_p * (two_t - rel_main) + over_pi * sin_p,
                sin_p * rel_leak + over_pi * cos_p,
@@ -84,18 +93,20 @@ _PATTERNS = tuple(np.broadcast_to(digits, (9, 9)).astype(np.float64).reshape(81)
     np.arange(9) // 3 - 1, np.arange(9) % 3 - 1))
 
 
-def _pattern_table(amplitude: float, weights, phi_c) -> np.ndarray:
+def _pattern_table(amplitude, weights, phi_c, patterns=_PATTERNS) -> np.ndarray:
     """One interferer's contribution for every bit pattern and phase.
 
     Shape phi_c.shape + (81,): each pattern at its code 27 (main prev + 1)
     + 9 (main cur + 1) + 3 (leak prev + 1) + (leak cur + 1). Both branches
     share the four weights, so one table serves both. It is the one
-    evaluation of the closed form: interference_contribution reads one
-    entry and the Monte Carlo engine gathers whole packets from it.
+    evaluation of the closed form: the Monte Carlo engine gathers whole
+    packets from it, and _contributions passes each draw's own amplitude
+    and weights, as (draws, 1) columns, with its own (draws, 2) patterns,
+    for a (draws, 2) table of just the values it reads.
     """
     gain = amplitude / 2.0
     w_main_prev, w_main_cur, w_leak_prev, w_leak_cur = (gain * weight for weight in weights)
-    main_prev, main_cur, leak_prev, leak_cur = _PATTERNS
+    main_prev, main_cur, leak_prev, leak_cur = patterns
     phi_c = np.asarray(phi_c, dtype=np.float64)
     # cos(phi_c) direct - sin(phi_c) leak in the one operation order every
     # soft value is computed in: the pinned table digests depend on every
@@ -109,24 +120,30 @@ def _pattern_table(amplitude: float, weights, phi_c) -> np.ndarray:
     direct += leak
     np.multiply(w_leak_prev, leak_prev, out=leak)
     leak += w_leak_cur * leak_cur
-    table = np.einsum("...,j->...j", np.cos(phi_c), direct)
-    table -= np.einsum("...,j->...j", np.sin(phi_c), leak)
+    table = np.einsum("...,...j->...j", np.cos(phi_c), direct)
+    table -= np.einsum("...,...j->...j", np.sin(phi_c), leak)
     return table
+
+
+def _contributions(draws: _Draws) -> np.ndarray:
+    """Closed-form contribution of each draw of a batch to its soft bit k,
+    as (draws, 2) columns for the in-phase and quadrature branches: each
+    draw's pattern table (_pattern_table) at the patterns of the bit's two
+    transmit positions, as the Monte Carlo engine reads them."""
+    lags, weights = _offset_terms(draws.tau)
+    # (draws, lag, branch) positions, each lag's chips at both branches
+    n = draws.position[:, None, None] + (0.0, 1.0) - np.stack(lags, axis=1)[..., None]
+    patterns = draws.bits_at(n.reshape(len(n), -1)).reshape(n.shape).transpose(1, 0, 2)
+    return _pattern_table(draws.amplitude[:, None], [weight[:, None] for weight in weights],
+                          draws.phi_c, patterns)
 
 
 def interference_contribution(params: InterfererParams, k: int,
                               branch: str = "I") -> float:
     """Closed-form contribution of one interferer to soft bit k of a branch:
-    the entry of its pattern table (_pattern_table) at the pattern of the
-    bit's transmit position, as the Monte Carlo engine reads it."""
-    n = transmit_position(k, branch)
-    bits = params.bits
-    lags, weights = _offset_terms(params.tau)
-    code = 0
-    for lag in lags:
-        m = n - lag
-        code = 3 * code + (int(bits[m]) + 1 if 0 <= m < len(bits) else 1)
-    return float(_pattern_table(params.amplitude, weights, params.phi_c)[code])
+    _contributions of a batch of one."""
+    column = transmit_position(0, branch)
+    return float(_contributions(_stack([(params, k)]))[0, column])
 
 
 class _PatternGather:

@@ -17,24 +17,23 @@ baseband and one per double-carrier period in passband. As in the closed
 forms, times are in units of T = 1, so a bit lasts 2.
 
 Every integration runs on a batch of draws along a leading axis
-(`_Draws`): one table row per (draw, piece), one evaluation of the smooth
-factor on the nodes of all of them, one reduction per draw. `validate`
-integrates batches of many draws; the public functions are batches of
-one, and a draw's value does not depend on its batch. A batch is
-integrated in chunks of at most `_CHUNK_PANELS` panels' worth of draws
-(at least one), so node arrays stay near 0.5 MB, or one draw's 8 MB at
-the largest carrier multiple.
+(signal_model's `_Draws`, as the closed forms do): one table row per
+(draw, piece), one evaluation of the smooth factor on the nodes of all of
+them, one reduction per draw. `validate` integrates batches of many
+draws; the public functions are batches of one, and a draw's value does
+not depend on its batch. A batch is integrated in chunks of at most
+`_CHUNK_PANELS` panels' worth of draws (at least one), so node arrays stay
+near 0.5 MB, or one draw's 8 MB at the largest carrier multiple.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 from .demod import decompose_offset
-from .signal_model import InterfererParams, _is_integer, transmit_position
+from .signal_model import InterfererParams, _Draws, _is_integer, _stack, transmit_position
 
 #: The smooth factors of the pulse-train primitive integrals, and each as a
 #: function of 2 * w_p * t.
@@ -88,31 +87,6 @@ def _table_map(trains) -> tuple[np.ndarray, np.ndarray]:
 #: The table maps of the train sets the oracles integrate, and their parities.
 _TABLE_MAPS = {trains: (*_table_map(trains), np.array(trains))
                for trains in ((0,), (1,), (0, 1))}
-
-
-class _Draws(NamedTuple):
-    """(params, k) draws as arrays along a leading draw axis."""
-
-    #: transmit-order bits, as floats, at (draw, q + 1, p) for transmit
-    #: position 2q + p, so the first q and at least the last hold silence
-    bits: np.ndarray
-    #: 2k, the in-phase transmit position of each draw's bit k
-    position: np.ndarray
-    tau: np.ndarray
-    phi_c: np.ndarray
-    amplitude: np.ndarray
-
-
-def _stack(draws) -> _Draws:
-    """The batch of a sequence of (InterfererParams, k) pairs; a k that is a
-    bool or not an integer is a ValueError."""
-    width = 2 * ((max(len(params.bits) for params, _ in draws) + 1) // 2 + 2)
-    bits = np.zeros((len(draws), width))
-    for row, (params, _) in enumerate(draws):
-        bits[row, 2:2 + len(params.bits)] = params.bits
-    return _Draws(bits.reshape(len(draws), -1, 2),
-                  *np.array([(transmit_position(k, "I"), params.tau, params.phi_c,
-                              params.amplitude) for params, k in draws]).T)
 
 
 def _integrate_pieces(coeff, bits: np.ndarray, n: np.ndarray, tau: np.ndarray,
@@ -173,12 +147,6 @@ def _integrate_chunk(coeff, bits, n, tau, phi_c, trains, panels_per_bit):
     if panels_per_bit > 1:
         parts = np.add.reduceat(parts, firsts, axis=1)
     return np.vecdot(np.vecdot(parts.T.reshape(draws, 3, -1), values), table[..., 1])
-
-
-def _bit(bits: np.ndarray, n: int) -> int:
-    """Payload bit at transmit position n: in-phase bit m sits at 2m and
-    quadrature bit m at 2m + 1. 0 (silence) outside the payload."""
-    return int(bits[n]) if 0 <= n < len(bits) else 0
 
 
 def _lambda_baseband(draws: _Draws, branch: str = "I") -> np.ndarray:
@@ -255,11 +223,32 @@ def oracle_lambda_passband(params: InterfererParams, k: int, branch: str = "I",
     return float(_lambda_passband(_stack([(params, k)]), branch, carrier_multiple)[0])
 
 
+def _rect_integrals(draws: _Draws) -> np.ndarray:
+    """Closed form of the pulse-train primitive integrals over the in-phase
+    decision interval of each draw's bit k, for its offset and payload (its
+    amplitude and phase do not enter), as (draws, 6) columns: each kind of
+    RECT_KINDS on the in-phase, then the quadrature train."""
+    two_t = 2.0
+    w_p = math.pi / two_t
+    phi_p = math.pi * draws.tau[:, None] / two_t
+    scale = -1.0 / (2.0 * w_p)
+    # the quadrature train leaks in with the offset decomposed as tau + T,
+    # and its cos2wp and sin2wp terms change sign; columns I, Q throughout
+    sign = np.array([1.0, -1.0])
+    k_shift, tau_rel = decompose_offset(draws.tau[:, None] + (0.0, 1.0))
+    n = draws.position[:, None] + (0.0, 1.0) - 2.0 * k_shift
+    prev, cur = np.hsplit(draws.bits_at(np.hstack([n - 2.0, n])), 2)
+    diff = prev - cur
+    return np.hstack([tau_rel * prev + (two_t - tau_rel) * cur,
+                      sign * (scale * np.sin(2.0 * phi_p) * diff),
+                      scale * (1.0 - sign * np.cos(2.0 * phi_p)) * diff])
+
+
 def rect_integral(f_kind: str, params: InterfererParams, k: int,
                   branch: str = "I") -> float:
     """Closed form of the pulse-train primitive integrals over the in-phase
-    decision interval of bit k, for the offset and payload of params (its
-    amplitude and phase do not enter).
+    decision interval of bit k, for the offset and payload of params:
+    _rect_integrals of a batch of one.
 
     f_kind selects the smooth factor: "one", "cos2wp" (cos 2*w_p*t) or
     "sin2wp" (sin 2*w_p*t). branch "I" integrates the in-phase pulse train,
@@ -267,23 +256,8 @@ def rect_integral(f_kind: str, params: InterfererParams, k: int,
     """
     if f_kind not in RECT_KINDS:
         raise ValueError(f"unknown f_kind {f_kind!r}")
-    n = transmit_position(k, branch)
-    tau, bits = params.tau, params.bits
-    two_t = 2.0
-    w_p = math.pi / two_t
-    k_shift, tau_rel = decompose_offset(tau if branch == "I" else tau + 1.0)
-    n -= 2 * k_shift
-    prev, cur = _bit(bits, n - 2), _bit(bits, n)
-    phi_p = math.pi * tau / two_t
-    if f_kind == "one":
-        return tau_rel * prev + (two_t - tau_rel) * cur
-    diff = prev - cur
-    if f_kind == "cos2wp":
-        val = -1.0 / (2.0 * w_p) * math.sin(2.0 * phi_p) * diff
-        return val if branch == "I" else -val
-    if branch == "I":
-        return -1.0 / (2.0 * w_p) * (1.0 - math.cos(2.0 * phi_p)) * diff
-    return -1.0 / (2.0 * w_p) * (1.0 + math.cos(2.0 * phi_p)) * diff
+    column = 2 * RECT_KINDS.index(f_kind) + transmit_position(0, branch)
+    return float(_rect_integrals(_stack([(params, k)]))[0, column])
 
 
 def _rect_quadrature(f_kind: str, draws: _Draws, branch: str = "I") -> np.ndarray:

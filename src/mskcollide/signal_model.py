@@ -7,7 +7,9 @@ position 2m carries in-phase bit m, position 2m+1 carries quadrature bit m
 `transmit_position` gives bit k of a branch its place in that array.
 `draw_payloads` draws whole batches of such payloads for the Monte Carlo
 engine; `InterfererParams` describes one interferer, with its own time
-offset and phase, for the one-row closed form and the numerical oracle.
+offset and phase, and `_Draws` holds a batch of (interferer, bit index)
+draws along a leading draw axis, on which the closed forms and the
+numerical oracle both run.
 
 `_is_integer` and `_is_number` are the package's one rule for an integer
 and for a finite number: every check of an input value uses one of them.
@@ -20,6 +22,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,6 +87,47 @@ class InterfererParams:
         object.__setattr__(self, "phi_c", float(self.phi_c) % TWO_PI)
         object.__setattr__(self, "tau", float(self.tau))
         object.__setattr__(self, "amplitude", float(self.amplitude))
+
+
+class _Draws(NamedTuple):
+    """(interferer, k) draws as arrays along a leading draw axis."""
+
+    #: transmit-order bits, as floats, at (draw, q + 1, p) for transmit
+    #: position 2q + p, so the first q and at least the last hold silence
+    bits: np.ndarray
+    #: 2k, the in-phase transmit position of each draw's bit k
+    position: np.ndarray
+    tau: np.ndarray
+    phi_c: np.ndarray
+    amplitude: np.ndarray
+
+    def bits_at(self, positions: np.ndarray) -> np.ndarray:
+        """Each draw's bits at transmit positions (draws, j), given as whole
+        floats: 0 (silence) outside its payload, however far."""
+        draws, width = len(self.bits), 2 * self.bits.shape[1]
+        # the silence of the first q, or of the last, past either end
+        index = np.clip(positions, -2.0, width - 3.0)
+        index += np.arange(2, draws * width, width)[:, None]
+        return self.bits.reshape(-1)[index.astype(np.intp)]
+
+
+def _batch(draws) -> _Draws:
+    """The batch of a sequence of (bits, amplitude, tau, phi_c, k) draws,
+    each bits a transmit-order payload; a k that is a bool or not an
+    integer is a ValueError."""
+    width = 2 * ((max(len(bits) for bits, *_ in draws) + 1) // 2 + 2)
+    bits = np.zeros((len(draws), width))
+    for row, (payload, *_) in enumerate(draws):
+        bits[row, 2:2 + len(payload)] = payload
+    return _Draws(bits.reshape(len(draws), -1, 2),
+                  *np.array([(transmit_position(k, "I"), tau, phi_c, amplitude)
+                             for _, amplitude, tau, phi_c, k in draws]).T)
+
+
+def _stack(draws) -> _Draws:
+    """The batch of a sequence of (InterfererParams, k) pairs."""
+    return _batch([(params.bits, params.amplitude, params.tau, params.phi_c, k)
+                   for params, k in draws])
 
 
 def draw_payloads(rng, mode: str, coded: bool, n_bits: int, n_interferers: int,

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from mskcollide import (BIPOLAR_CHIP_TABLE, InterfererParams, PRESETS,
-                        ZONE_PRESETS, capture_zone, decide,
+                        ZONE_PRESETS, capture_zone, decide, demod,
                         interference_contribution, n_interferer_experiment,
-                        oracle, rect_integral, run_point, sweep)
+                        oracle, run_point, sweep)
 from mskcollide.cli import main as cli_main
 from thresholds import threshold_extract
 
@@ -62,18 +62,20 @@ def test_criterion_01_oracle_equivalence():
     for _ in range(draws):
         u = _random_interferer(rng)
         pairs.append((u, int(rng.integers(0, 8))))
-    # the oracle integrates all draws as one batch; the closed forms are
-    # what is under test, so they run one draw at a time
+    # the closed forms and the oracle each evaluate all draws as one batch;
+    # a draw's value does not depend on its batch
     batch = oracle._stack(pairs)
+    lambdas = demod._contributions(batch)
+    rects = oracle._rect_integrals(batch)
     worst_lambda = 0.0
     worst_rect = 0.0
-    for branch in ("I", "Q"):
-        closed = np.array([interference_contribution(u, k, branch) for u, k in pairs])
+    for col, branch in enumerate(("I", "Q")):
         ref = oracle._lambda_baseband(batch, branch)
-        worst_lambda = max(worst_lambda, np.max(np.abs(closed - ref) / (1.0 + np.abs(ref))))
-        for kind in RECT_KINDS:
-            closed = np.array([rect_integral(kind, u, k, branch) for u, k in pairs])
+        worst_lambda = max(worst_lambda,
+                           np.max(np.abs(lambdas[:, col] - ref) / (1.0 + np.abs(ref))))
+        for row, kind in enumerate(RECT_KINDS):
             ref = oracle._rect_quadrature(kind, batch, branch)
+            closed = rects[:, 2 * row + col]
             worst_rect = max(worst_rect, np.max(np.abs(closed - ref) / (1.0 + np.abs(ref))))
     elapsed = time.perf_counter() - started
     ok = worst_lambda <= 1e-9 and worst_rect <= 1e-9 and elapsed < 60.0

@@ -2,14 +2,15 @@
 
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
-from mskcollide import (ExperimentConfig, cli, interference_contribution, montecarlo,
-                        oracle_lambda_baseband, rect_integral, rect_integral_quadrature,
-                        run_point)
+from mskcollide import (ExperimentConfig, InterfererParams, cli, interference_contribution,
+                        montecarlo, oracle_lambda_baseband, rect_integral,
+                        rect_integral_quadrature, run_point)
 from mskcollide.cli import main
 
 
@@ -46,27 +47,46 @@ def test_validate_passband():
                  "--passband", "--seed", "5"]) == 0
 
 
+def _plain_validate_draw(rng):
+    """One validate draw as the per-draw loop makes it: the RNG calls in
+    order, then an InterfererParams."""
+    n_bits = int(rng.integers(4, 13)) * 2
+    bits = rng.integers(0, 2, size=n_bits) * 2 - 1
+    params = InterfererParams(amplitude=float(10.0 ** rng.uniform(-2, 2)),
+                              tau=float(rng.uniform(-4.0, 4.0)),
+                              phi_c=float(rng.uniform(0.0, 2.0 * math.pi)), bits=bits)
+    return params, int(rng.integers(0, n_bits // 2))
+
+
 def test_validate_batches_the_draws_of_a_plain_loop(monkeypatch):
-    """A validate of one chunk and three draws integrates, in two batches,
-    exactly the draws a plain _random_params loop gives on its seed."""
+    """A validate of one chunk and three draws evaluates, in two batches,
+    exactly the draws a plain per-draw loop gives on its seed, and
+    _random_params replays them one at a time."""
     batches = []
 
-    def recording(draws):
-        batches.append(list(draws))
-        return stack(draws)
+    def recording(rng, count):
+        batches.append(random_draws(rng, count))
+        return batches[-1]
 
-    stack = cli._stack
-    monkeypatch.setattr(cli, "_stack", recording)
+    random_draws = cli._random_draws
+    monkeypatch.setattr(cli, "_random_draws", recording)
     draws = cli.VALIDATE_CHUNK + 3
     assert main(["validate", "--draws", str(draws), "--seed", "11"]) == 0
-    assert [len(batch) for batch in batches] == [cli.VALIDATE_CHUNK, 3]
-    rng = np.random.default_rng(11)
-    for got, (params, k) in zip(batches[0] + batches[1],
-                                (cli._random_params(rng) for _ in range(draws)),
-                                strict=True):
-        assert (got[0].amplitude, got[0].tau, got[0].phi_c, got[1]) == (
-            params.amplitude, params.tau, params.phi_c, k)
-        assert np.array_equal(got[0].bits, params.bits)
+    assert [len(batch.tau) for batch in batches] == [cli.VALIDATE_CHUNK, 3]
+    rng, replay = np.random.default_rng(11), np.random.default_rng(11)
+    for batch in batches:
+        for row in range(len(batch.tau)):
+            params, k = _plain_validate_draw(rng)
+            again, k_again = cli._random_params(replay)
+            assert (again.amplitude, again.tau, again.phi_c, k_again) == (
+                params.amplitude, params.tau, params.phi_c, k)
+            assert np.array_equal(again.bits, params.bits)
+            assert (batch.amplitude[row], batch.tau[row], batch.phi_c[row],
+                    batch.position[row]) == (params.amplitude, params.tau, params.phi_c, 2 * k)
+            # transmit order after two silent positions, silence after it
+            flat = batch.bits[row].ravel()
+            assert np.array_equal(flat[2:2 + len(params.bits)], params.bits)
+            assert not flat[:2].any() and not flat[2 + len(params.bits):].any()
 
 
 def test_validate_fail_names_the_first_worst_draw(capsys):

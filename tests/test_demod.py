@@ -11,9 +11,11 @@ import pytest
 from mskcollide import (InterfererParams, interference_contribution,
                         oracle_lambda_baseband, rect_integral,
                         rect_integral_quadrature)
-from mskcollide import demod, montecarlo
+from mskcollide import demod, montecarlo, oracle
 from mskcollide.demod import _offset_terms, _pattern_table, decompose_offset
 from mskcollide.montecarlo import _compute_soft
+from mskcollide.oracle import RECT_KINDS
+from mskcollide.signal_model import _stack
 
 TWO_OVER_PI = 2.0 / math.pi
 
@@ -573,3 +575,144 @@ class TestPatternTables:
         monkeypatch.setattr(montecarlo, "_compute_soft", reference)
         assert montecarlo.run_point(cfg, tau, -4.0) == tables
         assert 0.0 < tables.ber < 1.0
+
+
+def _scalar_decompose(shifted):
+    """decompose_offset as it was written for one offset, in Python scalars."""
+    k_shift = math.floor(shifted / 2.0)
+    tau_rel = shifted - 2.0 * k_shift
+    if tau_rel >= 2.0:
+        k_shift += 1
+        tau_rel -= 2.0
+    if tau_rel < 0.0:
+        tau_rel = 0.0
+    return k_shift, tau_rel
+
+
+def _scalar_lambda(u, k, branch):
+    """interference_contribution as it was computed one draw at a time: the
+    weights in Python scalars, the 81-entry one-phase pattern table, and
+    the entry at the bit's pattern code."""
+    n = 2 * k + (branch == "Q")
+    k_main, rel_main = _scalar_decompose(u.tau)
+    k_leak, rel_leak = _scalar_decompose(u.tau + 1.0)
+    over_pi = 2.0 / math.pi
+    phi_p = math.pi * u.tau / 2.0
+    cos_p, sin_p = math.cos(phi_p), math.sin(phi_p)
+    weights = (cos_p * rel_main - over_pi * sin_p,
+               cos_p * (2.0 - rel_main) + over_pi * sin_p,
+               sin_p * rel_leak + over_pi * cos_p,
+               sin_p * (2.0 - rel_leak) - over_pi * cos_p)
+    lags = (2 * k_main + 2, 2 * k_main, 2 * k_leak + 1, 2 * k_leak - 1)
+    code = 0
+    for lag in lags:
+        m = n - lag
+        code = 3 * code + (int(u.bits[m]) + 1 if 0 <= m < len(u.bits) else 1)
+    gain = u.amplitude / 2.0
+    w_main_prev, w_main_cur, w_leak_prev, w_leak_cur = (gain * w for w in weights)
+    main_prev, main_cur, leak_prev, leak_cur = demod._PATTERNS
+    direct = w_main_prev * main_prev
+    leak = w_main_cur * main_cur
+    direct += leak
+    np.multiply(w_leak_prev, leak_prev, out=leak)
+    leak += w_leak_cur * leak_cur
+    phi_c = np.asarray(u.phi_c, dtype=np.float64)
+    table = np.einsum("...,j->...j", np.cos(phi_c), direct)
+    table -= np.einsum("...,j->...j", np.sin(phi_c), leak)
+    return float(table[code])
+
+
+def _scalar_rect(kind, u, k, branch):
+    """rect_integral as it was computed one draw at a time."""
+    n = 2 * k + (branch == "Q")
+    k_shift, tau_rel = _scalar_decompose(u.tau if branch == "I" else u.tau + 1.0)
+    n -= 2 * k_shift
+    prev, cur = (int(u.bits[m]) if 0 <= m < len(u.bits) else 0 for m in (n - 2, n))
+    phi_p = math.pi * u.tau / 2.0
+    if kind == "one":
+        return tau_rel * prev + (2.0 - tau_rel) * cur
+    diff = prev - cur
+    if kind == "cos2wp":
+        val = -1.0 / (2.0 * (math.pi / 2.0)) * math.sin(2.0 * phi_p) * diff
+        return val if branch == "I" else -val
+    if branch == "I":
+        return -1.0 / (2.0 * (math.pi / 2.0)) * (1.0 - math.cos(2.0 * phi_p)) * diff
+    return -1.0 / (2.0 * (math.pi / 2.0)) * (1.0 + math.cos(2.0 * phi_p)) * diff
+
+
+def _scalar_closed_forms(u, k):
+    """The eight values validate compares, in its label order: lambda on I
+    and Q, then each primitive integral on I and Q."""
+    return [_scalar_lambda(u, k, branch) for branch in ("I", "Q")] + [
+        _scalar_rect(kind, u, k, branch) for kind in RECT_KINDS for branch in ("I", "Q")]
+
+
+def _batched_closed_forms(pairs):
+    batch = _stack(pairs)
+    return np.hstack([demod._contributions(batch), oracle._rect_integrals(batch)])
+
+
+#: Offsets at the ends of validate's range, and whole multiples of T, where
+#: a piece of the decision interval is empty.
+_EDGE_TAUS = (-4.0, np.nextafter(-4.0, 0.0), -3.9999999, np.nextafter(4.0, 0.0), 3.9999999,
+              4.0, -3.0, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0, 1e-13, -1e-13, 2.0 - 1e-15)
+
+
+def _closed_form_draws(count):
+    """Draws as validate makes them (8 to 24 bits, tau in [-4, 4]), a fifth
+    at an edge offset and a fifth at a special phase, and bit k the first,
+    the last or any, so that the lags reach past both payload ends."""
+    rng = np.random.default_rng(88)
+    pairs = []
+    for _ in range(count):
+        n_bits = int(rng.integers(4, 13)) * 2
+        tau = (float(rng.choice(_EDGE_TAUS)) if rng.random() < 0.2
+               else float(rng.uniform(-4.0, 4.0)))
+        phi_c = (float(rng.choice([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi]))
+                 if rng.random() < 0.2 else float(rng.uniform(0.0, 2 * math.pi)))
+        u = InterfererParams(float(10.0 ** rng.uniform(-2, 2)), tau, phi_c,
+                             rng.integers(0, 2, size=n_bits) * 2 - 1)
+        k = int(rng.choice([0, n_bits // 2 - 1, int(rng.integers(0, n_bits // 2))]))
+        pairs.append((u, k))
+    return pairs
+
+
+class TestBatchedClosedForms:
+    """lambda and the six primitive integrals of a batch of draws equal,
+    bit for bit, the values the closed forms gave one draw at a time."""
+
+    def test_batch_equals_scalar_values(self):
+        pairs = _closed_form_draws(2400)
+        got = np.vstack([_batched_closed_forms(pairs[s:s + 1024])
+                         for s in range(0, len(pairs), 1024)])
+        want = np.array([_scalar_closed_forms(u, k) for u, k in pairs])
+        _assert_bit_identical(got, want)
+        taus = {u.tau for u, _ in pairs}
+        assert taus.issuperset(_EDGE_TAUS)
+        assert {k for _, k in pairs} >= {0, 11}
+
+    def test_batch_of_one_equals_its_row(self):
+        pairs = _closed_form_draws(1024)
+        batch = _batched_closed_forms(pairs)
+        for row, (u, k) in enumerate(pairs):
+            _assert_bit_identical(_batched_closed_forms([(u, k)])[0], batch[row])
+        for row in range(0, 1024, 7):
+            u, k = pairs[row]
+            public = [interference_contribution(u, k, branch) for branch in ("I", "Q")] + [
+                rect_integral(kind, u, k, branch) for kind in RECT_KINDS for branch in ("I", "Q")]
+            assert all(type(value) is float for value in public)
+            _assert_bit_identical(np.array(public), batch[row])
+
+    def test_decompose_offset_array_equals_scalar(self):
+        # both guards: -1e-17 rounds onto 2T, and far offsets keep exact shifts
+        offsets = [-0.0, 0.0, -1e-17, 1e-17, 5e-324, -5e-324, 2.0, -2.0, 3.0000000000000004,
+                   -2.9999999999999996, 1e17, -1e17, 1e300, -1e300, *_EDGE_TAUS,
+                   *np.random.default_rng(89).uniform(-50.0, 50.0, size=200)]
+        k_shift, tau_rel = decompose_offset(np.array(offsets, dtype=np.float64))
+        for shifted, k_arr, rel_arr in zip(offsets, k_shift, tau_rel):
+            k_ref, rel_ref = _scalar_decompose(float(shifted))
+            k_one, rel_one = decompose_offset(float(shifted))
+            assert type(k_one) is int and type(rel_one) is float
+            assert k_one == k_ref and float(k_arr) == k_ref
+            for rel in (rel_one, rel_arr):
+                assert np.float64(rel).view(np.int64) == np.float64(rel_ref).view(np.int64)
