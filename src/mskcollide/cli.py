@@ -25,16 +25,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .demod import _contributions
+from .demod import interference_contribution
 from .montecarlo import (CODINGS, PAYLOAD_MODES, TARGETS, ConfigError, ExperimentConfig,
                          _check_integer, _check_number, capture_zone, grid,
                          n_interferer_experiment, sweep)
-from .oracle import (MAX_CARRIER_MULTIPLE, RECT_KINDS, _lambda_baseband, _lambda_passband,
-                     _rect_integrals, _rect_quadrature)
+from .oracle import (MAX_CARRIER_MULTIPLE, RECT_KINDS, oracle_lambda_baseband,
+                     oracle_lambda_passband, rect_integral, rect_integral_quadrature)
 from .output import (write_chip_table, write_manifest, write_ninterf,
                      write_sweep, write_zone)
 from .presets import NINTERF_DEFAULTS, PRESETS, ZONE_PRESETS
-from .signal_model import InterfererParams, _batch, _Draws
+from .signal_model import Draws
 
 T_NANOSECONDS = 500.0  # half a 1 us bit duration
 #: Draws validate holds at once; each value it compares is evaluated once
@@ -124,52 +124,36 @@ def _random_draw(rng) -> tuple:
     return bits, amplitude, tau, phi_c, int(rng.integers(0, n_bits // 2))
 
 
-def _random_draws(rng, count: int) -> _Draws:
+def _random_draws(rng, count: int) -> Draws:
     """The batch of count validate draws, made one after another."""
-    return _batch([_random_draw(rng) for _ in range(count)])
-
-
-def _random_params(rng) -> tuple[InterfererParams, int]:
-    """One validate draw as (InterfererParams, k), to replay it on its own."""
-    bits, amplitude, tau, phi_c, k = _random_draw(rng)
-    return InterfererParams(amplitude, tau, phi_c, bits), k
-
-
-def _checks(oracle, passband: bool):
-    """(labels, oracles) of every value a validate draw compares: lambda on
-    both branches, then in baseband the primitive integrals. Each oracle
-    integrates one label's value on a batch of draws."""
-    labels = ["I", "Q"]
-    oracles = [partial(oracle, branch=branch) for branch in labels]
-    if not passband:
-        rects = [(kind, branch) for kind in RECT_KINDS for branch in ("I", "Q")]
-        labels += [f"rect/{kind}/{branch}" for kind, branch in rects]
-        oracles += [partial(_rect_quadrature, kind, branch=branch) for kind, branch in rects]
-    return labels, oracles
+    return Draws.of([_random_draw(rng) for _ in range(count)])
 
 
 def cmd_validate(args) -> int:
     _check_integer("--draws", args.draws, 1)
     _check_integer("--seed", args.seed, 0)
     _check_number("--tolerance", args.tolerance, 0)
-    oracle = _lambda_passband if args.passband else _lambda_baseband
+    oracle = oracle_lambda_passband if args.passband else oracle_lambda_baseband
     if args.carrier_multiple is not None:
         _check_integer("--carrier-multiple", args.carrier_multiple, 8, MAX_CARRIER_MULTIPLE)
         if not args.passband:
             raise ConfigError("--carrier-multiple needs --passband")
         oracle = partial(oracle, carrier_multiple=args.carrier_multiple)
-    labels, oracles = _checks(oracle, args.passband)
+    # the values a draw compares, in the columns' order: lambda on both
+    # branches, then in baseband the primitive integrals
+    labels = ["I", "Q"]
+    if not args.passband:
+        labels += [f"rect/{kind}/{branch}" for kind in RECT_KINDS for branch in ("I", "Q")]
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     worst_case = None
     for first in range(0, args.draws, VALIDATE_CHUNK):
         batch = _random_draws(rng, min(VALIDATE_CHUNK, args.draws - first))
-        # the closed forms in the labels' order: lambda, then the six
-        # primitive integrals (_rect_integrals' columns)
-        closed = _contributions(batch)
+        closed = interference_contribution(batch)
+        reference = oracle(batch)
         if not args.passband:
-            closed = np.hstack([closed, _rect_integrals(batch)])
-        reference = np.array([integrate(batch) for integrate in oracles]).T
+            closed = np.hstack([closed, rect_integral(batch)])
+            reference = np.hstack([reference, rect_integral_quadrature(batch)])
         dev = np.abs(closed - reference) / (1.0 + np.abs(reference))
         # the first maximum in (draw, label) order
         row, col = divmod(int(np.argmax(dev)), len(labels))

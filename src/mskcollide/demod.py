@@ -18,9 +18,9 @@ weights and, in transmit order, the same four chip lags. So an
 interferer's contribution to any decision is one of the 81 entries of its
 pattern table (_pattern_table), picked by four ternary chips (+-1, or 0
 for silence). _PatternGather gathers whole packets from that table for
-the Monte Carlo engine; _contributions evaluates the same arithmetic at
-just the two patterns of bit k of each draw of a batch (signal_model's
-_Draws), and interference_contribution is its batch of one.
+the Monte Carlo engine; interference_contribution evaluates the same
+arithmetic at just the two patterns of bit k of each draw of a batch
+(signal_model's Draws).
 
 The sign conventions used here are pinned by the numerical oracle (see the
 oracle module and its tests). Times are in units of T, half a bit
@@ -34,15 +34,15 @@ import math
 
 import numpy as np
 
-from .signal_model import InterfererParams, _Draws, _stack, transmit_position
+from .signal_model import Draws
 
 
 def decompose_offset(shifted):
-    """(k_shift, tau_rel) of an offset on one pulse grid (tau, or tau + T for
-    the leaking bits): decision k reads bits k - k_shift - 1 and k - k_shift,
-    and tau_rel lies in [0, 2T). Total for all finite offsets. Elementwise
-    on an array of offsets, where k_shift is a float array of whole
-    numbers (exact at any offset); an int for one number."""
+    """(k_shift, tau_rel) of an array of offsets on one pulse grid (tau, or
+    tau + T for the leaking bits), elementwise: decision k reads bits
+    k - k_shift - 1 and k - k_shift, and tau_rel lies in [0, 2T). k_shift
+    holds whole numbers as floats, exact at any offset. Total for all
+    finite offsets."""
     two_t = 2.0
     # + 0.0 makes floor's -0.0 the 0 it stands for, so tau_rel keeps the
     # sign of a -0.0 offset
@@ -53,17 +53,15 @@ def decompose_offset(shifted):
     wrapped = tau_rel >= two_t
     k_shift = k_shift + wrapped
     tau_rel = tau_rel - two_t * wrapped
-    tau_rel = np.where(tau_rel < 0.0, 0.0, tau_rel)
-    if isinstance(shifted, np.ndarray):
-        return k_shift, tau_rel
-    return int(k_shift), float(tau_rel)
+    return k_shift, np.where(tau_rel < 0.0, 0.0, tau_rel)
 
 
 def _offset_terms(tau):
     """Lags and phase-free weights (without the gain A / 2T) of the (main
     prev, main cur, leak prev, leak cur) chips: both branches' bit at
     transmit position n has pattern chips[n - lag] (0 outside the packet).
-    Elementwise on an array of offsets, as decompose_offset."""
+    Elementwise, as decompose_offset: on one offset for the Monte Carlo
+    engine, on an array of them for a batch of draws."""
     k_main, rel_main = decompose_offset(tau)
     k_leak, rel_leak = decompose_offset(tau + 1.0)
     # With b the detected-branch bits and l the leaking bits selected by
@@ -100,9 +98,9 @@ def _pattern_table(amplitude, weights, phi_c, patterns=_PATTERNS) -> np.ndarray:
     + 9 (main cur + 1) + 3 (leak prev + 1) + (leak cur + 1). Both branches
     share the four weights, so one table serves both. It is the one
     evaluation of the closed form: the Monte Carlo engine gathers whole
-    packets from it, and _contributions passes each draw's own amplitude
-    and weights, as (draws, 1) columns, with its own (draws, 2) patterns,
-    for a (draws, 2) table of just the values it reads.
+    packets from it, and interference_contribution passes each draw's own
+    amplitude and weights, as (draws, 1) columns, with its own (draws, 2)
+    patterns, for a (draws, 2) table of just the values it reads.
     """
     gain = amplitude / 2.0
     w_main_prev, w_main_cur, w_leak_prev, w_leak_cur = (gain * weight for weight in weights)
@@ -125,7 +123,7 @@ def _pattern_table(amplitude, weights, phi_c, patterns=_PATTERNS) -> np.ndarray:
     return table
 
 
-def _contributions(draws: _Draws) -> np.ndarray:
+def interference_contribution(draws: Draws) -> np.ndarray:
     """Closed-form contribution of each draw of a batch to its soft bit k,
     as (draws, 2) columns for the in-phase and quadrature branches: each
     draw's pattern table (_pattern_table) at the patterns of the bit's two
@@ -136,14 +134,6 @@ def _contributions(draws: _Draws) -> np.ndarray:
     patterns = draws.bits_at(n.reshape(len(n), -1)).reshape(n.shape).transpose(1, 0, 2)
     return _pattern_table(draws.amplitude[:, None], [weight[:, None] for weight in weights],
                           draws.phi_c, patterns)
-
-
-def interference_contribution(params: InterfererParams, k: int,
-                              branch: str = "I") -> float:
-    """Closed-form contribution of one interferer to soft bit k of a branch:
-    _contributions of a batch of one."""
-    column = transmit_position(0, branch)
-    return float(_contributions(_stack([(params, k)]))[0, column])
 
 
 class _PatternGather:
@@ -163,6 +153,7 @@ class _PatternGather:
 
     def __init__(self, rows: int, n_chips: int, tau: float):
         lags, self.weights = _offset_terms(tau)
+        lags = [int(lag) for lag in lags]
         pad = min(max(map(abs, lags)), n_chips)
         # a lag of n_chips or more reads only padding, as a lag of n_chips does
         self.starts = [pad - max(-pad, min(pad, lag)) for lag in lags]

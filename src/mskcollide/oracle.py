@@ -17,13 +17,14 @@ baseband and one per double-carrier period in passband. As in the closed
 forms, times are in units of T = 1, so a bit lasts 2.
 
 Every integration runs on a batch of draws along a leading axis
-(signal_model's `_Draws`, as the closed forms do): one table row per
+(signal_model's `Draws`, as the closed forms do): one table row per
 (draw, piece), one evaluation of the smooth factor on the nodes of all of
-them, one reduction per draw. `validate` integrates batches of many
-draws; the public functions are batches of one, and a draw's value does
-not depend on its batch. A batch is integrated in chunks of at most
-`_CHUNK_PANELS` panels' worth of draws (at least one), so node arrays stay
-near 0.5 MB, or one draw's 8 MB at the largest carrier multiple.
+them, one reduction per draw. Each public function takes a batch and
+returns every branch (and kind) of it, one integration per column, and a
+draw's value does not depend on its batch. A batch is integrated in
+chunks of at most `_CHUNK_PANELS` panels' worth of draws (at least one),
+so node arrays stay near 0.5 MB, or one draw's 8 MB at the largest
+carrier multiple.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import math
 import numpy as np
 
 from .demod import decompose_offset
-from .signal_model import InterfererParams, _Draws, _is_integer, _stack, transmit_position
+from .signal_model import Draws, _is_integer
 
 #: The smooth factors of the pulse-train primitive integrals, and each as a
 #: function of 2 * w_p * t.
@@ -94,7 +95,7 @@ def _integrate_pieces(coeff, bits: np.ndarray, n: np.ndarray, tau: np.ndarray,
     """For each draw d, integrate sum_j train_j(t) * coeff(t)[j] over the
     decision interval [n[d] - 1, n[d] + 1], for the pulse trains of the
     given parities (0 in-phase, 1 quadrature) of bits[d] delayed by tau[d].
-    bits is laid out as in _Draws; n, tau and phi_c hold one value a draw.
+    bits is laid out as in Draws; n, tau and phi_c hold one value a draw.
 
     The edges tau + m and tau + m + 1 split each interval into three
     pieces; each gets max(1, ceil(panels_per_bit * its share of the
@@ -149,31 +150,10 @@ def _integrate_chunk(coeff, bits, n, tau, phi_c, trains, panels_per_bit):
     return np.vecdot(np.vecdot(parts.T.reshape(draws, 3, -1), values), table[..., 1])
 
 
-def _lambda_baseband(draws: _Draws, branch: str = "I") -> np.ndarray:
-    """oracle_lambda_baseband of every draw of a batch."""
-    w_p = math.pi / 2.0
-    if branch == "I":
-        def coeff(t, tau, phi_c):
-            phi_p = w_p * tau
-            wave = 2 * w_p * t - phi_p
-            return (np.cos(phi_c) * (np.cos(phi_p) + np.cos(wave)),
-                    np.sin(phi_c) * (np.sin(wave) - np.sin(phi_p)))
-    else:
-        def coeff(t, tau, phi_c):
-            phi_p = w_p * tau
-            wave = 2 * w_p * t - phi_p
-            return (-np.sin(phi_c) * (np.sin(wave) + np.sin(phi_p)),
-                    np.cos(phi_c) * (np.cos(phi_p) - np.cos(wave)))
-
-    n = draws.position + transmit_position(0, branch)
-    # the matched-filter gain 1/2 goes with the amplitude: a power of two
-    # changes no rounding
-    return 0.5 * draws.amplitude * _integrate_pieces(coeff, draws.bits, n, draws.tau,
-                                                     draws.phi_c)
-
-
-def oracle_lambda_baseband(params: InterfererParams, k: int, branch: str = "I") -> float:
-    """Numerically integrate the post-lowpass matched-filter product.
+def oracle_lambda_baseband(draws: Draws) -> np.ndarray:
+    """Numerically integrate the post-lowpass matched-filter product of each
+    draw of a batch at its bit k, as (draws, 2) columns for the in-phase and
+    quadrature branches, one integration each.
 
     Independent of the closed form's bit-index bookkeeping because the
     pulse trains are evaluated pointwise. Within a piece the integrand has
@@ -181,38 +161,30 @@ def oracle_lambda_baseband(params: InterfererParams, k: int, branch: str = "I") 
     round-off. The integrand is taken at unit amplitude and the result
     scaled, so no finite amplitude overflows inside the sum.
     """
-    return float(_lambda_baseband(_stack([(params, k)]), branch)[0])
-
-
-def _lambda_passband(draws: _Draws, branch: str = "I",
-                     carrier_multiple: int = 256) -> np.ndarray:
-    """oracle_lambda_passband of every draw of a batch."""
-    if not _is_integer(carrier_multiple) or not 8 <= carrier_multiple <= MAX_CARRIER_MULTIPLE:
-        raise ValueError(f"carrier_multiple must be an integer in "
-                         f"8..{MAX_CARRIER_MULTIPLE}, not {carrier_multiple!r}")
-    n = draws.position + transmit_position(0, branch)
     w_p = math.pi / 2.0
-    w_c = carrier_multiple * w_p
 
-    if branch == "I":
-        def basis(t):
-            return np.cos(w_p * t) * np.cos(w_c * t)
-    else:
-        def basis(t):
-            return np.sin(w_p * t) * np.sin(w_c * t)
+    def in_phase(t, tau, phi_c):
+        phi_p = w_p * tau
+        wave = 2 * w_p * t - phi_p
+        return (np.cos(phi_c) * (np.cos(phi_p) + np.cos(wave)),
+                np.sin(phi_c) * (np.sin(wave) - np.sin(phi_p)))
 
-    def coeff(t, tau, phi_c):
-        ph = basis(t) * 2.0
-        return (ph * np.cos(w_p * (t - tau)) * np.cos(w_c * t + phi_c),
-                ph * np.sin(w_p * (t - tau)) * np.sin(w_c * t + phi_c))
+    def quadrature(t, tau, phi_c):
+        phi_p = w_p * tau
+        wave = 2 * w_p * t - phi_p
+        return (-np.sin(phi_c) * (np.sin(wave) + np.sin(phi_p)),
+                np.cos(phi_c) * (np.cos(phi_p) - np.cos(wave)))
 
-    return draws.amplitude * _integrate_pieces(coeff, draws.bits, n, draws.tau, draws.phi_c,
-                                               panels_per_bit=carrier_multiple)
+    # the matched-filter gain 1/2 goes with the amplitude: a power of two
+    # changes no rounding
+    return np.stack([0.5 * draws.amplitude * _integrate_pieces(
+        coeff, draws.bits, draws.position + parity, draws.tau, draws.phi_c)
+        for parity, coeff in enumerate((in_phase, quadrature))], axis=1)
 
 
-def oracle_lambda_passband(params: InterfererParams, k: int, branch: str = "I",
-                           carrier_multiple: int = 256) -> float:
-    """Integrate the full passband product with an explicit carrier.
+def oracle_lambda_passband(draws: Draws, carrier_multiple: int = 256) -> np.ndarray:
+    """Integrate the full passband product with an explicit carrier, as
+    oracle_lambda_baseband's (draws, 2) columns.
 
     The carrier is carrier_multiple times the pulse frequency; agreement
     with the baseband oracle is up to an O(1/carrier_multiple) residue from
@@ -220,14 +192,39 @@ def oracle_lambda_passband(params: InterfererParams, k: int, branch: str = "I",
     double-carrier periods, and each gets one Gauss-Legendre panel. As in
     baseband, the integral is taken at unit amplitude and then scaled.
     """
-    return float(_lambda_passband(_stack([(params, k)]), branch, carrier_multiple)[0])
+    if not _is_integer(carrier_multiple) or not 8 <= carrier_multiple <= MAX_CARRIER_MULTIPLE:
+        raise ValueError(f"carrier_multiple must be an integer in "
+                         f"8..{MAX_CARRIER_MULTIPLE}, not {carrier_multiple!r}")
+    w_p = math.pi / 2.0
+    w_c = carrier_multiple * w_p
+
+    def in_phase(t):
+        return np.cos(w_p * t) * np.cos(w_c * t)
+
+    def quadrature(t):
+        return np.sin(w_p * t) * np.sin(w_c * t)
+
+    def integrate(parity, basis):
+        def coeff(t, tau, phi_c):
+            ph = basis(t) * 2.0
+            return (ph * np.cos(w_p * (t - tau)) * np.cos(w_c * t + phi_c),
+                    ph * np.sin(w_p * (t - tau)) * np.sin(w_c * t + phi_c))
+
+        return draws.amplitude * _integrate_pieces(coeff, draws.bits, draws.position + parity,
+                                                   draws.tau, draws.phi_c,
+                                                   panels_per_bit=carrier_multiple)
+
+    return np.stack([integrate(parity, basis)
+                     for parity, basis in enumerate((in_phase, quadrature))], axis=1)
 
 
-def _rect_integrals(draws: _Draws) -> np.ndarray:
+def rect_integral(draws: Draws) -> np.ndarray:
     """Closed form of the pulse-train primitive integrals over the in-phase
     decision interval of each draw's bit k, for its offset and payload (its
     amplitude and phase do not enter), as (draws, 6) columns: each kind of
-    RECT_KINDS on the in-phase, then the quadrature train."""
+    RECT_KINDS on the in-phase, then the quadrature train. The kinds are the
+    smooth factors 1, cos 2*w_p*t and sin 2*w_p*t; the quadrature train is
+    the one leaking into the same interval."""
     two_t = 2.0
     w_p = math.pi / two_t
     phi_p = math.pi * draws.tau[:, None] / two_t
@@ -244,38 +241,16 @@ def _rect_integrals(draws: _Draws) -> np.ndarray:
                       scale * (1.0 - sign * np.cos(2.0 * phi_p)) * diff])
 
 
-def rect_integral(f_kind: str, params: InterfererParams, k: int,
-                  branch: str = "I") -> float:
-    """Closed form of the pulse-train primitive integrals over the in-phase
-    decision interval of bit k, for the offset and payload of params:
-    _rect_integrals of a batch of one.
-
-    f_kind selects the smooth factor: "one", "cos2wp" (cos 2*w_p*t) or
-    "sin2wp" (sin 2*w_p*t). branch "I" integrates the in-phase pulse train,
-    "Q" the quadrature train leaking into the same interval.
-    """
-    if f_kind not in RECT_KINDS:
-        raise ValueError(f"unknown f_kind {f_kind!r}")
-    column = 2 * RECT_KINDS.index(f_kind) + transmit_position(0, branch)
-    return float(_rect_integrals(_stack([(params, k)]))[0, column])
-
-
-def _rect_quadrature(f_kind: str, draws: _Draws, branch: str = "I") -> np.ndarray:
-    """rect_integral_quadrature of every draw of a batch."""
-    if f_kind not in RECT_KINDS:
-        raise ValueError(f"unknown f_kind {f_kind!r}")
-    smooth = _SMOOTH[f_kind]
-
-    def coeff(t, tau, phi_c):
-        return smooth(math.pi * t)[None]
-
-    # the in-phase decision interval of bit k, centred on 2k, either train
-    return _integrate_pieces(coeff, draws.bits, draws.position, draws.tau, draws.phi_c,
-                             trains=(transmit_position(0, branch),))
-
-
-def rect_integral_quadrature(f_kind: str, params: InterfererParams, k: int,
-                             branch: str = "I") -> float:
+def rect_integral_quadrature(draws: Draws) -> np.ndarray:
     """Direct quadrature of the primitive integrals; numeric twin of
-    rect_integral."""
-    return float(_rect_quadrature(f_kind, _stack([(params, k)]), branch)[0])
+    rect_integral, with its (draws, 6) columns, one integration each."""
+    def integrate(smooth, parity):
+        def coeff(t, tau, phi_c):
+            return smooth(math.pi * t)[None]
+
+        # the in-phase decision interval of bit k, centred on 2k, either train
+        return _integrate_pieces(coeff, draws.bits, draws.position, draws.tau, draws.phi_c,
+                                 trains=(parity,))
+
+    return np.stack([integrate(_SMOOTH[kind], parity)
+                     for kind in RECT_KINDS for parity in (0, 1)], axis=1)

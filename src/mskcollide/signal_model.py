@@ -3,13 +3,12 @@
 Bits are antipodal: +-1 inside a packet, 0 encodes silence outside it. A
 payload is one array in transmit order, which alternates branches:
 position 2m carries in-phase bit m, position 2m+1 carries quadrature bit m
-(the quadrature pulse train is staggered by half a bit duration), so
-`transmit_position` gives bit k of a branch its place in that array.
+(the quadrature pulse train is staggered by half a bit duration).
 `draw_payloads` draws whole batches of such payloads for the Monte Carlo
-engine; `InterfererParams` describes one interferer, with its own time
-offset and phase, and `_Draws` holds a batch of (interferer, bit index)
-draws along a leading draw axis, on which the closed forms and the
-numerical oracle both run.
+engine. `Draws` holds a batch of (interferer, bit index) draws along a
+leading draw axis, each interferer with its own payload, amplitude, time
+offset and phase: the closed forms and the numerical oracle both run on
+one, and `Draws.of` is the one check of what it holds.
 
 `_is_integer` and `_is_number` are the package's one rule for an integer
 and for a finite number: every check of an input value uses one of them.
@@ -21,7 +20,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -39,6 +37,8 @@ def _is_integer(value) -> bool:
 def _is_number(value) -> bool:
     """A finite real number, not a bool; an integer too large for a float is
     not finite."""
+    if type(value) is float:  # the common case, spared the slow ABC check
+        return math.isfinite(value)
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return False
     try:
@@ -47,50 +47,10 @@ def _is_number(value) -> bool:
         return False
 
 
-def transmit_position(k: int, branch: str) -> int:
-    """Transmit position of bit k of a branch: 2k in-phase ("I"), 2k + 1
-    quadrature ("Q"). A bool or non-integer k is a ValueError."""
-    if branch not in ("I", "Q"):
-        raise ValueError("branch must be 'I' or 'Q'")
-    if not _is_integer(k):
-        raise ValueError(f"bit index must be an integer, not {k!r}")
-    return 2 * int(k) + (branch == "Q")
-
-
-@dataclass(frozen=True)
-class InterfererParams:
-    """One interfering sender: linear amplitude, time offset tau (in units
-    of T, positive arrives later), carrier phase offset (normalized into [0, 2pi)),
-    and its payload bits in transmit order (even positions in-phase, odd
-    quadrature), stored as read-only int8."""
-
-    amplitude: float
-    tau: float
-    phi_c: float
-    bits: np.ndarray
-
-    def __post_init__(self):
-        for name in ("amplitude", "tau", "phi_c"):
-            value = getattr(self, name)
-            if not _is_number(value):
-                raise ValueError(f"{name} must be a finite number, not {value!r}")
-        if not self.amplitude > 0:
-            raise ValueError("amplitude must be positive")
-        bits = np.asarray(self.bits)
-        if bits.ndim != 1 or bits.size == 0:
-            raise ValueError("bits must be one-dimensional and non-empty")
-        if not np.all(np.abs(bits) == 1):
-            raise ValueError("bits must take values +1 or -1")
-        bits = bits.astype(np.int8)
-        bits.setflags(write=False)
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "phi_c", float(self.phi_c) % TWO_PI)
-        object.__setattr__(self, "tau", float(self.tau))
-        object.__setattr__(self, "amplitude", float(self.amplitude))
-
-
-class _Draws(NamedTuple):
-    """(interferer, k) draws as arrays along a leading draw axis."""
+class Draws(NamedTuple):
+    """A batch of (interferer, bit index k) draws as arrays along a leading
+    draw axis: the closed forms and the numerical oracle take one and give
+    a row per draw. Draws.of builds one from rows and checks each."""
 
     #: transmit-order bits, as floats, at (draw, q + 1, p) for transmit
     #: position 2q + p, so the first q and at least the last hold silence
@@ -98,8 +58,45 @@ class _Draws(NamedTuple):
     #: 2k, the in-phase transmit position of each draw's bit k
     position: np.ndarray
     tau: np.ndarray
+    #: normalized into [0, 2pi)
     phi_c: np.ndarray
     amplitude: np.ndarray
+
+    @classmethod
+    def of(cls, rows) -> Draws:
+        """The batch of a sequence of (bits, amplitude, tau, phi_c, k) rows:
+        bits a transmit-order payload (one-dimensional, non-empty, +-1,
+        copied into the batch), a positive linear amplitude, the time offset
+        tau (in units of T, positive arrives later), the carrier phase offset
+        phi_c and bit index k. A number that is not finite (a bool, a string
+        or None included), a k that is not an integer, bad bits, a
+        non-positive amplitude or no rows at all is a ValueError."""
+        if not rows:
+            raise ValueError("the batch is empty: it needs at least one draw")
+        payloads = []
+        for payload, amplitude, tau, phi_c, k in rows:
+            for name, value in (("amplitude", amplitude), ("tau", tau), ("phi_c", phi_c)):
+                if not _is_number(value):
+                    raise ValueError(f"{name} must be a finite number, not {value!r}")
+            if not _is_integer(k):
+                raise ValueError(f"bit index must be an integer, not {k!r}")
+            payload = np.asarray(payload)
+            if payload.ndim != 1 or payload.size == 0:
+                raise ValueError("bits must be one-dimensional and non-empty")
+            payloads.append(payload)
+        if not np.all(np.abs(np.concatenate(payloads)) == 1):
+            raise ValueError("bits must take values +1 or -1")
+        width = 2 * ((max(map(len, payloads)) + 1) // 2 + 2)
+        bits = np.zeros((len(rows), width))
+        for row, payload in enumerate(payloads):
+            bits[row, 2:2 + len(payload)] = payload
+        bits.setflags(write=False)
+        position, tau, phi_c, amplitude = np.array(
+            [(2 * int(k), tau, phi_c, amplitude) for _, amplitude, tau, phi_c, k in rows],
+            dtype=np.float64).T
+        if not np.all(amplitude > 0):
+            raise ValueError("amplitude must be positive")
+        return cls(bits.reshape(len(rows), -1, 2), position, tau, phi_c % TWO_PI, amplitude)
 
     def bits_at(self, positions: np.ndarray) -> np.ndarray:
         """Each draw's bits at transmit positions (draws, j), given as whole
@@ -109,25 +106,6 @@ class _Draws(NamedTuple):
         index = np.clip(positions, -2.0, width - 3.0)
         index += np.arange(2, draws * width, width)[:, None]
         return self.bits.reshape(-1)[index.astype(np.intp)]
-
-
-def _batch(draws) -> _Draws:
-    """The batch of a sequence of (bits, amplitude, tau, phi_c, k) draws,
-    each bits a transmit-order payload; a k that is a bool or not an
-    integer is a ValueError."""
-    width = 2 * ((max(len(bits) for bits, *_ in draws) + 1) // 2 + 2)
-    bits = np.zeros((len(draws), width))
-    for row, (payload, *_) in enumerate(draws):
-        bits[row, 2:2 + len(payload)] = payload
-    return _Draws(bits.reshape(len(draws), -1, 2),
-                  *np.array([(transmit_position(k, "I"), tau, phi_c, amplitude)
-                             for _, amplitude, tau, phi_c, k in draws]).T)
-
-
-def _stack(draws) -> _Draws:
-    """The batch of a sequence of (InterfererParams, k) pairs."""
-    return _batch([(params.bits, params.amplitude, params.tau, params.phi_c, k)
-                   for params, k in draws])
 
 
 def draw_payloads(rng, mode: str, coded: bool, n_bits: int, n_interferers: int,

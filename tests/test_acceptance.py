@@ -10,18 +10,18 @@ the binomial noise, grid criteria use the stated 1,000 packets per point.
 import math
 import time
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from mskcollide import (BIPOLAR_CHIP_TABLE, InterfererParams, PRESETS,
-                        ZONE_PRESETS, capture_zone, decide, demod,
-                        interference_contribution, n_interferer_experiment,
-                        oracle, run_point, sweep)
+from mskcollide import (BIPOLAR_CHIP_TABLE, PRESETS, ZONE_PRESETS, Draws, capture_zone,
+                        decide, interference_contribution, n_interferer_experiment,
+                        oracle_lambda_baseband, rect_integral, rect_integral_quadrature,
+                        run_point, sweep)
 from mskcollide.cli import main as cli_main
 from thresholds import threshold_extract
 
-RECT_KINDS = ("one", "cos2wp", "sin2wp")
 THREADS = 2
 
 
@@ -29,9 +29,18 @@ def _report(num, name, ok, detail=""):
     print(f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'} {name}: {detail}")
 
 
+class Interferer(NamedTuple):
+    """One interferer, in the order of a Draws.of row before its bit index."""
+
+    bits: object
+    amplitude: float
+    tau: float
+    phi_c: float
+
+
 def _random_interferer(rng, n_bits_half=8):
     bits = rng.integers(0, 2, size=2 * n_bits_half) * 2 - 1
-    return InterfererParams(
+    return Interferer(
         amplitude=float(10.0 ** rng.uniform(-2, 2)),
         tau=float(rng.uniform(-4.0, 4.0)),
         phi_c=float(rng.uniform(0.0, 2 * math.pi)),
@@ -62,21 +71,16 @@ def test_criterion_01_oracle_equivalence():
     for _ in range(draws):
         u = _random_interferer(rng)
         pairs.append((u, int(rng.integers(0, 8))))
-    # the closed forms and the oracle each evaluate all draws as one batch;
-    # a draw's value does not depend on its batch
-    batch = oracle._stack(pairs)
-    lambdas = demod._contributions(batch)
-    rects = oracle._rect_integrals(batch)
-    worst_lambda = 0.0
-    worst_rect = 0.0
-    for col, branch in enumerate(("I", "Q")):
-        ref = oracle._lambda_baseband(batch, branch)
-        worst_lambda = max(worst_lambda,
-                           np.max(np.abs(lambdas[:, col] - ref) / (1.0 + np.abs(ref))))
-        for row, kind in enumerate(RECT_KINDS):
-            ref = oracle._rect_quadrature(kind, batch, branch)
-            closed = rects[:, 2 * row + col]
-            worst_rect = max(worst_rect, np.max(np.abs(closed - ref) / (1.0 + np.abs(ref))))
+    # the closed forms and the oracle each evaluate all draws as one batch,
+    # every branch and kind a column; a draw's value does not depend on its
+    # batch
+    batch = Draws.of([(*u, k) for u, k in pairs])
+
+    def worst(closed, ref):
+        return np.max(np.abs(closed - ref) / (1.0 + np.abs(ref)))
+
+    worst_lambda = worst(interference_contribution(batch), oracle_lambda_baseband(batch))
+    worst_rect = worst(rect_integral(batch), rect_integral_quadrature(batch))
     elapsed = time.perf_counter() - started
     ok = worst_lambda <= 1e-9 and worst_rect <= 1e-9 and elapsed < 60.0
     _report(1, "oracle equivalence",
@@ -108,20 +112,20 @@ def test_criterion_02_reduction_identities():
             - 2.0 / math.pi * math.sin(phi_p) * (prev - cur))
 
     rng = np.random.default_rng(20140902)
-    worst = 0.0
+    cases = []
     for _ in range(1000):
         u = _random_interferer(rng)
         k = int(rng.integers(0, 8))
-        startpoints = (
-            (InterfererParams(u.amplitude, 0.0, u.phi_c, u.bits), phase_only),
-            (InterfererParams(u.amplitude, u.tau, 0.0, u.bits), time_only),
-            (InterfererParams(u.amplitude, 0.0, 0.0, u.bits),
-             lambda v, kk: v.amplitude * bit(v, "I", kk)),
-        )
-        for v, reference in startpoints:
-            got = interference_contribution(v, k, "I")
-            want = reference(v, k)
-            worst = max(worst, abs(got - want) / (1.0 + abs(want)))
+        cases += [(u._replace(tau=0.0), k, phase_only),
+                  (u._replace(phi_c=0.0), k, time_only),
+                  (u._replace(tau=0.0, phi_c=0.0), k,
+                   lambda v, kk: v.amplitude * bit(v, "I", kk))]
+    # every case as one batch, on the in-phase branch
+    got = interference_contribution(Draws.of([(*v, k) for v, k, _ in cases]))[:, 0]
+    worst = 0.0
+    for value, (v, k, reference) in zip(got, cases):
+        want = reference(v, k)
+        worst = max(worst, abs(value - want) / (1.0 + abs(want)))
     ok = worst <= 1e-13
     _report(2, "reduction identities", ok, f"max scaled dev {worst:.2e}")
     assert ok

@@ -8,9 +8,9 @@ import os
 import numpy as np
 import pytest
 
-from mskcollide import (ExperimentConfig, InterfererParams, cli, interference_contribution,
-                        montecarlo, oracle_lambda_baseband, rect_integral,
-                        rect_integral_quadrature, run_point)
+from mskcollide import (Draws, ExperimentConfig, cli, interference_contribution, montecarlo,
+                        oracle_lambda_baseband, rect_integral, rect_integral_quadrature,
+                        run_point)
 from mskcollide.cli import main
 
 
@@ -47,21 +47,41 @@ def test_validate_passband():
                  "--passband", "--seed", "5"]) == 0
 
 
+@pytest.mark.parametrize("argv, out, err, code", [
+    (["--draws", "1027", "--seed", "11"],
+     "validate (baseband): 1027 draws, max scaled deviation 4.606e-14\n", "", 0),
+    (["--draws", "1027", "--tolerance", "0", "--seed", "12"],
+     "validate (baseband): 1027 draws, max scaled deviation 4.966e-14\n",
+     "FAIL: deviation 4.966e-14 exceeds tolerance 0.000e+00 at "
+     "('I', -2.918475620927145, 3.5082381794921136, 74.48033816355222, 8)\n", 1),
+    (["--passband", "--draws", "15", "--seed", "5"],
+     "validate (passband): 15 draws, max scaled deviation 6.702e-06\n",
+     "FAIL: deviation 6.702e-06 exceeds tolerance 1.000e-09 at "
+     "('Q', 0.27994411798166485, 1.9862490171171905, 7.968491737828837, 3)\n", 1),
+], ids=["pass", "fail", "passband"])
+def test_validate_output_is_pinned(capsys, argv, out, err, code):
+    """validate's exact output and exit code on three seeds: two baseband
+    runs spanning two chunks, and a passband run whose residue exceeds the
+    default tolerance."""
+    assert main(["validate", *argv]) == code
+    assert capsys.readouterr() == (out, err)
+
+
 def _plain_validate_draw(rng):
     """One validate draw as the per-draw loop makes it: the RNG calls in
-    order, then an InterfererParams."""
+    order, as a (bits, amplitude, tau, phi_c, k) row."""
     n_bits = int(rng.integers(4, 13)) * 2
     bits = rng.integers(0, 2, size=n_bits) * 2 - 1
-    params = InterfererParams(amplitude=float(10.0 ** rng.uniform(-2, 2)),
-                              tau=float(rng.uniform(-4.0, 4.0)),
-                              phi_c=float(rng.uniform(0.0, 2.0 * math.pi)), bits=bits)
-    return params, int(rng.integers(0, n_bits // 2))
+    amplitude = float(10.0 ** rng.uniform(-2, 2))
+    tau = float(rng.uniform(-4.0, 4.0))
+    phi_c = float(rng.uniform(0.0, 2.0 * math.pi))
+    return bits, amplitude, tau, phi_c, int(rng.integers(0, n_bits // 2))
 
 
 def test_validate_batches_the_draws_of_a_plain_loop(monkeypatch):
     """A validate of one chunk and three draws evaluates, in two batches,
-    exactly the draws a plain per-draw loop gives on its seed, and
-    _random_params replays them one at a time."""
+    exactly the draws a plain per-draw loop gives on its seed, and each
+    replays as a batch of one."""
     batches = []
 
     def recording(rng, count):
@@ -73,42 +93,42 @@ def test_validate_batches_the_draws_of_a_plain_loop(monkeypatch):
     draws = cli.VALIDATE_CHUNK + 3
     assert main(["validate", "--draws", str(draws), "--seed", "11"]) == 0
     assert [len(batch.tau) for batch in batches] == [cli.VALIDATE_CHUNK, 3]
-    rng, replay = np.random.default_rng(11), np.random.default_rng(11)
+    rng = np.random.default_rng(11)
     for batch in batches:
         for row in range(len(batch.tau)):
-            params, k = _plain_validate_draw(rng)
-            again, k_again = cli._random_params(replay)
-            assert (again.amplitude, again.tau, again.phi_c, k_again) == (
-                params.amplitude, params.tau, params.phi_c, k)
-            assert np.array_equal(again.bits, params.bits)
-            assert (batch.amplitude[row], batch.tau[row], batch.phi_c[row],
-                    batch.position[row]) == (params.amplitude, params.tau, params.phi_c, 2 * k)
-            # transmit order after two silent positions, silence after it
-            flat = batch.bits[row].ravel()
-            assert np.array_equal(flat[2:2 + len(params.bits)], params.bits)
-            assert not flat[:2].any() and not flat[2 + len(params.bits):].any()
+            bits, amplitude, tau, phi_c, k = draw = _plain_validate_draw(rng)
+            again = Draws.of([draw])
+            for replay in (again, batch):
+                at = 0 if replay is again else row
+                assert (replay.amplitude[at], replay.tau[at], replay.phi_c[at],
+                        replay.position[at]) == (amplitude, tau, phi_c, 2 * k)
+                # transmit order after two silent positions, silence after it
+                flat = replay.bits[at].ravel()
+                assert np.array_equal(flat[2:2 + len(bits)], bits)
+                assert not flat[:2].any() and not flat[2 + len(bits):].any()
 
 
 def test_validate_fail_names_the_first_worst_draw(capsys):
-    """With --tolerance 0 the FAIL line names the case a per-draw scalar loop
-    picks: the first maximum in (draw, label) order, across chunks."""
+    """With --tolerance 0 the FAIL line names the case a per-draw loop over
+    batches of one picks: the first maximum in (draw, label) order, across
+    chunks."""
     draws = cli.VALIDATE_CHUNK + 3
     assert main(["validate", "--draws", str(draws), "--tolerance", "0",
                  "--seed", "12"]) == 1
     captured = capsys.readouterr()
     rng = np.random.default_rng(12)
+    labels = ["I", "Q"] + [f"rect/{kind}/{branch}" for kind in ("one", "cos2wp", "sin2wp")
+                           for branch in ("I", "Q")]
     worst, case = 0.0, None
     for _ in range(draws):
-        params, k = cli._random_params(rng)
-        pairs = [(branch, interference_contribution(params, k, branch),
-                  oracle_lambda_baseband(params, k, branch)) for branch in ("I", "Q")]
-        pairs += [(f"rect/{kind}/{branch}", rect_integral(kind, params, k, branch),
-                   rect_integral_quadrature(kind, params, k, branch))
-                  for kind in ("one", "cos2wp", "sin2wp") for branch in ("I", "Q")]
-        for label, closed, reference in pairs:
-            dev = abs(closed - reference) / (1.0 + abs(reference))
+        _, amplitude, tau, phi_c, k = draw = _plain_validate_draw(rng)
+        one = Draws.of([draw])
+        closed = np.hstack([interference_contribution(one), rect_integral(one)])[0]
+        reference = np.hstack([oracle_lambda_baseband(one), rect_integral_quadrature(one)])[0]
+        for label, value, ref in zip(labels, closed, reference):
+            dev = abs(value - ref) / (1.0 + abs(ref))
             if dev > worst:
-                worst, case = dev, (label, params.tau, params.phi_c, params.amplitude, k)
+                worst, case = dev, (label, tau, phi_c, amplitude, k)
     assert f"max scaled deviation {worst:.3e}" in captured.out
     assert captured.err.strip().endswith(f"at {case}")
 

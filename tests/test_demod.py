@@ -1,37 +1,57 @@
 """Closed-form demodulator contributions: special cases, reductions, and
-agreement of the one-row lookup and the whole-packet gather with the
+agreement of the batched lookup and the whole-packet gather with the
 closed form written as one expression."""
 
 import math
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from mskcollide import (InterfererParams, interference_contribution,
-                        oracle_lambda_baseband, rect_integral,
-                        rect_integral_quadrature)
-from mskcollide import demod, montecarlo, oracle
+from mskcollide import (Draws, interference_contribution, oracle_lambda_baseband,
+                        rect_integral, rect_integral_quadrature)
+from mskcollide import demod, montecarlo
 from mskcollide.demod import _offset_terms, _pattern_table, decompose_offset
 from mskcollide.montecarlo import _compute_soft
 from mskcollide.oracle import RECT_KINDS
-from mskcollide.signal_model import _stack
 
 TWO_OVER_PI = 2.0 / math.pi
 
 
-def _interferer(bits, amplitude=1.0, tau=0.0, phi_c=0.0):
-    return InterfererParams(amplitude=amplitude, tau=tau, phi_c=phi_c, bits=bits)
+class Interferer(NamedTuple):
+    """One interferer, in the order of a Draws.of row before its bit index."""
+
+    bits: object
+    amplitude: float = 1.0
+    tau: float = 0.0
+    phi_c: float = 0.0
 
 
 def _random_interferer(rng, n_bits=16, tau_span=4.0):
     bits = rng.integers(0, 2, size=n_bits) * 2 - 1
-    return InterfererParams(
+    return Interferer(
         amplitude=float(10.0 ** rng.uniform(-2, 2)),
         tau=float(rng.uniform(-tau_span, tau_span)),
         phi_c=float(rng.uniform(0.0, 2 * math.pi)),
         bits=bits,
     )
+
+
+def _draws(pairs):
+    """The batch of (Interferer, k) pairs."""
+    return Draws.of([(*u, k) for u, k in pairs])
+
+
+def _lambdas(u, ks):
+    """u's closed-form contribution at each bit index of ks, as (len(ks), 2)
+    columns I and Q; .ravel() lists them in transmit order."""
+    return interference_contribution(_draws((u, k) for k in ks))
+
+
+def _lambda(u, k, branch="I"):
+    """u's contribution at bit k of one branch: a column of a batch of one."""
+    return _lambdas(u, [k])[0, "IQ".index(branch)]
 
 
 def _bit(u, branch, m):
@@ -40,103 +60,105 @@ def _bit(u, branch, m):
     return int(u.bits[n]) if 0 <= n < len(u.bits) else 0
 
 
+def _decompose(shifted):
+    """decompose_offset of one offset, as a one-element array."""
+    k_shift, tau_rel = decompose_offset(np.array([shifted]))
+    return float(k_shift[0]), float(tau_rel[0])
+
+
 class TestDecomposeOffset:
     def test_zero_offset(self):
-        assert decompose_offset(0.0) == (0, 0.0)
+        assert _decompose(0.0) == (0, 0.0)
 
     def test_positive_offset(self):
-        k_shift, tau_rel = decompose_offset(2.5)
+        k_shift, tau_rel = _decompose(2.5)
         assert k_shift == 1
         assert tau_rel == pytest.approx(0.5)
 
     def test_negative_offset_floors_down(self):
-        k_shift, tau_rel = decompose_offset(-0.5)
+        k_shift, tau_rel = _decompose(-0.5)
         assert k_shift == -1
         assert tau_rel == pytest.approx(1.5)
 
     def test_q_leak_shifts_by_plus_T(self):
-        k_shift, tau_rel = decompose_offset(0.0 + 1.0)
+        k_shift, tau_rel = _decompose(0.0 + 1.0)
         assert k_shift == 0
         assert tau_rel == pytest.approx(1.0)
 
     def test_remainder_confined_and_consistent(self):
         rng = np.random.default_rng(0)
-        for _ in range(2000):
-            tau = float(rng.uniform(-50, 50))
-            k_shift, tau_rel = decompose_offset(tau)
-            assert 0.0 <= tau_rel < 2.0
-            assert tau == pytest.approx(tau_rel + 2 * k_shift, abs=1e-9)
+        tau = np.array([float(rng.uniform(-50, 50)) for _ in range(2000)])
+        k_shift, tau_rel = decompose_offset(tau)
+        assert np.all((0.0 <= tau_rel) & (tau_rel < 2.0))
+        assert np.all(k_shift == np.round(k_shift))
+        assert np.allclose(tau_rel + 2 * k_shift, tau, rtol=0, atol=1e-9)
 
 
 class TestSynchronizedContribution:
     """A fully synchronized signal contributes amplitude times its bit."""
 
     def test_unit(self):
-        value = interference_contribution(_interferer([+1, -1]), 0, "I")
-        assert type(value) is float and value == 1.0
+        values = _lambdas(Interferer([+1, -1]), [0])
+        assert values.dtype == np.float64 and values.shape == (1, 2)
+        assert values[0, 0] == 1.0
 
     def test_scaled_negative(self):
-        assert interference_contribution(_interferer([-1, +1], 0.5), 0, "I") == -0.5
+        assert _lambda(Interferer([-1, +1], 0.5), 0, "I") == -0.5
 
     def test_silence(self):
-        u = _interferer([+1, -1], amplitude=3.0)
-        assert interference_contribution(u, 1, "I") == 0.0
-        assert interference_contribution(u, -1, "Q") == 0.0
+        u = Interferer([+1, -1], amplitude=3.0)
+        assert _lambda(u, 1, "I") == 0.0
+        assert _lambda(u, -1, "Q") == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            _interferer([+1, -1], amplitude=-1.0)
+            _lambda(Interferer([+1, -1], amplitude=-1.0), 0)
         with pytest.raises(ValueError):
-            _interferer([+1, 2])
-        with pytest.raises(ValueError):
-            interference_contribution(_interferer([+1, -1]), 0, "X")
+            _lambda(Interferer([+1, 2]), 0)
         # a bit index must be an integer; True would read bit 1
         for k in (1.5, True):
             with pytest.raises(ValueError):
-                interference_contribution(_interferer([+1, -1, -1, +1]), k, "I")
-        u = _interferer([+1, -1, -1, +1])
-        assert interference_contribution(u, np.int64(1), "Q") == interference_contribution(
-            u, 1, "Q")
+                _lambda(Interferer([+1, -1, -1, +1]), k, "I")
+        u = Interferer([+1, -1, -1, +1])
+        assert _lambda(u, np.int64(1), "Q") == _lambda(u, 1, "Q")
 
 
 class TestSpecialCases:
     def test_no_offsets_is_amplitude_times_bit(self):
-        u = _interferer([+1, +1, +1, -1], amplitude=1.0)
-        assert interference_contribution(u, 0, "I") == pytest.approx(1.0)
-        u2 = _interferer([-1, +1], amplitude=0.7)
-        assert interference_contribution(u2, 0, "I") == pytest.approx(-0.7)
+        u = Interferer([+1, +1, +1, -1], amplitude=1.0)
+        assert _lambda(u, 0, "I") == pytest.approx(1.0)
+        u2 = Interferer([-1, +1], amplitude=0.7)
+        assert _lambda(u2, 0, "I") == pytest.approx(-0.7)
 
     def test_quarter_turn_leaks_alternating_q_bits(self):
         # q bits (k-1, k) = (+1, -1) at k=1
-        u = _interferer([+1, +1, +1, -1], phi_c=math.pi / 2)
-        got = interference_contribution(u, 1, "I")
+        u = Interferer([+1, +1, +1, -1], phi_c=math.pi / 2)
+        got = _lambda(u, 1, "I")
         assert got == pytest.approx(-TWO_OVER_PI, abs=1e-12)
 
     def test_quarter_turn_equal_q_bits_vanishes(self):
-        u = _interferer([+1, +1, -1, +1], phi_c=math.pi / 2)  # q bits equal
-        assert interference_contribution(u, 1, "I") == pytest.approx(0.0, abs=1e-12)
+        u = Interferer([+1, +1, -1, +1], phi_c=math.pi / 2)  # q bits equal
+        assert _lambda(u, 1, "I") == pytest.approx(0.0, abs=1e-12)
 
     def test_half_bit_delay_alternating_i_bits(self):
         # i bits (k-1, k) = (+1, -1) at k=1: only the transition term remains
-        u = _interferer([+1, +1, -1, -1], tau=1.0)
-        got = interference_contribution(u, 1, "I")
+        u = Interferer([+1, +1, -1, -1], tau=1.0)
+        got = _lambda(u, 1, "I")
         assert got == pytest.approx(-TWO_OVER_PI, abs=1e-12)
 
     def test_q_branch_no_offsets(self):
-        u = _interferer([+1, +1, +1, -1])
-        assert interference_contribution(u, 0, "Q") == pytest.approx(1.0)
+        u = Interferer([+1, +1, +1, -1])
+        assert _lambda(u, 0, "Q") == pytest.approx(1.0)
 
     def test_q_branch_opposed_carrier_flips_sign(self):
-        u = _interferer([+1, +1, +1, -1], phi_c=math.pi)
-        assert interference_contribution(u, 0, "Q") == pytest.approx(-1.0)
+        u = Interferer([+1, +1, +1, -1], phi_c=math.pi)
+        assert _lambda(u, 0, "Q") == pytest.approx(-1.0)
 
     def test_unit_magnitude_for_in_packet_bit(self):
         rng = np.random.default_rng(5)
         bits = rng.integers(0, 2, size=12) * 2 - 1
-        u = _interferer(bits)
-        for k in range(6):
-            for branch in ("I", "Q"):
-                assert abs(interference_contribution(u, k, branch)) == pytest.approx(1.0)
+        values = _lambdas(Interferer(bits), range(6))
+        assert np.abs(values) == pytest.approx(np.ones((6, 2)))
 
 
 class TestReductions:
@@ -158,69 +180,56 @@ class TestReductions:
             math.cos(phi_p) * (tau_rel * prev + (2 - tau_rel) * cur)
             - (2 / math.pi) * math.sin(phi_p) * (prev - cur))
 
+    @staticmethod
+    def _assert_reduces(rng, count, fields, reference):
+        """count random draws with the given fields fixed, evaluated as one
+        batch, each against reference(u, k) on the in-phase branch."""
+        pairs = [(_random_interferer(rng)._replace(**fields), int(rng.integers(0, 8)))
+                 for _ in range(count)]
+        got = interference_contribution(_draws(pairs))[:, 0]
+        for value, (u, k) in zip(got, pairs):
+            want = reference(u, k)
+            assert value == pytest.approx(want, abs=1e-13 * (1 + abs(want)))
+
     def test_reduces_to_phase_only_form(self):
-        rng = np.random.default_rng(10)
-        for _ in range(400):
-            u = _random_interferer(rng)
-            u = InterfererParams(u.amplitude, 0.0, u.phi_c, u.bits)
-            k = int(rng.integers(0, 8))
-            got = interference_contribution(u, k, "I")
-            want = self._phase_only(u, k)
-            assert got == pytest.approx(want, abs=1e-13 * (1 + abs(want)))
+        self._assert_reduces(np.random.default_rng(10), 400, {"tau": 0.0}, self._phase_only)
 
     def test_reduces_to_time_only_form(self):
-        rng = np.random.default_rng(11)
-        for _ in range(400):
-            u = _random_interferer(rng)
-            u = InterfererParams(u.amplitude, u.tau, 0.0, u.bits)
-            k = int(rng.integers(0, 8))
-            got = interference_contribution(u, k, "I")
-            want = self._time_only(u, k)
-            assert got == pytest.approx(want, abs=1e-13 * (1 + abs(want)))
+        self._assert_reduces(np.random.default_rng(11), 400, {"phi_c": 0.0}, self._time_only)
 
     def test_reduces_to_synchronized_form(self):
-        rng = np.random.default_rng(12)
-        for _ in range(100):
-            u = _random_interferer(rng)
-            u = InterfererParams(u.amplitude, 0.0, 0.0, u.bits)
-            k = int(rng.integers(0, 8))
-            got = interference_contribution(u, k, "I")
-            want = u.amplitude * _bit(u, "I", k)
-            assert got == pytest.approx(want, abs=1e-13 * (1 + abs(want)))
+        self._assert_reduces(np.random.default_rng(12), 100, {"tau": 0.0, "phi_c": 0.0},
+                             lambda u, k: u.amplitude * _bit(u, "I", k))
 
 
 class TestProperties:
     def test_four_T_periodicity_with_constant_bits(self):
         bits = np.ones(64, dtype=int)
         rng = np.random.default_rng(14)
-        for _ in range(100):
-            tau = float(rng.uniform(-8, 8))
-            phi = float(rng.uniform(0, 2 * math.pi))
-            a = InterfererParams(1.0, tau, phi, bits)
-            b = InterfererParams(1.0, tau + 4.0, phi, bits)
-            # k in the payload middle so both offsets stay inside the span
-            va = interference_contribution(a, 16, "I")
-            vb = interference_contribution(b, 18, "I")
-            assert vb == pytest.approx(va, abs=1e-12)
+        offsets = [(float(rng.uniform(-8, 8)), float(rng.uniform(0, 2 * math.pi)))
+                   for _ in range(100)]
+        # k in the payload middle so both offsets stay inside the span
+        va = interference_contribution(_draws((Interferer(bits, 1.0, tau, phi), 16)
+                                              for tau, phi in offsets))
+        vb = interference_contribution(_draws((Interferer(bits, 1.0, tau + 4.0, phi), 18)
+                                              for tau, phi in offsets))
+        assert vb[:, 0] == pytest.approx(va[:, 0], abs=1e-12)
 
     def test_magnitude_bound(self):
         bound = 1.0 + TWO_OVER_PI
         rng = np.random.default_rng(15)
-        for _ in range(3000):
-            u = _random_interferer(rng)
-            k = int(rng.integers(-2, 10))
-            for branch in ("I", "Q"):
-                v = interference_contribution(u, k, branch)
-                assert abs(v) <= u.amplitude * bound + 1e-12
+        pairs = [(_random_interferer(rng), int(rng.integers(-2, 10))) for _ in range(3000)]
+        values = interference_contribution(_draws(pairs))
+        amplitudes = np.array([u.amplitude for u, _ in pairs])[:, None]
+        assert np.all(np.abs(values) <= amplitudes * bound + 1e-12)
 
     def test_batch_matches_scalar(self):
-        # a whole packet's values are the one-row values, exactly
+        # a whole packet's values are the batched values, exactly
         rng = np.random.default_rng(16)
         for _ in range(60):
             u = _random_interferer(rng, n_bits=20)
             row = _interferer_row(u, u.bits)
-            for j in range(20):
-                assert row[j] == interference_contribution(u, j // 2, "IQ"[j % 2])
+            assert row.tolist() == _lambdas(u, range(10)).ravel().tolist()
 
     def test_batch_honors_origin_offset(self):
         # a payload starting at branch index 3 (after six silent chips)
@@ -228,27 +237,29 @@ class TestProperties:
         # decision k - 3
         rng = np.random.default_rng(17)
         bits = rng.integers(0, 2, size=16) * 2 - 1
-        u = InterfererParams(1.3, 0.7, 2.1, bits)
+        u = Interferer(bits, 1.3, 0.7, 2.1)
         row = _interferer_row(u, np.concatenate([np.zeros(6, np.int8), u.bits]))
-        for j in range(22):
-            assert row[j] == interference_contribution(u, j // 2 - 3, "IQ"[j % 2])
+        assert row.tolist() == _lambdas(u, range(-3, 8)).ravel().tolist()
 
     def test_odd_length_payload(self):
         # 4 in-phase and 3 quadrature bits: every evaluator agrees at the
         # last bits of each branch and gives 0 beyond the payload, which at
         # tau = 0.6 starts two decisions after a branch's last bit
-        u = _interferer([1, -1, -1, 1, 1, -1, 1], amplitude=1.7, tau=0.6, phi_c=1.1)
+        u = Interferer([1, -1, -1, 1, 1, -1, 1], amplitude=1.7, tau=0.6, phi_c=1.1)
         # a packet of 14 chips, silent after the payload's seven
         row = _interferer_row(u, np.concatenate([u.bits, np.zeros(7, np.int8)]))
-        for branch, last in (("I", 3), ("Q", 2)):
+        ks = range(2, 7)
+        batch = _draws((u, k) for k in ks)
+        lambdas, refs = interference_contribution(batch), oracle_lambda_baseband(batch)
+        # the "one" kind, columns I and Q
+        rects, quads = rect_integral(batch)[:, :2], rect_integral_quadrature(batch)[:, :2]
+        for col, (branch, last) in enumerate((("I", 3), ("Q", 2))):
             for k in range(last, last + 4):
-                closed = interference_contribution(u, k, branch)
+                at = ks.index(k), col
+                closed, ref, rect = lambdas[at], refs[at], rects[at]
                 assert row[2 * k + (branch == "Q")] == closed
-                ref = oracle_lambda_baseband(u, k, branch)
                 assert closed == pytest.approx(ref, abs=1e-12 * (1 + abs(ref)))
-                rect = rect_integral("one", u, k, branch)
-                quad = rect_integral_quadrature("one", u, k, branch)
-                assert rect == pytest.approx(quad, abs=1e-12)
+                assert rect == pytest.approx(quads[at], abs=1e-12)
                 if k >= last + 2:
                     assert closed == ref == rect == 0.0
                 else:
@@ -302,25 +313,23 @@ class TestSoftBit:
         assert np.allclose(both, only1 + only2 - alone, rtol=0, atol=1e-12)
 
     def test_packet_soft_bits_match_scalar(self):
-        # whole-packet soft values equal the synchronized bit plus the one-row
-        # contribution of every interferer, bit by bit
+        # whole-packet soft values equal the synchronized bit plus the
+        # batched contribution of every interferer, bit by bit
         packets, n_chips = 3, 16
         soi, chips, amplitudes, tau, phi = _two_interferer_batch(
             np.random.default_rng(19), packets, n_chips)
         soft = _compute_soft(soi, chips, amplitudes, tau, phi)
         for p in range(packets):
-            interferers = [InterfererParams(amplitudes[idx], tau, phi[p, idx], chips[idx][p])
-                           for idx in range(2)]
-            for j in range(n_chips):
-                branch, k = "IQ"[j % 2], j // 2
-                want = soi[p, j] + sum(interference_contribution(u, k, branch)
-                                       for u in interferers)
-                assert soft[p, j] == pytest.approx(want, abs=1e-12)
+            want = soi[p] + sum(
+                _lambdas(Interferer(chips[idx][p], amplitudes[idx], tau, phi[p, idx]),
+                         range(n_chips // 2)).ravel()
+                for idx in range(2))
+            assert soft[p] == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("n_chips", [64, 512])
     def test_one_interferer_soft_bits_are_the_one_row_values(self, n_chips):
         # with one interferer the engine's soft value is the synchronized
-        # chip plus the one-row contribution that validate checks against
+        # chip plus the batched contribution that validate checks against
         # the oracle, bit for bit
         packets = 3
         soi, chips, amplitudes, tau, phi = _two_interferer_batch(
@@ -328,9 +337,8 @@ class TestSoftBit:
         soft = _compute_soft(soi, chips[:1], amplitudes[:1], tau, phi[:, :1])
         want = np.empty_like(soft)
         for p in range(packets):
-            u = InterfererParams(amplitudes[0], tau, phi[p, 0], chips[0][p])
-            for j in range(n_chips):
-                want[p, j] = soi[p, j] + interference_contribution(u, j // 2, "IQ"[j % 2])
+            u = Interferer(chips[0][p], amplitudes[0], tau, phi[p, 0])
+            want[p] = soi[p] + _lambdas(u, range(n_chips // 2)).ravel()
         _assert_bit_identical(soft, want)
 
 
@@ -353,8 +361,8 @@ def _expression_form(i_bits, q_bits, amplitude, tau, phi_c, branch, num_bits,
     payload's first branch index relative to the first decision index. The
     in-phase bits leak into quadrature detection through the quadrature
     leak decomposition, one bit later."""
-    main_shift, main_rel = decompose_offset(tau)
-    leak_shift, leak_rel = decompose_offset(tau + 1.0)
+    main_shift, main_rel = _scalar_decompose(tau)
+    leak_shift, leak_rel = _scalar_decompose(tau + 1.0)
     leak_shift -= 1 if branch == "Q" else 0
     main_bits = i_bits if branch == "I" else q_bits
     leak_bits = q_bits if branch == "I" else i_bits
@@ -414,7 +422,7 @@ def _assert_bit_identical(got, want):
 
 class TestBitIdentity:
     """The pattern tables round exactly as the expression form, so the
-    one-row lookup and the whole-packet gather (and every table built from
+    batched lookup and the whole-packet gather (and every table built from
     them) stay bit-identical to it."""
 
     #: Includes all 11 split taus (TestPatternTables.SPLIT_TAUS).
@@ -428,9 +436,8 @@ class TestBitIdentity:
         for dtype, index_offset in ((np.int8, 0), (np.float64, 0),
                                     (np.int8, 3), (np.float64, -2)):
             bits = _bits(rng, 23, dtype)
-            u = InterfererParams(2.3, tau, 1.1, bits)
-            got = np.array([interference_contribution(u, k - index_offset, branch)
-                            for k in range(12)])
+            u = Interferer(bits, 2.3, tau, 1.1)
+            got = _lambdas(u, range(-index_offset, 12 - index_offset))[:, "IQ".index(branch)]
             _assert_bit_identical(got, _expression_form(
                 bits[0::2], bits[1::2], 2.3, tau, 1.1, branch, 12, index_offset))
 
@@ -590,7 +597,7 @@ def _scalar_decompose(shifted):
 
 
 def _scalar_lambda(u, k, branch):
-    """interference_contribution as it was computed one draw at a time: the
+    """interference_contribution as it was once computed one draw at a time: the
     weights in Python scalars, the 81-entry one-phase pattern table, and
     the entry at the bit's pattern code."""
     n = 2 * k + (branch == "Q")
@@ -623,7 +630,7 @@ def _scalar_lambda(u, k, branch):
 
 
 def _scalar_rect(kind, u, k, branch):
-    """rect_integral as it was computed one draw at a time."""
+    """rect_integral as it was once computed one draw at a time."""
     n = 2 * k + (branch == "Q")
     k_shift, tau_rel = _scalar_decompose(u.tau if branch == "I" else u.tau + 1.0)
     n -= 2 * k_shift
@@ -648,8 +655,8 @@ def _scalar_closed_forms(u, k):
 
 
 def _batched_closed_forms(pairs):
-    batch = _stack(pairs)
-    return np.hstack([demod._contributions(batch), oracle._rect_integrals(batch)])
+    batch = _draws(pairs)
+    return np.hstack([interference_contribution(batch), rect_integral(batch)])
 
 
 #: Offsets at the ends of validate's range, and whole multiples of T, where
@@ -670,8 +677,8 @@ def _closed_form_draws(count):
                else float(rng.uniform(-4.0, 4.0)))
         phi_c = (float(rng.choice([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi]))
                  if rng.random() < 0.2 else float(rng.uniform(0.0, 2 * math.pi)))
-        u = InterfererParams(float(10.0 ** rng.uniform(-2, 2)), tau, phi_c,
-                             rng.integers(0, 2, size=n_bits) * 2 - 1)
+        u = Interferer(amplitude=float(10.0 ** rng.uniform(-2, 2)), tau=tau, phi_c=phi_c,
+                       bits=rng.integers(0, 2, size=n_bits) * 2 - 1)
         k = int(rng.choice([0, n_bits // 2 - 1, int(rng.integers(0, n_bits // 2))]))
         pairs.append((u, k))
     return pairs
@@ -694,14 +701,9 @@ class TestBatchedClosedForms:
     def test_batch_of_one_equals_its_row(self):
         pairs = _closed_form_draws(1024)
         batch = _batched_closed_forms(pairs)
+        assert batch.shape == (1024, 8)
         for row, (u, k) in enumerate(pairs):
             _assert_bit_identical(_batched_closed_forms([(u, k)])[0], batch[row])
-        for row in range(0, 1024, 7):
-            u, k = pairs[row]
-            public = [interference_contribution(u, k, branch) for branch in ("I", "Q")] + [
-                rect_integral(kind, u, k, branch) for kind in RECT_KINDS for branch in ("I", "Q")]
-            assert all(type(value) is float for value in public)
-            _assert_bit_identical(np.array(public), batch[row])
 
     def test_decompose_offset_array_equals_scalar(self):
         # both guards: -1e-17 rounds onto 2T, and far offsets keep exact shifts
@@ -711,8 +713,6 @@ class TestBatchedClosedForms:
         k_shift, tau_rel = decompose_offset(np.array(offsets, dtype=np.float64))
         for shifted, k_arr, rel_arr in zip(offsets, k_shift, tau_rel):
             k_ref, rel_ref = _scalar_decompose(float(shifted))
-            k_one, rel_one = decompose_offset(float(shifted))
-            assert type(k_one) is int and type(rel_one) is float
-            assert k_one == k_ref and float(k_arr) == k_ref
-            for rel in (rel_one, rel_arr):
-                assert np.float64(rel).view(np.int64) == np.float64(rel_ref).view(np.int64)
+            # bit for bit: a whole k_shift is never -0.0
+            for got, want in ((k_arr, float(k_ref)), (rel_arr, rel_ref)):
+                assert got.view(np.int64) == np.float64(want).view(np.int64)

@@ -14,9 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mskcollide import (ConfigError, ExperimentConfig, InterfererParams, MetricPoint,
-                        capture_zone, decide, grid, interference_contribution,
-                        montecarlo, n_interferer_experiment, run_point, sweep)
+from mskcollide import (ConfigError, Draws, ExperimentConfig, MetricPoint, capture_zone,
+                        decide, grid, interference_contribution, montecarlo,
+                        n_interferer_experiment, run_point, sweep)
 from mskcollide.montecarlo import (MAX_GRID_POINTS, MAX_POINT_VALUES, _compute_soft,
                                    _draw_point, _evaluate, _point_amplitudes,
                                    _point_stats, _prr_stats, split_amplitudes)
@@ -207,7 +207,7 @@ class TestEngineMatchesLibraryPath:
     call nor its decision layer."""
 
     def test_soft_matrices_match_packet_soft_bits(self):
-        # every soft value is the synchronized bit plus the one-row
+        # every soft value is the synchronized bit plus the batched
         # contribution of the interferer at that bit
         rng = np.random.default_rng(70)
         packets, n_bits = 5, 32
@@ -217,10 +217,11 @@ class TestEngineMatchesLibraryPath:
         amp, tau = 3.7, -0.43
         soft = _compute_soft(chips, [beta], (amp,), tau, phi)
         for p in range(packets):
-            u = InterfererParams(amp, tau, float(phi[p, 0]), beta[p])
-            for j in range(n_bits):
-                want = chips[p, j] + interference_contribution(u, j // 2, "IQ"[j % 2])
-                assert soft[p, j] == pytest.approx(want, abs=1e-12)
+            # bit k's in-phase and quadrature values are transmit positions
+            # 2k and 2k + 1
+            values = interference_contribution(Draws.of(
+                [(beta[p], amp, tau, float(phi[p, 0]), k) for k in range(n_bits // 2)]))
+            assert soft[p] == pytest.approx(chips[p] + values.ravel(), abs=1e-12)
 
     @pytest.mark.parametrize("coding", ["uncoded", "hdd", "sdd"])
     def test_batch_decisions_match_decode_packet(self, coding):

@@ -1,4 +1,4 @@
-"""Transmit-order payloads, interferer descriptions and payload draws."""
+"""Transmit-order payloads, batches of interferer draws and payload draws."""
 
 import math
 from dataclasses import replace
@@ -6,28 +6,26 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mskcollide import (BIPOLAR_CHIP_TABLE, ConfigError, ExperimentConfig,
-                        InterfererParams, interference_contribution)
+from mskcollide import (BIPOLAR_CHIP_TABLE, ConfigError, Draws, ExperimentConfig,
+                        interference_contribution)
 from mskcollide.montecarlo import _point_amplitudes
 from mskcollide.signal_model import draw_payloads
 
 
-def _unit(bits):
-    return InterfererParams(1.0, 0.0, 0.0, bits)
+def _unit(bits, ks=(0,)):
+    """A unit interferer at zero offsets, drawn at each bit index of ks."""
+    return Draws.of([(bits, 1.0, 0.0, 0.0, k) for k in ks])
 
 
 def test_branches_read_even_and_odd_positions():
     # at zero offsets a unit interferer's branches read back its even
     # (in-phase) and odd (quadrature) transmit positions
-    u = _unit([+1, +1, +1, -1])
-    assert [interference_contribution(u, k, "I") for k in range(2)] == [1, 1]
-    assert [interference_contribution(u, k, "Q") for k in range(2)] == [1, -1]
+    values = interference_contribution(_unit([+1, +1, +1, -1], ks=range(2)))
+    assert values.tolist() == [[1, 1], [1, -1]]
 
 
 def test_one_bit_payload_has_no_quadrature_bit():
-    u = _unit([+1])
-    assert interference_contribution(u, 0, "I") == 1.0
-    assert interference_contribution(u, 0, "Q") == 0.0
+    assert interference_contribution(_unit([+1])).tolist() == [[1.0, 0.0]]
 
 
 def test_empty_payload_rejected():
@@ -35,21 +33,27 @@ def test_empty_payload_rejected():
         _unit([])
 
 
+def test_empty_batch_rejected():
+    with pytest.raises(ValueError, match="the batch is empty"):
+        Draws.of([])
+
+
 def test_zero_offsets_read_payload_back():
     # a unit interferer at zero offsets contributes exactly its bits, so the
-    # one-row closed form reads the payload back in transmit order
+    # closed form reads the payload back in transmit order
     rng = np.random.default_rng(42)
     bits = rng.integers(0, 2, size=64) * 2 - 1
-    u = _unit(bits)
-    back = [interference_contribution(u, j // 2, "IQ"[j % 2]) for j in range(64)]
-    assert back == bits.tolist()
+    back = interference_contribution(_unit(bits, ks=range(32)))
+    assert back.ravel().tolist() == bits.tolist()
 
 
 def test_non_antipodal_bits_rejected():
-    with pytest.raises(ValueError):
-        _unit([1, 0, -1])
-    with pytest.raises(ValueError):
-        _unit([2, 1])
+    for bits in ([1, 0, -1], [2, 1]):
+        with pytest.raises(ValueError, match=r"\+1 or -1"):
+            _unit(bits)
+    # one bad row fails the whole batch
+    with pytest.raises(ValueError, match=r"\+1 or -1"):
+        Draws.of([([1, -1], 1.0, 0.0, 0.0, 0), ([1, 0], 1.0, 0.0, 0.0, 0)])
 
 
 def test_two_dimensional_bits_rejected():
@@ -58,30 +62,27 @@ def test_two_dimensional_bits_rejected():
 
 
 def test_silence_outside_payload():
-    u = _unit([1, -1, 1, -1])
-    assert interference_contribution(u, -1, "I") == 0.0
-    assert interference_contribution(u, 2, "I") == 0.0
-    assert interference_contribution(u, 5, "Q") == 0.0
-    assert interference_contribution(u, 0, "I") == 1.0
-    assert interference_contribution(u, 1, "Q") == -1.0
+    values = interference_contribution(_unit([1, -1, 1, -1], ks=(-1, 2, 5, 0, 1)))
+    assert values[:3].tolist() == [[0.0, 0.0]] * 3
+    assert values[3, 0] == 1.0 and values[4, 1] == -1.0
 
 
 def test_interferer_bits_are_a_read_only_copy():
     bits = np.array([1, -1, 1, -1])
     u = _unit(bits)
-    assert u.bits.dtype == np.int8 and not u.bits.flags.writeable
+    assert u.bits.dtype == np.float64 and not u.bits.flags.writeable
     with pytest.raises(ValueError):
-        u.bits[0] = -1
+        u.bits[0, 1, 0] = -1
     bits[0] = -1  # the caller's array is copied, not shared
-    assert u.bits[0] == 1
+    assert u.bits[0, 1, 0] == 1
 
 
 def test_interferer_params_normalize_phase():
-    u = InterfererParams(amplitude=2.0, tau=0.5, phi_c=-math.pi, bits=[1, -1])
-    assert 0.0 <= u.phi_c < 2 * math.pi
-    assert u.phi_c == pytest.approx(math.pi)
-    with pytest.raises(ValueError):
-        InterfererParams(amplitude=0.0, tau=0.0, phi_c=0.0, bits=[1, -1])
+    u = Draws.of([([1, -1], 2.0, 0.5, -math.pi, 0)])
+    assert 0.0 <= u.phi_c[0] < 2 * math.pi
+    assert u.phi_c[0] == pytest.approx(math.pi)
+    with pytest.raises(ValueError, match="amplitude must be positive"):
+        Draws.of([([1, -1], 0.0, 0.0, 0.0, 0)])
 
 
 @pytest.mark.parametrize("field, value", [
@@ -96,7 +97,14 @@ def test_interferer_params_reject_non_finite(field, value):
     # a non-number is no number at all
     fields = {"amplitude": 1.0, "tau": 0.0, "phi_c": 0.0, field: value}
     with pytest.raises(ValueError, match=f"{field} must be a finite number"):
-        InterfererParams(bits=[1, -1], **fields)
+        Draws.of([([1, -1], fields["amplitude"], fields["tau"], fields["phi_c"], 0)])
+
+
+@pytest.mark.parametrize("k", [True, 1.0, 1.5, "1", None])
+def test_bit_index_must_be_an_integer(k):
+    # True would read bit 1
+    with pytest.raises(ValueError, match="bit index must be an integer"):
+        Draws.of([([1, -1, -1, 1], 1.0, 0.0, 0.0, k)])
 
 
 def test_scenario_sir():
